@@ -171,6 +171,31 @@ def basis_normal_derivative_trace(spec: BasisSpec, mu: int, domain: CompositeDom
     return -mb * np.cos(mb * np.pi / 2.0) * np.sign(x) * radial
 
 
+def _frequencies(count: int, step: float):
+    """step * (1, 2, ..., count): the n alpha or m beta of the family."""
+    return np.arange(1, count + 1) * step
+
+
+def _radial_phase(spec: BasisSpec, domain: CompositeDomain, r):
+    """n alpha (r - a) for n = 1..n_max, shape (n_max, P)."""
+    return np.multiply.outer(_frequencies(spec.n_max, spec.alpha), np.asarray(r, dtype=float) - domain.a)
+
+
+def family_factors(spec: BasisSpec, domain: CompositeDomain, r, phi):
+    """Separable factors of the product members at points (r, phi).
+
+    Returns (R, A) with R[n-1] = r sin(n alpha (r - a)), shape (n_max, P),
+    and A[m-1] = cos(m beta phi) (even) or sin(m beta phi) (odd), shape
+    (m_max, P); member (n, m) is R[n-1] * A[m-1].  The even linear member
+    r - a is not included.
+    """
+    r = np.asarray(r, dtype=float)
+    ang = np.cos if spec.parity is Parity.EVEN else np.sin
+    R = r * np.sin(_radial_phase(spec, domain, r))
+    A = ang(np.multiply.outer(_frequencies(spec.m_max, spec.beta), np.asarray(phi, dtype=float)))
+    return R, A
+
+
 def basis_tables(
     spec: BasisSpec,
     domain: CompositeDomain,
@@ -181,8 +206,12 @@ def basis_tables(
 
     Returns (V, L, T, D): values and Laplacians at the volume nodes, traces
     and normal-derivative traces at the surface nodes, each of shape
-    (M, #nodes).  This is the hot path for assembly; everything is filled
-    with vectorized closed forms rather than per-point calls.
+    (M, #nodes).  This is the hot path for assembly.  Every table is the
+    broadcast product of per-n radial rows and per-m angular columns (the
+    factors of ``family_factors``), so the (n, m) rows come out in the
+    index order of the family without a loop over members; each entry is
+    computed with the same operations, in the same order, as the closed
+    forms of the scalar evaluators.
     """
     r = volume_rule.r
     phi = volume_rule.phi
@@ -193,34 +222,38 @@ def basis_tables(
     T = np.empty((M, xs.size))
     D = np.empty((M, xs.size))
     absx = np.abs(xs)
-    sgn = np.sign(xs)
-    a = spec_a = domain.a
+    a = domain.a
+    even = spec.parity is Parity.EVEN
 
     row = 0
-    if spec.parity is Parity.EVEN:
+    if even:
         V[0] = r - a
         L[0] = 1.0 / r
         T[0] = absx - a
         D[0] = 0.0
         row = 1
-    for n in range(1, spec.n_max + 1):
-        w = n * spec.alpha
-        sr = np.sin(w * (r - a))
-        cr = np.cos(w * (r - a))
-        radial_lap = 3.0 * w * cr - w * w * r * sr
-        sr_over_r = sr / r
-        tr_rad = np.sin(w * (absx - spec_a))
-        for m in range(1, spec.m_max + 1):
-            mb = m * spec.beta
-            if spec.parity is Parity.EVEN:
-                ang = np.cos(mb * phi)
-                T[row] = absx * tr_rad * np.cos(mb * np.pi / 2.0)
-                D[row] = -mb * np.sin(mb * np.pi / 2.0) * tr_rad
-            else:
-                ang = np.sin(mb * phi)
-                T[row] = -xs * tr_rad * np.sin(mb * np.pi / 2.0)
-                D[row] = -mb * np.cos(mb * np.pi / 2.0) * sgn * tr_rad
-            V[row] = r * sr * ang
-            L[row] = (radial_lap + (1.0 - mb * mb) * sr_over_r) * ang
-            row += 1
+    nm = (spec.n_max, spec.m_max)
+    w = _frequencies(spec.n_max, spec.alpha)[:, None]
+    mb = _frequencies(spec.m_max, spec.beta)
+    R, ang = family_factors(spec, domain, r, phi)
+    np.multiply(R[:, None, :], ang, out=V[row:].reshape(nm + (r.size,)))
+    phase = _radial_phase(spec, domain, r)
+    sr = np.sin(phase)
+    cr = np.cos(phase)
+    # L[(n, m)] = (3 w cos - w^2 r sin + (1 - (m beta)^2) sin / r) ang_m
+    radial_lap = 3.0 * w * cr - w * w * r * sr
+    Lnm = L[row:].reshape(nm + (r.size,))
+    np.multiply((1.0 - mb * mb)[None, :, None], (sr / r)[:, None, :], out=Lnm)
+    Lnm += radial_lap[:, None, :]
+    Lnm *= ang
+    tr_rad = np.sin(_radial_phase(spec, domain, absx))[:, None, :]
+    half = mb * np.pi / 2.0
+    Tnm = T[row:].reshape(nm + (xs.size,))
+    Dnm = D[row:].reshape(nm + (xs.size,))
+    if even:
+        Tnm[...] = (absx * tr_rad) * np.cos(half)[:, None]
+        Dnm[...] = (-mb * np.sin(half))[:, None] * tr_rad
+    else:
+        Tnm[...] = (-xs * tr_rad) * np.sin(half)[:, None]
+        Dnm[...] = ((-mb * np.cos(half))[:, None] * np.sign(xs)) * tr_rad
     return V, L, T, D

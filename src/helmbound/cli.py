@@ -4,7 +4,8 @@ Subcommands: solve | sweep-basis | field | oracle | compare, each driven by
 a JSON config (--config; defaults reproduce the reference setup).
 
 Exit codes: 0 success, 1 invalid configuration, 2 iteration did not
-converge, 3 operator resonance (the offending mode index is reported).
+converge, 3 operator resonance (the offending mode index is reported),
+4 a cross-check failed (``compare`` wrote a report with all_pass false).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NOT_CONVERGED = 2
 EXIT_RESONANCE = 3
+EXIT_CHECK_FAILED = 4
 
 
 def _load_config(path: str | None) -> RunConfig:
@@ -226,7 +228,7 @@ def cmd_compare(cfg: RunConfig, args) -> int:
             f"fdm={entry['k_fdm']} mutual={'ok' if entry['pass_mutual'] else 'FAIL'} "
             f"oracle={'ok' if entry['pass_oracle'] else 'FAIL'}"
         )
-    return EXIT_OK
+    return EXIT_OK if all_pass else EXIT_CHECK_FAILED
 
 
 def build_parser() -> argparse.ArgumentParser:

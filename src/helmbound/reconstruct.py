@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import assembly as _assembly
-from .basis import BasisSpec
+from .basis import BasisSpec, Parity, family_factors
 from .errors import IoFailure
-from .geometry import CompositeDomain, QuadratureRule1D, interface_rule
+from .geometry import CompositeDomain
 from .steklov import _guard_neumann, _mode_profile, steklov_table, steklov_trace
 
 
@@ -71,57 +71,42 @@ def gamma2_coefficients(
     method: "_assembly.Method",
     gamma1: np.ndarray,
     kappa: float,
-    spec: BasisSpec,
-    domain: CompositeDomain,
-    n_modes: int,
-    rule: QuadratureRule1D | None = None,
-    n_s: int = 128,
+    context: "_assembly.AssemblyContext",
 ) -> np.ndarray:
-    """Rectangle-side Steklov coefficients for a given semicircle solution."""
-    from .basis import basis_normal_derivative_trace, basis_trace
+    """Rectangle-side Steklov coefficients for a given semicircle solution.
 
-    if rule is None:
-        rule = interface_rule(domain, n_s)
+    Read off the context's interface projections P[n, mu] = (psi_n | phi_mu)
+    and Q[n, mu] = (psi_n | grad_perp phi_mu): gamma2 = P gamma1 for DtN and
+    (Q gamma1) / b_n for NtD, over the context's n_modes Steklov modes.
+    """
     gamma1 = np.asarray(gamma1, dtype=float)
-    xs = rule.nodes
-    M = spec.size
     if method is _assembly.Method.DTN:
-        surface = np.zeros_like(xs)
-        for mu in range(1, M + 1):
-            surface += gamma1[mu - 1] * basis_trace(spec, mu, domain, xs)
-    else:
-        surface = np.zeros_like(xs)
-        for mu in range(1, M + 1):
-            surface += gamma1[mu - 1] * basis_normal_derivative_trace(spec, mu, domain, xs)
-    n = np.arange(1, n_modes + 1)
-    psi = steklov_trace(n[:, None], domain, xs[None, :])
-    coeffs = psi @ (rule.weights * surface)
-    if method is _assembly.Method.NTD:
-        bn, _ = steklov_table(kappa, n_modes, domain)
-        _guard_neumann(bn, kappa)
-        coeffs = coeffs / bn
-    return coeffs
+        return context.proj_values @ gamma1
+    bn, _ = steklov_table(kappa, context.n_modes, context.domain)
+    _guard_neumann(bn, kappa)
+    return (context.proj_derivs @ gamma1) / bn
 
 
-def _semicircle_values(spec: BasisSpec, domain: CompositeDomain, gamma1, x, y):
-    """Sum of the family at scattered semicircle points (vectorized in mu)."""
+# Semicircle points evaluated per block: bounds the (n_max + m_max) x CHUNK
+# factor tables, so sampling adds no memory beyond the grid itself.
+CHUNK = 4096
+
+
+def _semicircle_field(spec: BasisSpec, domain: CompositeDomain, gamma1, x, y):
+    """sum_mu gamma1_mu phi_mu at scattered semicircle points.
+
+    The product members are summed as sum_n R_n (G A)_n with G = gamma1
+    reshaped to (n_max, m_max), so the M x P table of members is never
+    formed.
+    """
     r = np.hypot(x, y)
     phi = np.arctan2(-x, y)
-    out = np.zeros_like(r)
-    idx = 0
-    from .basis import Parity
-
-    if spec.parity is Parity.EVEN:
-        out += gamma1[0] * (r - domain.a)
-        idx = 1
-    for n in range(1, spec.n_max + 1):
-        radial = r * np.sin(n * spec.alpha * (r - domain.a))
-        for m in range(1, spec.m_max + 1):
-            if spec.parity is Parity.EVEN:
-                out += gamma1[idx] * radial * np.cos(m * spec.beta * phi)
-            else:
-                out += gamma1[idx] * radial * np.sin(m * spec.beta * phi)
-            idx += 1
+    even = spec.parity is Parity.EVEN
+    G = np.asarray(gamma1[1:] if even else gamma1, dtype=float).reshape(spec.n_max, spec.m_max)
+    out = gamma1[0] * (r - domain.a) if even else np.zeros_like(r)
+    for lo in range(0, r.size, CHUNK):
+        R, A = family_factors(spec, domain, r[lo:lo + CHUNK], phi[lo:lo + CHUNK])
+        out[lo:lo + CHUNK] += np.einsum("np,np->p", R, G @ A)
     return out
 
 
@@ -135,8 +120,10 @@ def sample_field(
 
     Semicircle cells take |sum gamma1 phi|^2, rectangle cells
     |sum c_n psi_n(kappa)|^2, interface cells the semicircle-side trace,
-    outside cells 0.  The rectangle block is evaluated mode-by-mode as an
-    outer product of the closed x/y factors.
+    outside cells 0.  The semicircle sum runs over blocks of CHUNK points
+    through the separable factors of ``family_factors``; the rectangle
+    block is one product (X^T c) Y of the Steklov traces X (modes x columns)
+    and the y-profiles Y (modes x rows), over the modes with c_n != 0.
     """
     a, b = domain.a, domain.b
     xs = np.linspace(-a, a, grid.nx)
@@ -146,7 +133,7 @@ def sample_field(
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     semi = (Y > 0) & (X * X + Y * Y < a * a)
     if np.any(semi):
-        field = _semicircle_values(estimate.spec, domain, estimate.gamma1, X[semi], Y[semi])
+        field = _semicircle_field(estimate.spec, domain, estimate.gamma1, X[semi], Y[semi])
         values[semi] = field**2
 
     rect_rows = ys < 0
@@ -154,19 +141,14 @@ def sample_field(
     y_rect = ys[rect_rows]
     in_x = np.abs(xs) < a
     if np.any(rect_rows):
-        n_modes = estimate.gamma2.size
-        block = np.zeros((in_x.sum(), y_rect.size))
-        xr = xs[in_x]
-        for n in range(1, n_modes + 1):
-            cn = estimate.gamma2[n - 1]
-            if cn == 0.0:
-                continue
-            block += cn * np.outer(
-                steklov_trace(n, domain, xr), _mode_profile(kappa, n, domain, y_rect)
-            )
+        c = estimate.gamma2
+        n = np.flatnonzero(c) + 1
+        traces = steklov_trace(n[:, None], domain, xs[in_x][None, :])
+        profiles = np.array([_mode_profile(kappa, k, domain, y_rect) for k in n])
+        block = (traces.T * c[n - 1]) @ profiles.reshape(n.size, y_rect.size)
         values[np.ix_(in_x, rect_rows)] = block**2
     if np.any(inter_rows):
-        trace = _semicircle_values(
+        trace = _semicircle_field(
             estimate.spec, domain, estimate.gamma1, xs[in_x], np.zeros(in_x.sum())
         )
         for j in np.nonzero(inter_rows)[0]:
@@ -183,30 +165,37 @@ def sample_field(
 def export_grid(grid: FieldGrid, fmt: str, path) -> None:
     """Write the grid as CSV ("x,y,value", 9 significant digits) or plain PGM.
 
+    CSV has one line per cell, x-major: ``f"{x:.9g},{y:.9g},{value:.9g}"``.
     PGM output is P2 with maxval 65535; values scale linearly so the grid
-    maximum maps to 65535 (an all-zero grid stays all-zero).
+    maximum maps to 65535 (an all-zero grid stays all-zero), rows run top
+    to bottom (y descending), columns left to right (x ascending).
+
+    Both writers format a whole grid row per call: the x/y labels are
+    printed once per grid, each row's line template is assembled from them,
+    and the row's values are filled in with one ``%`` substitution.
     """
     fmt = fmt.lower()
     if fmt not in ("csv", "pgm"):
         raise ValueError(f"unsupported format {fmt!r}")
     try:
         if fmt == "csv":
+            # x.join(tails) = x,y_0,%.9g\n x,y_1,%.9g\n ... for one x-row
+            tails = [""] + [f",{y:.9g},%.9g\n" for y in grid.ys.tolist()]
             with open(path, "w", newline="\n") as fh:
                 fh.write("x,y,value\n")
-                for i, x in enumerate(grid.xs):
-                    for j, y in enumerate(grid.ys):
-                        fh.write(f"{x:.9g},{y:.9g},{grid.values[i, j]:.9g}\n")
+                for x, row in zip(grid.xs.tolist(), grid.values):
+                    fh.write(f"{x:.9g}".join(tails) % tuple(row.tolist()))
         else:
             vmax = float(grid.values.max())
             scale = 65535.0 / vmax if vmax > 0 else 0.0
             raster = np.rint(grid.values * scale).astype(np.int64)
+            line = " ".join(["%d"] * grid.nx) + "\n"
             with open(path, "w", newline="\n") as fh:
                 fh.write("P2\n")
                 fh.write(f"{grid.nx} {grid.ny}\n")
                 fh.write("65535\n")
-                # rows top to bottom: j descending in y, i ascending in x
                 for j in range(grid.ny - 1, -1, -1):
-                    fh.write(" ".join(str(int(v)) for v in raster[:, j]) + "\n")
+                    fh.write(line % tuple(raster[:, j].tolist()))
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
@@ -214,7 +203,7 @@ def export_grid(grid: FieldGrid, fmt: str, path) -> None:
 def read_grid_csv(path) -> FieldGrid:
     """Parse a CSV produced by export_grid back into a FieldGrid."""
     try:
-        data = np.genfromtxt(path, delimiter=",", skip_header=1)
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
     xs = np.unique(data[:, 0])
@@ -225,31 +214,21 @@ def read_grid_csv(path) -> FieldGrid:
 
 def interface_mismatch(
     estimate: ModeEstimate,
-    domain: CompositeDomain,
-    n_s: int = 128,
+    context: "_assembly.AssemblyContext",
 ) -> tuple[float, float]:
     """L2 norms of the value and normal-derivative jumps across the interface.
 
+    Both sides are evaluated at the context's interface nodes from its trace
+    tables; the context must be built for the estimate's trial family.
     DtN solutions have (by construction) only the Steklov-truncation tail in
     the value jump; NtD solutions the analogue in the derivative jump.
     """
-    from .basis import basis_normal_derivative_trace, basis_trace
-
-    rule = interface_rule(domain, n_s)
-    xs = rule.nodes
-    spec = estimate.spec
-    v1 = np.zeros_like(xs)
-    d1 = np.zeros_like(xs)
-    for mu in range(1, spec.size + 1):
-        v1 += estimate.gamma1[mu - 1] * basis_trace(spec, mu, domain, xs)
-        d1 += estimate.gamma1[mu - 1] * basis_normal_derivative_trace(spec, mu, domain, xs)
-    n_modes = estimate.gamma2.size
-    n = np.arange(1, n_modes + 1)
-    psi = steklov_trace(n[:, None], domain, xs[None, :])
-    bn, _ = steklov_table(estimate.kappa, n_modes, domain)
-    v2 = estimate.gamma2 @ psi
-    d2 = (bn * estimate.gamma2) @ psi
-    norm = np.sqrt(float(np.dot(rule.weights, v1 * v1))) or 1.0
-    value_jump = np.sqrt(float(np.dot(rule.weights, (v1 - v2) ** 2)))
-    deriv_jump = np.sqrt(float(np.dot(rule.weights, (d1 - d2) ** 2)))
+    if context.spec != estimate.spec:
+        raise ValueError("context was built for another trial family")
+    trial = _assembly.TrialPair(estimate.gamma1, estimate.gamma2, estimate.kappa)
+    *_, v1, d1, v2, d2 = _assembly._surface_fields(context, trial)
+    ws = context.surface_rule.weights
+    norm = np.sqrt(float(np.dot(ws, v1 * v1))) or 1.0
+    value_jump = np.sqrt(float(np.dot(ws, (v1 - v2) ** 2)))
+    deriv_jump = np.sqrt(float(np.dot(ws, (d1 - d2) ** 2)))
     return value_jump / norm, deriv_jump / norm

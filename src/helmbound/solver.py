@@ -167,9 +167,7 @@ def iterate_mode(
     if not trace.converged:
         raise NotConverged(trace)
     kappa_final, f_final, vec = result
-    gamma2 = gamma2_coefficients(
-        method, vec, kappa_final, spec, domain, ctx.n_modes, rule=ctx.surface_rule
-    )
+    gamma2 = gamma2_coefficients(method, vec, kappa_final, ctx)
     estimate = ModeEstimate(
         k_estimate=float(np.sqrt(f_final)),
         method=method,

@@ -148,13 +148,11 @@ def fn_ctx(domain):
     return build_context(spec, domain, QuadratureConfig(48, 48, 256))
 
 
-def _matched_trial(method, ctx, domain, rng, n_modes=200):
+def _matched_trial(method, ctx, domain, rng):
     from helmbound import gamma2_coefficients
 
     g1 = rng.normal(size=ctx.spec.size)
-    g2 = gamma2_coefficients(
-        method, g1, KAPPA, ctx.spec, domain, n_modes, rule=ctx.surface_rule
-    )
+    g2 = gamma2_coefficients(method, g1, KAPPA, ctx)
     return TrialPair(gamma1=g1, gamma2=g2, kappa=KAPPA)
 
 

@@ -150,6 +150,16 @@ def test_compare_all_pass(tmp_path):
         assert entry["pass_mutual"] and entry["pass_oracle"]
 
 
+def test_compare_failed_check_exit(tmp_path):
+    # two oracle modes on a 5x5 basis leave some labels without an FD value
+    cfg_path = _write_config(tmp_path, basis={"parity": "even", "n_max": 5, "m_max": 5},
+                             oracle={"h": 1.0 / 32.0, "num_modes": 2})
+    assert main(["--config", str(cfg_path), "compare"]) == 4
+    doc = json.loads((tmp_path / "out" / "compare.json").read_text())
+    assert doc["all_pass"] is False
+    assert any(entry["k_fdm"] is None for entry in doc["modes"])
+
+
 def test_compare_not_converged_exit(tmp_path):
     cfg_path = _write_config(tmp_path, max_iter=1, oracle={"h": 1.0 / 32.0, "num_modes": 6})
     assert main(["--config", str(cfg_path), "compare"]) == 2

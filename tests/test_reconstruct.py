@@ -23,7 +23,7 @@ def test_gamma2_matches_surface_projection(domain, context_for, rng):
     rule = ctx.surface_rule
     trace = g1 @ ctx.traces
     via_projection = project_surface(trace, 2.0116, 50, domain, rule)
-    via_gamma2 = gamma2_coefficients(Method.DTN, g1, 2.0116, ctx.spec, domain, 50, rule=rule)
+    via_gamma2 = gamma2_coefficients(Method.DTN, g1, 2.0116, ctx)[:50]
     assert via_gamma2 == pytest.approx(via_projection, abs=1e-14)
 
 
@@ -34,7 +34,7 @@ def test_gamma2_zero_trace_gives_zero(domain, context_for, rng):
         n, m = ctx.spec.mu_to_nm(mu)
         if m % 2 == 1:  # identically zero interface trace
             g1[mu - 1] = rng.normal()
-    c = gamma2_coefficients(Method.DTN, g1, 2.0116, ctx.spec, domain, 50)
+    c = gamma2_coefficients(Method.DTN, g1, 2.0116, ctx)
     assert np.max(np.abs(c)) < 1e-14
 
 
@@ -47,30 +47,36 @@ def test_ntd_gamma2_respects_operator(domain, context_for, rng):
     rule = ctx.surface_rule
     dtrace = g1 @ ctx.dtraces
     proj = project_surface(dtrace, 3.4507, 50, domain, rule)
-    c = gamma2_coefficients(Method.NTD, g1, 3.4507, ctx.spec, domain, 50, rule=rule)
+    c = gamma2_coefficients(Method.NTD, g1, 3.4507, ctx)[:50]
     bn, _ = steklov_table(3.4507, 50, domain)
     assert bn * c == pytest.approx(proj, abs=1e-13)
 
 
-def test_value_mismatch_shrinks_with_basis(domain, converged):
+def test_value_mismatch_shrinks_with_basis(context_for, converged):
     est5, _ = converged(Method.NTD, "even,1", size=5)
     est15, _ = converged(Method.NTD, "even,1", size=15)
-    v5, _ = interface_mismatch(est5, domain)
-    v15, _ = interface_mismatch(est15, domain)
+    v5, _ = interface_mismatch(est5, context_for(Parity.EVEN, 5))
+    v15, _ = interface_mismatch(est15, context_for(Parity.EVEN, 15))
     assert v15 < v5
 
 
-def test_dtn_value_mismatch_is_truncation_tail(domain, converged):
+def test_mismatch_rejects_foreign_context(context_for, converged):
     est, _ = converged(Method.DTN, "even,1")
-    value_jump, deriv_jump = interface_mismatch(est, domain)
+    with pytest.raises(ValueError):
+        interface_mismatch(est, context_for(Parity.EVEN, 5))
+
+
+def test_dtn_value_mismatch_is_truncation_tail(context_for, converged):
+    est, _ = converged(Method.DTN, "even,1")
+    value_jump, deriv_jump = interface_mismatch(est, context_for(Parity.EVEN))
     assert value_jump < 1e-4  # projection leaves only the truncation tail
     assert deriv_jump > value_jump
 
 
-def test_ntd_derivative_mismatch_is_truncation_tail(domain, converged):
+def test_ntd_derivative_mismatch_is_truncation_tail(context_for, converged):
     # the NtD construction matches normal derivatives, so the roles swap
     est, _ = converged(Method.NTD, "even,1")
-    value_jump, deriv_jump = interface_mismatch(est, domain)
+    value_jump, deriv_jump = interface_mismatch(est, context_for(Parity.EVEN))
     assert deriv_jump < value_jump
 
 
@@ -118,6 +124,65 @@ def test_field_vanishes_toward_boundary(domain, converged):
         return np.max(vals[edge])
 
     assert boundary_max(fine) < boundary_max(coarse)
+
+
+def _reference_field(est, domain, grid):
+    # |Psi|^2 cell by cell from the scalar evaluators, one member at a time
+    from helmbound import eval_basis, steklov_mode_field
+
+    X, Y = np.meshgrid(grid.xs, grid.ys, indexing="ij")
+    values = np.zeros_like(X)
+    semi = (Y > 0) & (X * X + Y * Y < domain.a**2)
+    inter = (np.abs(Y) <= 1e-12) & (np.abs(X) < domain.a)
+    rect = (Y < 0) & (np.abs(X) < domain.a) & ~inter
+    for cells in (semi, inter):
+        field = sum(est.gamma1[mu - 1] * eval_basis(est.spec, mu, domain, X[cells], Y[cells])
+                    for mu in range(1, est.spec.size + 1))
+        values[cells] = field**2
+    field = sum(c * steklov_mode_field(est.kappa, n, domain, X[rect], Y[rect])
+                for n, c in enumerate(est.gamma2, start=1) if c != 0.0)
+    values[rect] = field**2
+    dx = grid.xs[1] - grid.xs[0]
+    dy = grid.ys[1] - grid.ys[0]
+    return values / (values.sum() * dx * dy)
+
+
+@pytest.mark.parametrize("label", ["even,1", "odd,1"])
+def test_field_matches_scalar_reference(domain, converged, monkeypatch, label):
+    from helmbound import reconstruct
+
+    # small blocks, so the semicircle points span several of them plus a remainder
+    monkeypatch.setattr(reconstruct, "CHUNK", 37)
+    est, _ = converged(Method.DTN, label)
+    grid = sample_field(est, est.kappa, domain, GridSpec(nx=21, ny=36))
+    X, Y = np.meshgrid(grid.xs, grid.ys, indexing="ij")
+    n_semi = int(np.sum((Y > 0) & (X * X + Y * Y < 1.0)))
+    assert n_semi > 2 * 37 and n_semi % 37 != 0
+    assert np.any(np.abs(grid.ys) <= 1e-12)  # the interface row is sampled
+    ref = _reference_field(est, domain, grid)
+    assert np.max(np.abs(grid.values - ref)) <= 1e-12 * np.max(ref)
+
+
+def test_csv_lines_per_cell(tmp_path, rng):
+    xs = np.array([-1.0, -1.0 / 3.0, 0.0, 2.0 / 3.0])
+    ys = np.array([-1.5, -1e-17, 0.25, 1.0, 123456.789])
+    values = rng.random((4, 5)) * 10.0 ** rng.integers(-300, 300, size=(4, 5))
+    values[0, 0] = 0.0
+    path = tmp_path / "cells.csv"
+    export_grid(FieldGrid(xs=xs, ys=ys, values=values), "csv", path)
+    expected = ["x,y,value"] + [
+        f"{x:.9g},{y:.9g},{values[i, j]:.9g}" for i, x in enumerate(xs) for j, y in enumerate(ys)
+    ]
+    assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
+
+
+def test_pgm_rows_top_to_bottom(tmp_path, rng):
+    values = rng.random((7, 4))
+    path = tmp_path / "rows.pgm"
+    export_grid(FieldGrid(xs=np.arange(7.0), ys=np.arange(4.0), values=values), "pgm", path)
+    raster = np.rint(values * (65535.0 / values.max())).astype(np.int64)
+    rows = [" ".join(str(int(v)) for v in raster[:, j]) for j in range(3, -1, -1)]
+    assert path.read_bytes() == ("\n".join(["P2", "7 4", "65535"] + rows) + "\n").encode()
 
 
 def test_csv_roundtrip(tmp_path, domain, converged):
