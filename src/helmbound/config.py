@@ -41,7 +41,7 @@ class RunConfig:
     max_iter: int = 20
     grid: dict = field(default_factory=lambda: {"nx": 401, "ny": 701})
     output_dir: str = "helmbound-out"
-    oracle: dict = field(default_factory=lambda: {"h": 1.0 / 128.0, "num_modes": 8, "shape": "composite"})
+    oracle: dict = field(default_factory=lambda: {"h": 1.0 / 64.0, "num_modes": 8, "shape": "composite"})
 
     def validate(self) -> "RunConfig":
         try:

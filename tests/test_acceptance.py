@@ -220,11 +220,11 @@ def test_criterion_5_functional_suite(domain, quad, context_for, tight_solutions
 
 def test_criterion_6_oracle_cross_validation(domain, converged):
     t0 = time.perf_counter()
-    rect_modes, _ = richardson_eigen(Rectangle(2.0, 2.5), 1.0 / 128.0, 4)
+    rect_modes, _ = richardson_eigen(Rectangle(2.0, 2.5), 1.0 / 64.0, 4)
     for (k, _parity), want in zip(rect_modes, RECT_SEEDS):
         assert abs(k - want) < 2e-3
 
-    comp_modes, _ = richardson_eigen(domain, 1.0 / 128.0, 8)
+    comp_modes, _ = richardson_eigen(domain, 1.0 / 64.0, 8)
     by_parity = {"even": [], "odd": []}
     for k, parity in comp_modes:
         if parity in by_parity:
@@ -233,7 +233,9 @@ def test_criterion_6_oracle_cross_validation(domain, converged):
         parity, rank = label.split(",")
         est, _ = converged(Method.DTN, label)
         k_fdm = by_parity[parity][int(rank) - 1]
-        assert abs(est.k_estimate - k_fdm) < 1e-2, (label, est.k_estimate, k_fdm)
+        assert abs(est.k_estimate - k_fdm) < 1e-3, (label, est.k_estimate, k_fdm)
+        est30, _ = converged(Method.DTN, label, size=30)
+        assert abs(est30.k_estimate - k_fdm) < 5e-5, (label, est30.k_estimate, k_fdm)
     elapsed = time.perf_counter() - t0
     assert elapsed < 300.0
     print(f"ACCEPTANCE 6 (finite-difference cross-validation, {elapsed:.0f}s): PASS")

@@ -150,6 +150,21 @@ def test_compare_all_pass(tmp_path):
         assert entry["pass_mutual"] and entry["pass_oracle"]
 
 
+def test_compare_shares_one_context_per_parity(tmp_path, monkeypatch):
+    from helmbound import cli, solver
+
+    built = []
+    for module in (cli, solver):
+        def counted(spec, *args, _build=module.build_context, **kwargs):
+            built.append(spec.parity.value)
+            return _build(spec, *args, **kwargs)
+
+        monkeypatch.setattr(module, "build_context", counted)
+    cfg_path = _write_config(tmp_path, oracle={"h": 1.0 / 32.0, "num_modes": 8})
+    assert main(["--config", str(cfg_path), "compare"]) == 0
+    assert sorted(built) == ["even", "odd"]  # not one per DtN/NtD solve
+
+
 def test_compare_failed_check_exit(tmp_path):
     # two oracle modes on a 5x5 basis leave some labels without an FD value
     cfg_path = _write_config(tmp_path, basis={"parity": "even", "n_max": 5, "m_max": 5},

@@ -1,11 +1,22 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from helmbound import Rectangle, fdm_eigen, richardson_eigen
-from helmbound.errors import GridTooCoarse
-from helmbound.oracle import build_fdm_problem, field_parity
+from helmbound import Rectangle, fdm_eigen, make_domain, oracle, richardson_eigen
+from helmbound.errors import GridTooCoarse, IterationStalled
+from helmbound.oracle import _laplacian, build_fdm_problem, field_parity
 
 RECT_SEEDS = [2.0116, 2.9638, 3.3836, 4.0232]  # 2 x 2.5 rectangle, 4 lowest
+LABELS = ("even,1", "even,2", "odd,1", "odd,2")
+
+
+def _labels(pairs):
+    """{'parity,rank': k} from (k, parity) pairs ascending in k."""
+    counts, out = {}, {}
+    for k, parity in pairs:
+        counts[parity] = counts.get(parity, 0) + 1
+        out[f"{parity},{counts[parity]}"] = k
+    return out
 
 
 def test_unit_square_fundamental():
@@ -39,7 +50,7 @@ def test_rectangle_parities():
 def test_composite_fundamental(domain):
     results, _ = richardson_eigen(domain, 1.0 / 64.0, 1)
     k1, parity = results[0]
-    assert k1 == pytest.approx(2.0611, abs=1e-2)
+    assert k1 == pytest.approx(2.0611, abs=1e-4)
     assert parity == "even"
 
 
@@ -52,10 +63,103 @@ def test_composite_parity_classes(domain):
 
 
 def test_grid_checks(domain):
+    # walls need not fall on grid lines: h = 0.03 tiles neither 2 nor 2.5
+    problem = build_fdm_problem(domain, 0.03)
+    assert np.array_equal(problem.mask, problem.mask[::-1, :])
+    (interface_row,) = np.flatnonzero(problem.ys == 0.0)  # the grid keeps the interface
+    assert problem.xs[problem.xs.size // 2] == 0.0
+    assert problem.mask[problem.xs.size // 2, interface_row]
     with pytest.raises(GridTooCoarse):
-        build_fdm_problem(domain, 0.3)  # does not tile 2 x 2.5
+        build_fdm_problem(domain, 0.3)  # under 10 points across a = 1
     with pytest.raises(GridTooCoarse):
         build_fdm_problem(Rectangle(1.0, 1.0), 0.25)  # under 10 points across
+
+
+@pytest.mark.parametrize(
+    "shape, h",
+    [
+        (Rectangle(1.0, 0.75), 1.0 / 16.0),
+        (Rectangle(0.9, 2.1), 0.03),  # walls on grid lines only up to rounding
+    ],
+)
+def test_aligned_walls_give_five_point_stencil(shape, h):
+    problem = build_fdm_problem(shape, h)
+    nx, ny = round(shape.width / h) - 1, round(shape.height / h) - 1
+    assert problem.n_unknowns == nx * ny
+
+    def second_difference(n):
+        return sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n))
+
+    five = (sp.kron(second_difference(nx), sp.eye(ny)) + sp.kron(sp.eye(nx), second_difference(ny))) / h**2
+    assert abs(_laplacian(shape, problem) - five).max() < 1e-12 / h**2
+
+
+def test_cut_cell_stencil_exact_for_quadratics():
+    # neither wall pair falls on a grid line (arms of 0.0125 = h/5 at all four);
+    # the cut-cell stencil differentiates quadratics exactly, arms included
+    shape = Rectangle(0.9, 0.7)
+    problem = build_fdm_problem(shape, 1.0 / 16.0)
+    X, Y = np.meshgrid(problem.xs, problem.ys, indexing="ij")
+    u = X * (0.9 - X) * Y * (0.7 - Y)
+    minus_lap = 2.0 * Y * (0.7 - Y) + 2.0 * X * (0.9 - X)
+    mask = problem.mask
+    got = _laplacian(shape, problem) @ u[mask]
+    assert np.max(np.abs(got - minus_lap[mask])) < 1e-10
+    assert problem.xs[0] == pytest.approx(0.0125) and problem.ys[-1] == pytest.approx(0.6875)
+
+
+def test_composite_observed_order(domain):
+    # second order on the arc: errors at h = 1/16, 1/32, 1/64 against the
+    # (1/64, 1/128) Richardson value fall by four per halving
+    results, raw = richardson_eigen(domain, 1.0 / 64.0, 8)
+    ref = _labels(results)
+    ladder = []
+    for h in (1.0 / 16.0, 1.0 / 32.0):
+        problem, modes = fdm_eigen(domain, h, 8)
+        ladder.append(_labels((k, field_parity(problem, field)) for k, field in modes))
+    ladder.append(_labels((k1, parity) for (_, parity), (k1, _) in zip(results, raw)))
+    for label in LABELS:
+        errors = [abs(ks[label] - ref[label]) for ks in ladder]
+        orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+        assert np.all((1.8 <= orders) & (orders <= 2.2)), (label, errors, orders)
+
+
+def test_non_tiling_depth_matches_finer_pair():
+    # h = 1/64 does not tile 1 + b = 2.5078125; the grid hangs from y = 0 instead
+    dom = make_domain(1.0, 1.5078125)
+    coarse = _labels(richardson_eigen(dom, 1.0 / 64.0, 6)[0])
+    fine = _labels(richardson_eigen(dom, 1.0 / 128.0, 6)[0])
+    for label in LABELS:
+        assert abs(coarse[label] - fine[label]) < 1e-5, (label, coarse[label], fine[label])
+
+
+def test_richardson_pairs_by_parity_and_rank(domain, monkeypatch):
+    # the near-degenerate pair near k = 4.21 may leave the two grids in
+    # opposite orders; the extrapolation must not mix its two modes
+    plain = richardson_eigen(domain, 1.0 / 32.0, 6)
+    assert {parity for _, parity in plain[0][3:5]} == {"even", "odd"}
+    unpatched = oracle.fdm_eigen
+
+    def coarse_swapped(shape, h, num_modes):
+        problem, modes = unpatched(shape, h, num_modes)
+        if h == 1.0 / 32.0:
+            modes[3], modes[4] = modes[4], modes[3]
+        return problem, modes
+
+    monkeypatch.setattr(oracle, "fdm_eigen", coarse_swapped)
+    assert richardson_eigen(domain, 1.0 / 32.0, 6) == plain
+
+
+def test_complex_spectrum_stalls(monkeypatch):
+    unpatched = oracle.spla.eigs
+
+    def tilted(*args, **kwargs):
+        lam, vecs = unpatched(*args, **kwargs)
+        return lam + 1e-6j * np.abs(lam).max(), vecs
+
+    monkeypatch.setattr(oracle.spla, "eigs", tilted)
+    with pytest.raises(IterationStalled):
+        fdm_eigen(Rectangle(1.0, 1.0), 1.0 / 16.0, 2)
 
 
 def test_mask_matches_domain(domain):
