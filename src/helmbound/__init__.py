@@ -53,8 +53,6 @@ from .solver import (
     solve_generalized,
 )
 from .steklov import (
-    Regime,
-    SteklovMode,
     apply_dtn,
     apply_dtn_derivative,
     apply_ntd,
@@ -63,7 +61,6 @@ from .steklov import (
     rectangle_volume_norm,
     steklov_eigenvalue,
     steklov_eigenvalue_derivative,
-    steklov_mode,
     steklov_mode_field,
     steklov_table,
     steklov_trace,

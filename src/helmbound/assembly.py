@@ -159,58 +159,35 @@ def _finish(lam, delta, kappa, method) -> MatrixPair:
     )
 
 
-def assemble_dtn(
-    kappa: float,
-    spec: BasisSpec,
-    domain: CompositeDomain,
-    quad: QuadratureConfig = QuadratureConfig(),
-    n_modes: int = DEFAULT_STEKLOV_MODES,
-    context: AssemblyContext | None = None,
-) -> MatrixPair:
+def assemble_dtn(kappa: float, context: AssemblyContext) -> MatrixPair:
     """DtN matrix pair at kappa; raises NearDirichletResonance on a pole."""
-    ctx = context if context is not None else build_context(spec, domain, quad, n_modes)
-    bn, dbn = steklov_table(kappa, ctx.n_modes, domain)
-    P = ctx.proj_values
+    bn, dbn = steklov_table(kappa, context.n_modes, context.domain)
+    P = context.proj_values
     op_b = P.T @ (bn[:, None] * P)
     op_db = P.T @ (dbn[:, None] * P)
-    lam = -ctx.stiffness + ctx.cross - op_b + 0.5 * kappa * op_db
-    delta = ctx.gram + op_db / (2.0 * kappa)
+    lam = -context.stiffness + context.cross - op_b + 0.5 * kappa * op_db
+    delta = context.gram + op_db / (2.0 * kappa)
     return _finish(lam, delta, kappa, Method.DTN)
 
 
-def assemble_ntd(
-    kappa: float,
-    spec: BasisSpec,
-    domain: CompositeDomain,
-    quad: QuadratureConfig = QuadratureConfig(),
-    n_modes: int = DEFAULT_STEKLOV_MODES,
-    context: AssemblyContext | None = None,
-) -> MatrixPair:
+def assemble_ntd(kappa: float, context: AssemblyContext) -> MatrixPair:
     """NtD matrix pair at kappa; raises NearNeumannResonance if some b_n ~ 0."""
-    ctx = context if context is not None else build_context(spec, domain, quad, n_modes)
-    bn, dbn = steklov_table(kappa, ctx.n_modes, domain)
+    bn, dbn = steklov_table(kappa, context.n_modes, context.domain)
     _guard_neumann(bn, kappa)
-    Q = ctx.proj_derivs
+    Q = context.proj_derivs
     op_r = Q.T @ ((1.0 / bn)[:, None] * Q)
     # -(kappa/2) (.| R' .) with R' = d(1/b)/dkappa = -b'/b^2
     op_dr = Q.T @ ((dbn / bn**2)[:, None] * Q)
-    lam = -ctx.stiffness + op_r - ctx.cross.T + 0.5 * kappa * op_dr
-    delta = ctx.gram + op_dr / (2.0 * kappa)
+    lam = -context.stiffness + op_r - context.cross.T + 0.5 * kappa * op_dr
+    delta = context.gram + op_dr / (2.0 * kappa)
     return _finish(lam, delta, kappa, Method.NTD)
 
 
-def assemble(
-    method: Method,
-    kappa: float,
-    spec: BasisSpec,
-    domain: CompositeDomain,
-    quad: QuadratureConfig = QuadratureConfig(),
-    n_modes: int = DEFAULT_STEKLOV_MODES,
-    context: AssemblyContext | None = None,
-) -> MatrixPair:
+def assemble(method: Method, kappa: float, context: AssemblyContext) -> MatrixPair:
+    """Matrix pair of either method at kappa, from the context's tables."""
     if method is Method.DTN:
-        return assemble_dtn(kappa, spec, domain, quad, n_modes, context)
-    return assemble_ntd(kappa, spec, domain, quad, n_modes, context)
+        return assemble_dtn(kappa, context)
+    return assemble_ntd(kappa, context)
 
 
 def _surface_fields(ctx: AssemblyContext, trial: TrialPair):

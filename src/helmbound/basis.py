@@ -74,8 +74,7 @@ class BasisSpec:
 
     def mu_to_nm(self, mu: int):
         """Map index mu to (n, m); None for the even linear function."""
-        if not 1 <= mu <= self.size:
-            raise IndexOutOfRange(f"mu={mu} outside 1..{self.size}")
+        _check_mu(self, mu)
         if self.parity is Parity.EVEN:
             if mu == 1:
                 return None
@@ -88,87 +87,6 @@ class BasisSpec:
 def _check_mu(spec: BasisSpec, mu: int):
     if not 1 <= mu <= spec.size:
         raise IndexOutOfRange(f"mu={mu} outside 1..{spec.size}")
-
-
-def eval_basis(spec: BasisSpec, mu: int, domain: CompositeDomain, x, y):
-    """phi_mu at (x, y) in the closed semicircle; scalars or arrays."""
-    _check_mu(spec, mu)
-    r, phi = cartesian_to_polar(domain, x, y)
-    nm = spec.mu_to_nm(mu)
-    if nm is None:
-        return r - domain.a
-    n, m = nm
-    radial = np.asarray(r) * np.sin(n * spec.alpha * (np.asarray(r) - domain.a))
-    if spec.parity is Parity.EVEN:
-        return radial * np.cos(m * spec.beta * np.asarray(phi))
-    return radial * np.sin(m * spec.beta * np.asarray(phi))
-
-
-def eval_basis_laplacian(spec: BasisSpec, mu: int, domain: CompositeDomain, x, y):
-    """Polar Laplacian d_rr + (1/r) d_r + (1/r^2) d_phiphi of phi_mu.
-
-    For the radial part g(r) = r sin(w(r-a)) with w = n alpha:
-
-        g'' + g'/r = 3 w cos(w(r-a)) - w^2 r sin(w(r-a)) + sin(w(r-a))/r,
-
-    and the angular factor contributes -(m beta)^2 sin(w(r-a))/r.  The even
-    linear function gives exactly 1/r.  Quadrature nodes exclude r = 0; an
-    evaluation there is refused rather than regularized.
-    """
-    _check_mu(spec, mu)
-    r, phi = cartesian_to_polar(domain, x, y)
-    r_arr = np.asarray(r, dtype=float)
-    if np.any(r_arr < ORIGIN_GUARD):
-        raise SingularOrigin("Laplacian evaluation at r = 0")
-    nm = spec.mu_to_nm(mu)
-    if nm is None:
-        return 1.0 / r
-    n, m = nm
-    w = n * spec.alpha
-    mb = m * spec.beta
-    sr = np.sin(w * (r_arr - domain.a))
-    cr = np.cos(w * (r_arr - domain.a))
-    radial = 3.0 * w * cr - w * w * r_arr * sr + (1.0 - mb * mb) * sr / r_arr
-    if spec.parity is Parity.EVEN:
-        return radial * np.cos(mb * np.asarray(phi))
-    return radial * np.sin(mb * np.asarray(phi))
-
-
-def basis_trace(spec: BasisSpec, mu: int, domain: CompositeDomain, x):
-    """phi_mu on the interface y = 0 (r = |x|, phi = +-pi/2)."""
-    _check_mu(spec, mu)
-    x = np.asarray(x, dtype=float)
-    if np.any(np.abs(x) > domain.a + INTERFACE_TOL):
-        raise OutsideSubdomain("trace point beyond |x| = a")
-    nm = spec.mu_to_nm(mu)
-    absx = np.abs(x)
-    if nm is None:
-        return absx - domain.a
-    n, m = nm
-    radial = np.sin(n * spec.alpha * (absx - domain.a))
-    if spec.parity is Parity.EVEN:
-        return absx * radial * np.cos(m * spec.beta * np.pi / 2.0)
-    return -x * radial * np.sin(m * spec.beta * np.pi / 2.0)
-
-
-def basis_normal_derivative_trace(spec: BasisSpec, mu: int, domain: CompositeDomain, x):
-    """-d(phi_mu)/dy on y = 0, with the x -> 0 limit taken analytically.
-
-    The odd-family value at exactly x = 0 is the symmetric (average) limit 0.
-    """
-    _check_mu(spec, mu)
-    x = np.asarray(x, dtype=float)
-    if np.any(np.abs(x) > domain.a + INTERFACE_TOL):
-        raise OutsideSubdomain("trace point beyond |x| = a")
-    nm = spec.mu_to_nm(mu)
-    if nm is None:
-        return np.zeros_like(x) if x.ndim else 0.0
-    n, m = nm
-    mb = m * spec.beta
-    radial = np.sin(n * spec.alpha * (np.abs(x) - domain.a))
-    if spec.parity is Parity.EVEN:
-        return -mb * np.sin(mb * np.pi / 2.0) * radial
-    return -mb * np.cos(mb * np.pi / 2.0) * np.sign(x) * radial
 
 
 def _frequencies(count: int, step: float):
@@ -196,41 +114,30 @@ def family_factors(spec: BasisSpec, domain: CompositeDomain, r, phi):
     return R, A
 
 
-def basis_tables(
-    spec: BasisSpec,
-    domain: CompositeDomain,
-    volume_rule: QuadratureRule2D,
-    surface_rule: QuadratureRule1D,
-):
-    """Evaluate the whole family on quadrature nodes.
+def volume_tables(spec: BasisSpec, domain: CompositeDomain, r, phi):
+    """Values and polar Laplacians of the whole family at points (r, phi).
 
-    Returns (V, L, T, D): values and Laplacians at the volume nodes, traces
-    and normal-derivative traces at the surface nodes, each of shape
-    (M, #nodes).  This is the hot path for assembly.  Every table is the
-    broadcast product of per-n radial rows and per-m angular columns (the
-    factors of ``family_factors``), so the (n, m) rows come out in the
-    index order of the family without a loop over members; each entry is
-    computed with the same operations, in the same order, as the closed
-    forms of the scalar evaluators.
+    Returns (V, L), each of shape (M, P) for P points, with rows in the
+    index order of the family.  The Laplacian is d_rr + (1/r) d_r +
+    (1/r^2) d_phiphi.  For the radial part g(r) = r sin(w(r-a)) with
+    w = n alpha:
+
+        g'' + g'/r = 3 w cos(w(r-a)) - w^2 r sin(w(r-a)) + sin(w(r-a))/r,
+
+    and the angular factor contributes -(m beta)^2 sin(w(r-a))/r.  The even
+    linear function gives exactly 1/r, so L is singular at r = 0.  The
+    (n, m) rows are the broadcast product of per-n radial rows and per-m
+    angular columns (the factors of ``family_factors``), without a loop
+    over members.
     """
-    r = volume_rule.r
-    phi = volume_rule.phi
-    xs = surface_rule.nodes
+    r = np.asarray(r, dtype=float)
     M = spec.size
     V = np.empty((M, r.size))
     L = np.empty((M, r.size))
-    T = np.empty((M, xs.size))
-    D = np.empty((M, xs.size))
-    absx = np.abs(xs)
-    a = domain.a
-    even = spec.parity is Parity.EVEN
-
     row = 0
-    if even:
-        V[0] = r - a
+    if spec.parity is Parity.EVEN:
+        V[0] = r - domain.a
         L[0] = 1.0 / r
-        T[0] = absx - a
-        D[0] = 0.0
         row = 1
     nm = (spec.n_max, spec.m_max)
     w = _frequencies(spec.n_max, spec.alpha)[:, None]
@@ -246,6 +153,29 @@ def basis_tables(
     np.multiply((1.0 - mb * mb)[None, :, None], (sr / r)[:, None, :], out=Lnm)
     Lnm += radial_lap[:, None, :]
     Lnm *= ang
+    return V, L
+
+
+def interface_tables(spec: BasisSpec, domain: CompositeDomain, x):
+    """Traces and normal-derivative traces of the whole family at interface points x.
+
+    Returns (T, D), each of shape (M, P), from the closed forms of the
+    module docstring: on y = 0, r = |x| and phi = +-pi/2.  The odd
+    normal-derivative rows take the value 0 at x = 0 through sign(0) = 0.
+    """
+    xs = np.asarray(x, dtype=float)
+    absx = np.abs(xs)
+    M = spec.size
+    T = np.empty((M, xs.size))
+    D = np.empty((M, xs.size))
+    even = spec.parity is Parity.EVEN
+    row = 0
+    if even:
+        T[0] = absx - domain.a
+        D[0] = 0.0
+        row = 1
+    nm = (spec.n_max, spec.m_max)
+    mb = _frequencies(spec.m_max, spec.beta)
     tr_rad = np.sin(_radial_phase(spec, domain, absx))[:, None, :]
     half = mb * np.pi / 2.0
     Tnm = T[row:].reshape(nm + (xs.size,))
@@ -256,4 +186,77 @@ def basis_tables(
     else:
         Tnm[...] = (-xs * tr_rad) * np.sin(half)[:, None]
         Dnm[...] = ((-mb * np.cos(half))[:, None] * np.sign(xs)) * tr_rad
+    return T, D
+
+
+def basis_tables(
+    spec: BasisSpec,
+    domain: CompositeDomain,
+    volume_rule: QuadratureRule2D,
+    surface_rule: QuadratureRule1D,
+):
+    """Evaluate the whole family on quadrature nodes.
+
+    Returns (V, L, T, D): values and Laplacians at the volume nodes
+    (``volume_tables``), traces and normal-derivative traces at the surface
+    nodes (``interface_tables``), each of shape (M, #nodes).  This is the
+    hot path for assembly.
+    """
+    V, L = volume_tables(spec, domain, volume_rule.r, volume_rule.phi)
+    T, D = interface_tables(spec, domain, surface_rule.nodes)
     return V, L, T, D
+
+
+# The per-member evaluators below are one-row views of the tables above: they
+# check their inputs and return row mu in the shape of the points (a scalar
+# for scalar points).
+
+
+def _interface_points(domain: CompositeDomain, x):
+    x = np.asarray(x, dtype=float)
+    if np.any(np.abs(x) > domain.a + INTERFACE_TOL):
+        raise OutsideSubdomain("trace point beyond |x| = a")
+    return x
+
+
+def eval_basis(spec: BasisSpec, mu: int, domain: CompositeDomain, x, y):
+    """phi_mu at (x, y) in the closed semicircle; scalars or arrays."""
+    _check_mu(spec, mu)
+    r, phi = map(np.asarray, cartesian_to_polar(domain, x, y))
+    # only the values are read; the Laplacian rows are singular at r = 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        V, _ = volume_tables(spec, domain, r.ravel(), phi.ravel())
+    return V[mu - 1].reshape(r.shape)[()]
+
+
+def eval_basis_laplacian(spec: BasisSpec, mu: int, domain: CompositeDomain, x, y):
+    """Polar Laplacian of phi_mu (see ``volume_tables``).
+
+    Quadrature nodes exclude r = 0; an evaluation there is refused rather
+    than regularized.
+    """
+    _check_mu(spec, mu)
+    r, phi = map(np.asarray, cartesian_to_polar(domain, x, y))
+    if np.any(r < ORIGIN_GUARD):
+        raise SingularOrigin("Laplacian evaluation at r = 0")
+    _, L = volume_tables(spec, domain, r.ravel(), phi.ravel())
+    return L[mu - 1].reshape(r.shape)[()]
+
+
+def basis_trace(spec: BasisSpec, mu: int, domain: CompositeDomain, x):
+    """phi_mu on the interface y = 0 (r = |x|, phi = +-pi/2)."""
+    _check_mu(spec, mu)
+    x = _interface_points(domain, x)
+    T, _ = interface_tables(spec, domain, x.ravel())
+    return T[mu - 1].reshape(x.shape)[()]
+
+
+def basis_normal_derivative_trace(spec: BasisSpec, mu: int, domain: CompositeDomain, x):
+    """-d(phi_mu)/dy on y = 0, with the x -> 0 limit taken analytically.
+
+    The odd-family value at exactly x = 0 is the symmetric (average) limit 0.
+    """
+    _check_mu(spec, mu)
+    x = _interface_points(domain, x)
+    _, D = interface_tables(spec, domain, x.ravel())
+    return D[mu - 1].reshape(x.shape)[()]

@@ -3,9 +3,10 @@
 Subcommands: solve | sweep-basis | field | oracle | compare, each driven by
 a JSON config (--config; defaults reproduce the reference setup).
 
-Exit codes: 0 success, 1 invalid configuration, 2 iteration did not
-converge, 3 operator resonance (the offending mode index is reported),
-4 a cross-check failed (``compare`` wrote a report with all_pass false).
+Exit codes: 0 success, 1 invalid configuration or arguments, 2 iteration
+did not converge, 3 operator resonance (the offending mode index is
+reported), 4 a cross-check failed (``compare`` wrote a report with all_pass
+false).
 """
 
 from __future__ import annotations
@@ -99,8 +100,9 @@ def cmd_solve(cfg: RunConfig, args) -> int:
 def _parse_sizes(text: str):
     sizes = []
     for part in text.split(","):
-        part = part.strip().lower()
-        n, _, m = part.partition("x")
+        n, _, m = part.strip().lower().partition("x")
+        if not (n.isdecimal() and m.isdecimal() and int(n) >= 1 and int(m) >= 1):
+            raise ConfigError(f"bad basis size {part!r}; expected e.g. 15x15")
         sizes.append((int(n), int(m)))
     return sizes
 
@@ -139,8 +141,11 @@ def cmd_sweep_basis(cfg: RunConfig, args) -> int:
 
 
 def cmd_field(cfg: RunConfig, args) -> int:
-    out = _outdir(cfg)
     labels = args.mode if args.mode else list(MODE_LABELS)
+    unknown = [label for label in labels if label not in MODE_LABELS]
+    if unknown:
+        raise ConfigError(f"unknown mode label {unknown[0]!r}; expected one of {', '.join(MODE_LABELS)}")
+    out = _outdir(cfg)
     seeds = mode_seeds(cfg.domain())
     grid_spec = GridSpec(nx=cfg.grid["nx"], ny=cfg.grid["ny"])
     method = cfg.method_enum()

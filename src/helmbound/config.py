@@ -7,6 +7,7 @@ kappa0 = 2.0116), so a bare run reproduces the reference tables.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -19,6 +20,15 @@ from .geometry import CompositeDomain, make_domain
 
 class ConfigError(HelmboundError):
     """Invalid run configuration."""
+
+
+# Fields that must be integers, and fields that may be any number; booleans
+# are neither.  A dotted name is a key of a section object.
+INTEGER_FIELDS = (
+    "steklov_truncation", "max_iter", "basis.n_max", "basis.m_max", "quadrature.n_r",
+    "quadrature.n_phi", "quadrature.n_s", "grid.nx", "grid.ny", "oracle.num_modes",
+)
+NUMBER_FIELDS = ("kappa0", "tol", "geometry.a", "geometry.b", "basis.alpha", "basis.beta", "oracle.h")
 
 
 @dataclass
@@ -44,6 +54,7 @@ class RunConfig:
     oracle: dict = field(default_factory=lambda: {"h": 1.0 / 64.0, "num_modes": 8, "shape": "composite"})
 
     def validate(self) -> "RunConfig":
+        self._check_types()
         try:
             self.domain()
             self.basis_spec()
@@ -75,6 +86,19 @@ class RunConfig:
         if self.oracle.get("shape", "composite") not in ("composite", "bounding_rectangle"):
             raise ConfigError(f"unknown oracle shape {self.oracle.get('shape')!r}")
         return self
+
+    def _check_types(self) -> None:
+        for name in INTEGER_FIELDS + NUMBER_FIELDS:
+            section, _, key = name.rpartition(".")
+            holder = getattr(self, section) if section else vars(self)
+            if not isinstance(holder, dict):
+                raise ConfigError(f"{section} must be an object, got {holder!r}")
+            if key not in holder:
+                continue
+            value = holder[key]
+            integer = name in INTEGER_FIELDS
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral if integer else numbers.Real):
+                raise ConfigError(f"{name} must be {'an integer' if integer else 'a number'}, got {value!r}")
 
     def domain(self) -> CompositeDomain:
         return make_domain(self.geometry["a"], self.geometry["b"])

@@ -144,8 +144,7 @@ def sample_field(
         c = estimate.gamma2
         n = np.flatnonzero(c) + 1
         traces = steklov_trace(n[:, None], domain, xs[in_x][None, :])
-        profiles = np.array([_mode_profile(kappa, k, domain, y_rect) for k in n])
-        block = (traces.T * c[n - 1]) @ profiles.reshape(n.size, y_rect.size)
+        block = (traces.T * c[n - 1]) @ _mode_profile(kappa, n, domain, y_rect)
         values[np.ix_(in_x, rect_rows)] = block**2
     if np.any(inter_rows):
         trace = _semicircle_field(

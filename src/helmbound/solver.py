@@ -135,11 +135,18 @@ def iterate_mode(
 ):
     """Run the self-consistency loop kappa <- sqrt(F) for one tracked mode.
 
+    Assembly and the returned estimate read the trial family and the domain
+    from the context; without one, a context is built from spec, domain,
+    quad and n_modes.  A context built for another spec or domain raises
+    ValueError.
+
     Returns (ModeEstimate, IterationTrace); raises NotConverged (with the
     trace attached) if max_iter is exhausted first.
     """
     if kappa0 <= 0:
         raise ValueError(f"kappa0 must be > 0, got {kappa0}")
+    if context is not None and (context.spec, context.domain) != (spec, domain):
+        raise ValueError("context was built for another trial family or domain")
     ctx = context if context is not None else build_context(spec, domain, quad, n_modes)
     trace = IterationTrace()
     kappa = float(kappa0)
@@ -147,7 +154,7 @@ def iterate_mode(
     prev_vec = None
     result = None
     for _ in range(max_iter):
-        pair = assemble(method, kappa, spec, domain, quad, n_modes, context=ctx)
+        pair = assemble(method, kappa, context=ctx)
         solution = solve_generalized(pair, filter_tol)
         if tracking is ModeTracking.OVERLAP and prev_vec is not None:
             idx = _select_overlap(prev_vec, pair, solution)
@@ -173,7 +180,7 @@ def iterate_mode(
         method=method,
         gamma1=vec,
         gamma2=gamma2,
-        spec=spec,
+        spec=ctx.spec,
         kappa=kappa_final,
     )
     return estimate, trace

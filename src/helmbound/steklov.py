@@ -26,9 +26,6 @@ interface quadrature rule, or coefficients over the first N Steklov traces.
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NearDirichletResonance, NearNeumannResonance, OutsideSubdomain
@@ -40,23 +37,6 @@ DIRICHLET_POLE_GUARD = 1e-8
 NEUMANN_POLE_GUARD = 1e-12
 # Regime-switch series band in t = (kappa^2 - lam_n) b^2.
 SWITCH_BAND = 1e-6
-
-
-class Regime(enum.Enum):
-    OSCILLATORY = "oscillatory"
-    EVANESCENT = "evanescent"
-
-
-@dataclass(frozen=True)
-class SteklovMode:
-    """One rectangle Steklov eigenpair at fixed kappa."""
-
-    n: int
-    lambda_n: float
-    regime: Regime
-    b_n: float
-    db_n_dkappa: float
-    a_n: float
 
 
 def steklov_lambda(n, domain: CompositeDomain):
@@ -71,107 +51,78 @@ def _sinh_ratio_term(u):
     return 4.0 * u * np.exp(-2.0 * u) / np.expm1(-2.0 * u) ** 2
 
 
+def _regimes(kappa: float, n: np.ndarray, domain: CompositeDomain):
+    """The regime split of mode indices n at kappa.
+
+    Returns (t, band, osc, ev, q): t = (kappa^2 - lam_n) b^2; the masks of
+    the series band |t| < SWITCH_BAND and of the oscillatory and evanescent
+    sides outside it; q = sqrt(|kappa^2 - lam_n|), which is mu on the
+    oscillatory side and s on the evanescent one.  Raises
+    NearDirichletResonance if a requested oscillatory mode sits on a pole
+    of b_n (sin(mu b) = 0).
+    """
+    if kappa <= 0:
+        raise ValueError(f"kappa must be > 0, got {kappa}")
+    if np.any(n < 1):
+        raise ValueError(f"mode indices must be >= 1, got {n.min()}")
+    b = domain.b
+    lam = steklov_lambda(n, domain)
+    t = (kappa**2 - lam) * b * b
+    band = np.abs(t) < SWITCH_BAND
+    osc = ~band & (t >= 0)
+    ev = ~band & (t < 0)
+    q = np.sqrt(np.abs(kappa**2 - lam))
+    pole = osc & (np.abs(np.sin(q * b)) < DIRICHLET_POLE_GUARD)
+    if np.any(pole):
+        raise NearDirichletResonance(int(n[pole][0]), kappa)
+    return t, band, osc, ev, q
+
+
+def _symbols(kappa: float, n: np.ndarray, domain: CompositeDomain):
+    """(b_n, db_n/dkappa) for an array of mode indices n."""
+    t, band, osc, ev, q = _regimes(kappa, n, domain)
+    b = domain.b
+    bn = np.empty(t.shape)
+    dbn = np.empty(t.shape)
+
+    ts = t[band]
+    bn[band] = (-1.0 + ts / 3.0 + ts**2 / 45.0 + 2.0 * ts**3 / 945.0) / b
+    dbn[band] = 2.0 * kappa * b * (1.0 / 3.0 + 2.0 * ts / 45.0 + 2.0 * ts**2 / 315.0)
+
+    mu = q[osc]
+    u = mu * b
+    sin_u = np.sin(u)
+    cot_u = np.cos(u) / sin_u
+    bn[osc] = -mu * cot_u
+    dbn[osc] = (kappa / mu) * (-cot_u + u / sin_u**2)
+
+    s = q[ev]
+    u = s * b
+    coth_u = 1.0 / np.tanh(u)
+    bn[ev] = -s * coth_u
+    dbn[ev] = (-kappa / s) * (-coth_u + _sinh_ratio_term(u))
+    return bn, dbn
+
+
 def steklov_table(kappa: float, n_modes: int, domain: CompositeDomain):
     """Vectorized (b_n, db_n/dkappa) for n = 1..n_modes.
 
     Raises NearDirichletResonance if any retained oscillatory mode sits on a
     pole of b_n.
     """
-    if kappa <= 0:
-        raise ValueError(f"kappa must be > 0, got {kappa}")
-    b = domain.b
-    n = np.arange(1, n_modes + 1)
-    lam = steklov_lambda(n, domain)
-    t = (kappa**2 - lam) * b * b
-
-    bn = np.empty(n_modes)
-    dbn = np.empty(n_modes)
-
-    band = np.abs(t) < SWITCH_BAND
-    ts = t[band]
-    bn[band] = (-1.0 + ts / 3.0 + ts**2 / 45.0 + 2.0 * ts**3 / 945.0) / b
-    dbn[band] = 2.0 * kappa * b * (1.0 / 3.0 + 2.0 * ts / 45.0 + 2.0 * ts**2 / 315.0)
-
-    osc = ~band & (t >= 0)
-    if np.any(osc):
-        mu = np.sqrt(kappa**2 - lam[osc])
-        u = mu * b
-        sin_u = np.sin(u)
-        bad = np.abs(sin_u) < DIRICHLET_POLE_GUARD
-        if np.any(bad):
-            n_bad = int(n[osc][bad][0])
-            raise NearDirichletResonance(n_bad, kappa)
-        cot_u = np.cos(u) / sin_u
-        bn[osc] = -mu * cot_u
-        dbn[osc] = (kappa / mu) * (-cot_u + u / sin_u**2)
-
-    ev = ~band & (t < 0)
-    if np.any(ev):
-        s = np.sqrt(lam[ev] - kappa**2)
-        u = s * b
-        coth_u = 1.0 / np.tanh(u)
-        bn[ev] = -s * coth_u
-        dbn[ev] = (-kappa / s) * (-coth_u + _sinh_ratio_term(u))
-
-    return bn, dbn
+    return _symbols(kappa, np.arange(1, n_modes + 1), domain)
 
 
 def steklov_eigenvalue(kappa: float, n: int, domain: CompositeDomain) -> float:
     """b_n(kappa); continuous across the regime switch with value -1/b."""
-    bn, _ = _single(kappa, n, domain)
-    return bn
+    bn, _ = _symbols(kappa, np.array([n]), domain)
+    return float(bn[0])
 
 
 def steklov_eigenvalue_derivative(kappa: float, n: int, domain: CompositeDomain) -> float:
     """Analytic db_n/dkappa; >= 0 for kappa > 0 on both branches."""
-    _, dbn = _single(kappa, n, domain)
-    return dbn
-
-
-def _single(kappa, n, domain):
-    if n < 1:
-        raise ValueError(f"mode index must be >= 1, got {n}")
-    lam = float(steklov_lambda(n, domain))
-    b = domain.b
-    t = (kappa**2 - lam) * b * b
-    if abs(t) < SWITCH_BAND:
-        bn = (-1.0 + t / 3.0 + t * t / 45.0 + 2.0 * t**3 / 945.0) / b
-        dbn = 2.0 * kappa * b * (1.0 / 3.0 + 2.0 * t / 45.0 + 2.0 * t * t / 315.0)
-        return bn, dbn
-    if kappa <= 0:
-        raise ValueError(f"kappa must be > 0, got {kappa}")
-    if t >= 0:
-        mu = np.sqrt(kappa**2 - lam)
-        u = mu * b
-        if abs(np.sin(u)) < DIRICHLET_POLE_GUARD:
-            raise NearDirichletResonance(n, kappa)
-        cot_u = np.cos(u) / np.sin(u)
-        return -mu * cot_u, (kappa / mu) * (-cot_u + u / np.sin(u) ** 2)
-    s = np.sqrt(lam - kappa**2)
-    u = s * b
-    coth_u = 1.0 / np.tanh(u)
-    return -s * coth_u, (-kappa / s) * (-coth_u + float(_sinh_ratio_term(u)))
-
-
-def steklov_mode(kappa: float, n: int, domain: CompositeDomain) -> SteklovMode:
-    """Assemble the full eigenpair record for one mode."""
-    lam = float(steklov_lambda(n, domain))
-    bn, dbn = _single(kappa, n, domain)
-    b = domain.b
-    t = (kappa**2 - lam) * b * b
-    if t >= 0:
-        regime = Regime.OSCILLATORY
-        u = np.sqrt(t)
-        denom = np.sin(u) if abs(t) >= SWITCH_BAND else u
-        if abs(t) >= SWITCH_BAND and abs(denom) < DIRICHLET_POLE_GUARD:
-            raise NearDirichletResonance(n, kappa)
-    else:
-        regime = Regime.EVANESCENT
-        denom = np.sinh(np.sqrt(-t))
-    # A_n diverges at the exact regime switch even though the mode field
-    # stays finite there; the field routines use the stable ratio forms.
-    a_n = 1.0 / (np.sqrt(domain.a) * denom) if denom != 0 else np.inf
-    return SteklovMode(n=n, lambda_n=lam, regime=regime, b_n=bn, db_n_dkappa=dbn, a_n=float(a_n))
+    _, dbn = _symbols(kappa, np.array([n]), domain)
+    return float(dbn[0])
 
 
 def steklov_trace(n, domain: CompositeDomain, x):
@@ -205,22 +156,21 @@ def steklov_mode_field(kappa: float, n: int, domain: CompositeDomain, x, y):
     return xpart * _mode_profile(kappa, n, domain, y)
 
 
-def _mode_profile(kappa: float, n: int, domain: CompositeDomain, y):
-    """y-profile g_n(y) with g_n(0) = 1 and g_n(-b) = 0."""
-    b = domain.b
+def _mode_profile(kappa: float, n, domain: CompositeDomain, y):
+    """y-profiles g_n(y) with g_n(0) = 1 and g_n(-b) = 0, shape n.shape + y.shape."""
+    n = np.asarray(n)
     y = np.asarray(y, dtype=float)
-    lam = float(steklov_lambda(n, domain))
-    t = (kappa**2 - lam) * b * b
-    if abs(t) < SWITCH_BAND:
-        yb = y + b
-        return (yb / b) * (1.0 - t * (yb * yb - b * b) / (6.0 * b * b))
-    if t >= 0:
-        mu = np.sqrt(kappa**2 - lam)
-        if abs(np.sin(mu * b)) < DIRICHLET_POLE_GUARD:
-            raise NearDirichletResonance(n, kappa)
-        return np.sin(mu * (y + b)) / np.sin(mu * b)
-    s = np.sqrt(lam - kappa**2)
-    return np.exp(s * y) * np.expm1(-2.0 * s * (y + b)) / np.expm1(-2.0 * s * b)
+    t, band, osc, ev, q = _regimes(kappa, n.ravel(), domain)
+    b = domain.b
+    yb = y + b
+    col = (slice(None),) + (None,) * y.ndim  # per-mode values against y
+    out = np.empty(t.shape + y.shape)
+    out[band] = (yb / b) * (1.0 - t[band][col] * (yb * yb - b * b) / (6.0 * b * b))
+    mu = q[osc][col]
+    out[osc] = np.sin(mu * yb) / np.sin(mu * b)
+    s = q[ev][col]
+    out[ev] = np.exp(s * y) * np.expm1(-2.0 * s * yb) / np.expm1(-2.0 * s * b)
+    return out.reshape(n.shape + y.shape)
 
 
 def rectangle_volume_norm(kappa: float, n: int, domain: CompositeDomain) -> float:
@@ -229,8 +179,7 @@ def rectangle_volume_norm(kappa: float, n: int, domain: CompositeDomain) -> floa
     Green's theorem applied to the kappa-differentiated Helmholtz pair gives
     <psi_n|psi_n> = (1/2 kappa) db_n/dkappa exactly for a unit-trace mode.
     """
-    _, dbn = _single(kappa, n, domain)
-    return dbn / (2.0 * kappa)
+    return steklov_eigenvalue_derivative(kappa, n, domain) / (2.0 * kappa)
 
 
 def project_surface(

@@ -143,7 +143,7 @@ def test_criterion_4_operator_properties(domain, quad, rng):
             ctx = build_context(spec, domain, quad)
             for method in (Method.DTN, Method.NTD):
                 for label in labels:
-                    pair = assemble(method, seeds[label], spec, domain, quad, context=ctx)
+                    pair = assemble(method, seeds[label], ctx)
                     assert pair.lambda_defect < 1e-10, (size, parity, method, label)
                     assert pair.delta_defect < 1e-10, (size, parity, method, label)
                     sigma = np.linalg.eigvalsh(pair.delta)

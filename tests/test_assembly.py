@@ -26,9 +26,9 @@ def _pairs(domain, quad, size):
     out = []
     seeds = mode_seeds(domain)
     for parity, seed in ((Parity.EVEN, seeds["even,1"]), (Parity.ODD, seeds["odd,1"])):
-        spec = BasisSpec(parity=parity, n_max=size[0], m_max=size[1])
-        out.append(assemble_dtn(seed, spec, domain, quad))
-        out.append(assemble_ntd(seed, spec, domain, quad))
+        ctx = build_context(BasisSpec(parity=parity, n_max=size[0], m_max=size[1]), domain, quad)
+        out.append(assemble_dtn(seed, ctx))
+        out.append(assemble_ntd(seed, ctx))
     return out
 
 
@@ -54,7 +54,7 @@ def test_delta_positive_definite(domain, quad, size):
 def test_resonance_propagates(domain, quad):
     spec = BasisSpec(parity=Parity.EVEN, n_max=3, m_max=3)
     with pytest.raises(NearDirichletResonance):
-        assemble_dtn(5.0 * np.pi / 6.0, spec, domain, quad)
+        assemble_dtn(5.0 * np.pi / 6.0, build_context(spec, domain, quad))
 
 
 def test_delta11_volume_part(domain, context_for):
@@ -66,7 +66,7 @@ def test_delta11_volume_part(domain, context_for):
 def test_delta11_full_entry_against_independent_quadrature(domain, quad):
     # adaptive-quadrature oracle for Delta_11 = pi/12 + (1/2k) sum b_n' (psi_n||x|-a)^2
     spec = BasisSpec(parity=Parity.EVEN, n_max=3, m_max=3)
-    pair = assemble_dtn(KAPPA, spec, domain, quad)
+    pair = assemble_dtn(KAPPA, build_context(spec, domain, quad))
     n_modes = 200
     _, dbn = steklov_table(KAPPA, n_modes, domain)
     surface = 0.0
@@ -83,9 +83,11 @@ def test_truncation_stability(domain):
     # decays only like N^-2 (kinked basis traces), measured ~5e-6 at N=200
     quad = QuadratureConfig(n_r=64, n_phi=64, n_s=256)
     spec = BasisSpec(parity=Parity.EVEN, n_max=15, m_max=15)
+    ctx200 = build_context(spec, domain, quad, n_modes=200)
+    ctx400 = build_context(spec, domain, quad, n_modes=400)
     for fn in (assemble_dtn, assemble_ntd):
-        p200 = fn(KAPPA, spec, domain, quad, n_modes=200)
-        p400 = fn(KAPPA, spec, domain, quad, n_modes=400)
+        p200 = fn(KAPPA, ctx200)
+        p400 = fn(KAPPA, ctx400)
         assert np.max(np.abs(p200.delta - p400.delta)) < 1e-10
         assert np.max(np.abs(p200.lam - p400.lam)) < 2e-5
 
@@ -93,11 +95,11 @@ def test_truncation_stability(domain):
 def test_quadrature_stability(domain):
     # entry drift under 50% richer quadrature, relative to the matrix scale
     spec = BasisSpec(parity=Parity.EVEN, n_max=15, m_max=15)
-    q1 = QuadratureConfig(64, 64, 128)
-    q2 = QuadratureConfig(96, 96, 192)
+    ctx1 = build_context(spec, domain, QuadratureConfig(64, 64, 128))
+    ctx2 = build_context(spec, domain, QuadratureConfig(96, 96, 192))
     for fn in (assemble_dtn, assemble_ntd):
-        p1 = fn(KAPPA, spec, domain, q1)
-        p2 = fn(KAPPA, spec, domain, q2)
+        p1 = fn(KAPPA, ctx1)
+        p2 = fn(KAPPA, ctx2)
         assert np.max(np.abs(p1.lam - p2.lam)) < 1e-10 * max(1.0, np.max(np.abs(p1.lam)))
         assert np.max(np.abs(p1.delta - p2.delta)) < 1e-10 * max(1.0, np.max(np.abs(p1.delta)))
 
@@ -178,7 +180,7 @@ def test_functional_matches_rayleigh_quotient(domain, fn_ctx, rng):
     # for a value-matched trial at mixing 0 the functional equals the
     # assembled DtN Rayleigh quotient of gamma1
     trial = _matched_trial(Method.DTN, fn_ctx, domain, rng)
-    pair = assemble_dtn(KAPPA, fn_ctx.spec, domain, fn_ctx.quad, context=fn_ctx)
+    pair = assemble_dtn(KAPPA, fn_ctx)
     g1 = trial.gamma1
     rq = float(g1 @ pair.lam @ g1) / float(g1 @ pair.delta @ g1)
     general = evaluate_discontinuous_functional(trial, 0.0, fn_ctx).real
@@ -187,7 +189,7 @@ def test_functional_matches_rayleigh_quotient(domain, fn_ctx, rng):
 
 def test_functional_matches_ntd_rayleigh_quotient(domain, fn_ctx, rng):
     trial = _matched_trial(Method.NTD, fn_ctx, domain, rng)
-    pair = assemble_ntd(KAPPA, fn_ctx.spec, domain, fn_ctx.quad, context=fn_ctx)
+    pair = assemble_ntd(KAPPA, fn_ctx)
     g1 = trial.gamma1
     rq = float(g1 @ pair.lam @ g1) / float(g1 @ pair.delta @ g1)
     general = evaluate_discontinuous_functional(trial, 1.0, fn_ctx).real

@@ -5,13 +5,14 @@ from helmbound import (
     BasisSpec,
     Parity,
     basis_normal_derivative_trace,
+    cartesian_to_polar,
     basis_trace,
     eval_basis,
     eval_basis_laplacian,
     interface_rule,
     semicircle_rule,
 )
-from helmbound.basis import basis_tables
+from helmbound.basis import basis_tables, volume_tables
 from helmbound.errors import IndexOutOfRange, OutsideSubdomain, SingularOrigin
 
 EVEN = BasisSpec(parity=Parity.EVEN, n_max=3, m_max=3)
@@ -57,10 +58,11 @@ def test_eval_rejects_outside(domain):
 
 def test_all_members_vanish_on_arc(domain):
     theta = np.linspace(-np.pi / 2, np.pi / 2, 1000)
-    x, y = -np.sin(theta), np.cos(theta)
+    r, phi = cartesian_to_polar(domain, -np.sin(theta), np.cos(theta))
     for spec in (BasisSpec(parity=Parity.EVEN), BasisSpec(parity=Parity.ODD)):
-        for mu in range(1, spec.size + 1):
-            assert np.max(np.abs(eval_basis(spec, mu, domain, x, y))) <= 1e-13
+        V, _ = volume_tables(spec, domain, r, phi)
+        assert V.shape == (spec.size, theta.size)
+        assert np.max(np.abs(V)) <= 1e-13
 
 
 def test_even_members_at_origin(domain):
@@ -171,18 +173,55 @@ def test_green_identity(domain):
         assert np.max(np.abs((K - K.T) - (C - C.T))) < 1e-8
 
 
+def _closed_forms(spec, domain, r, phi, xs):
+    """V, L, T, D member by member, written out from the closed forms."""
+    a = domain.a
+    even = spec.parity is Parity.EVEN
+    ang = np.cos if even else np.sin
+    rows = []
+    for mu in range(1, spec.size + 1):
+        nm = spec.mu_to_nm(mu)
+        if nm is None:
+            rows.append((r - a, 1.0 / r, np.abs(xs) - a, np.zeros_like(xs)))
+            continue
+        w, mb = nm[0] * spec.alpha, nm[1] * spec.beta
+        s, c = np.sin(w * (r - a)), np.cos(w * (r - a))
+        s_tr = np.sin(w * (np.abs(xs) - a))
+        if even:
+            trace = np.abs(xs) * s_tr * np.cos(mb * np.pi / 2)
+            dtrace = -mb * np.sin(mb * np.pi / 2) * s_tr
+        else:
+            trace = -xs * s_tr * np.sin(mb * np.pi / 2)
+            dtrace = -mb * np.cos(mb * np.pi / 2) * np.sign(xs) * s_tr
+        lap = 3 * w * c - w * w * r * s + (1 - mb * mb) * s / r
+        rows.append((r * s * ang(mb * phi), lap * ang(mb * phi), trace, dtrace))
+    return [np.array(table) for table in zip(*rows)]
+
+
 def test_tables_match_pointwise_evaluation(domain):
     vol = semicircle_rule(domain, 8, 8)
     surf = interface_rule(domain, 8)
-    for spec in (EVEN, ODD):
-        V, L, T, D = basis_tables(spec, domain, vol, surf)
+    x, y = vol.points[:, 0], vol.points[:, 1]
+    specs = (EVEN, ODD,
+             BasisSpec(parity=Parity.EVEN, alpha=0.9, beta=1.7, n_max=3, m_max=4),
+             BasisSpec(parity=Parity.ODD, alpha=0.9, beta=1.7, n_max=4, m_max=2))
+    for spec in specs:
+        tables = basis_tables(spec, domain, vol, surf)
+        want = _closed_forms(spec, domain, vol.r, vol.phi, surf.nodes)
+        for got, ref in zip(tables, want):
+            assert got.shape == ref.shape
+        V, L, T, D = tables
+        assert V == pytest.approx(want[0], abs=1e-14)
+        assert L == pytest.approx(want[1], rel=1e-12, abs=1e-13)
+        assert T == pytest.approx(want[2], abs=1e-14)
+        assert D == pytest.approx(want[3], abs=1e-14)
+        # the per-member evaluators are rows of the same tables
         for mu in (1, spec.size // 2 + 1, spec.size):
-            x, y = vol.points[:, 0], vol.points[:, 1]
-            assert V[mu - 1] == pytest.approx(eval_basis(spec, mu, domain, x, y), abs=1e-14)
-            assert L[mu - 1] == pytest.approx(
-                eval_basis_laplacian(spec, mu, domain, x, y), rel=1e-12, abs=1e-13
+            assert eval_basis(spec, mu, domain, x, y) == pytest.approx(want[0][mu - 1], abs=1e-14)
+            assert eval_basis_laplacian(spec, mu, domain, x, y) == pytest.approx(
+                want[1][mu - 1], rel=1e-12, abs=1e-13
             )
-            assert T[mu - 1] == pytest.approx(basis_trace(spec, mu, domain, surf.nodes), abs=1e-14)
-            assert D[mu - 1] == pytest.approx(
-                basis_normal_derivative_trace(spec, mu, domain, surf.nodes), abs=1e-14
+            assert basis_trace(spec, mu, domain, surf.nodes) == pytest.approx(want[2][mu - 1], abs=1e-14)
+            assert basis_normal_derivative_trace(spec, mu, domain, surf.nodes) == pytest.approx(
+                want[3][mu - 1], abs=1e-14
             )

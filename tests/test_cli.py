@@ -42,6 +42,26 @@ def test_config_validation():
         RunConfig.from_dict({"steklov_truncation": 400})  # unresolved by n_s=128
 
 
+@pytest.mark.parametrize("override", [
+    {"basis": {"n_max": 2.5}},
+    {"basis": {"m_max": True}},
+    {"max_iter": 3.5},
+    {"quadrature": {"n_r": 10.5}},
+    {"grid": {"nx": 40.5}},
+    {"oracle": {"num_modes": 2.5}},
+    {"steklov_truncation": 100.0},
+    {"kappa0": "2.0"},
+    {"tol": "1e-5"},
+    {"oracle": {"h": "0.01"}},
+    {"geometry": {"a": 1.0, "b": True}},
+    {"grid": 5},
+])
+def test_wrongly_typed_config_is_config_error(tmp_path, capsys, override):
+    cfg_path = _write_config(tmp_path, **override)
+    assert main(["--config", str(cfg_path), "solve"]) == 1
+    assert "config error:" in capsys.readouterr().err
+
+
 def test_mode_seeds_match_bounding_rectangle(domain):
     seeds = mode_seeds(domain)
     assert seeds["even,1"] == pytest.approx(2.0116, abs=1e-4)
@@ -106,6 +126,21 @@ def test_sweep_csv(tmp_path):
     cells = {row[3]: float(row[4]) for row in rows[1:]}
     assert cells["even,1"] == pytest.approx(2.0630, abs=1e-3)
     assert cells["odd,2"] == pytest.approx(4.2234, abs=1e-3)
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep-basis", "--sizes", "15"],
+    ["sweep-basis", "--sizes", "3x"],
+    ["sweep-basis", "--sizes", "abc"],
+    ["sweep-basis", "--sizes", "3x3,0x3"],
+    ["field", "--mode", "even,9"],
+    ["field", "--mode", "even,1", "--mode", "odd"],
+])
+def test_malformed_arguments_are_config_errors(tmp_path, capsys, argv):
+    cfg_path = _write_config(tmp_path)
+    assert main(["--config", str(cfg_path), *argv]) == 1
+    assert "config error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()  # rejected before any work
 
 
 def test_field_outputs(tmp_path):

@@ -127,20 +127,37 @@ def test_field_vanishes_toward_boundary(domain, converged):
 
 
 def _reference_field(est, domain, grid):
-    # |Psi|^2 cell by cell from the scalar evaluators, one member at a time
-    from helmbound import eval_basis, steklov_mode_field
-
+    # |Psi|^2 cell by cell, summing closed forms written out here, one member
+    # and one Steklov mode at a time
+    a, b, kappa, spec = domain.a, domain.b, est.kappa, est.spec
+    ang = np.cos if spec.parity is Parity.EVEN else np.sin
     X, Y = np.meshgrid(grid.xs, grid.ys, indexing="ij")
     values = np.zeros_like(X)
-    semi = (Y > 0) & (X * X + Y * Y < domain.a**2)
-    inter = (np.abs(Y) <= 1e-12) & (np.abs(X) < domain.a)
-    rect = (Y < 0) & (np.abs(X) < domain.a) & ~inter
+    semi = (Y > 0) & (X * X + Y * Y < a**2)
+    inter = (np.abs(Y) <= 1e-12) & (np.abs(X) < a)
+    rect = (Y < 0) & (np.abs(X) < a) & ~inter
     for cells in (semi, inter):
-        field = sum(est.gamma1[mu - 1] * eval_basis(est.spec, mu, domain, X[cells], Y[cells])
-                    for mu in range(1, est.spec.size + 1))
+        r, phi = np.hypot(X[cells], Y[cells]), np.arctan2(-X[cells], Y[cells])
+        field = np.zeros_like(r)
+        for mu in range(1, spec.size + 1):
+            nm = spec.mu_to_nm(mu)
+            if nm is None:
+                member = r - a
+            else:
+                member = r * np.sin(nm[0] * spec.alpha * (r - a)) * ang(nm[1] * spec.beta * phi)
+            field += est.gamma1[mu - 1] * member
         values[cells] = field**2
-    field = sum(c * steklov_mode_field(est.kappa, n, domain, X[rect], Y[rect])
-                for n, c in enumerate(est.gamma2, start=1) if c != 0.0)
+    x, y = X[rect], Y[rect]
+    field = np.zeros_like(x)
+    for n, c in enumerate(est.gamma2, start=1):
+        lam = (n * np.pi / (2 * a)) ** 2
+        if kappa**2 > lam:
+            mu = np.sqrt(kappa**2 - lam)
+            profile = np.sin(mu * (y + b)) / np.sin(mu * b)
+        else:
+            s = np.sqrt(lam - kappa**2)
+            profile = np.sinh(s * (y + b)) / np.sinh(s * b)
+        field += c * np.sin(n * np.pi * (x + a) / (2 * a)) / np.sqrt(a) * profile
     values[rect] = field**2
     dx = grid.xs[1] - grid.xs[0]
     dy = grid.ys[1] - grid.ys[0]

@@ -10,6 +10,7 @@ from helmbound import (
     Parity,
     assemble,
     iterate_mode,
+    make_domain,
     mode_seeds,
     select_mode,
     solve_generalized,
@@ -99,6 +100,21 @@ def test_iterate_rejects_bad_seed(domain, quad):
         iterate_mode(Method.DTN, 0.0, spec, domain, quad=quad)
 
 
+@pytest.mark.parametrize("foreign", ["domain", "spec"])
+def test_iterate_rejects_foreign_context(domain, context_for, foreign):
+    # a context for b = 1.5 and a 15x15 family must not be paired with b = 2.0
+    # (Steklov symbols of one depth, tables of another) or with a 5x5 spec
+    # (a 226-entry gamma1 labelled with a 26-member family)
+    ctx = context_for(Parity.EVEN, 15)
+    spec, dom = ctx.spec, domain
+    if foreign == "domain":
+        dom = make_domain(1.0, 2.0)
+    else:
+        spec = BasisSpec(parity=Parity.EVEN, n_max=5, m_max=5)
+    with pytest.raises(ValueError, match="another trial family or domain"):
+        iterate_mode(Method.DTN, 2.0116, spec, dom, context=ctx)
+
+
 def test_overlap_tracking_matches_nearest(domain, quad, context_for):
     ctx = context_for(Parity.EVEN, 5)
     seeds = mode_seeds(domain)
@@ -127,23 +143,42 @@ def test_cross_method_agreement(converged):
         assert abs(est_d.k_estimate - est_n.k_estimate) < 1e-4
 
 
-def test_eigenvalues_real_ascending(domain, quad, context_for):
+def test_filter_sensitivity(domain, context_for):
+    # a decade either side of the default filter_tol = 1e-13 moves converged
+    # k by at most 4.5e-6 (DtN) and 3.9e-5 (NtD), measured at 15x15 and
+    # 30x30 with tol = 1e-8; tol = 1e-7 here because NtD odd,1 at 1e-14
+    # wanders at the 1e-8 level and can exhaust max_iter
+    seeds = mode_seeds(domain)
+    bounds = {Method.DTN: 1e-5, Method.NTD: 1e-4}
+    for label in ("even,1", "even,2", "odd,1", "odd,2"):
+        ctx = context_for(Parity(label.split(",")[0]), 15)
+        for method, bound in bounds.items():
+            k = {
+                ft: iterate_mode(method, seeds[label], ctx.spec, domain, tol=1e-7,
+                                 filter_tol=ft, context=ctx)[0].k_estimate
+                for ft in (1e-14, 1e-13, 1e-12)
+            }
+            assert abs(k[1e-14] - k[1e-13]) < bound, (method, label)
+            assert abs(k[1e-12] - k[1e-13]) < bound, (method, label)
+
+
+def test_eigenvalues_real_ascending(context_for):
     ctx = context_for(Parity.EVEN, 15)
     for method in (Method.DTN, Method.NTD):
-        pair = assemble(method, 2.0611, ctx.spec, domain, quad, context=ctx)
+        pair = assemble(method, 2.0611, ctx)
         sol = solve_generalized(pair)
         assert np.all(np.isfinite(sol.values))
         assert np.all(np.diff(sol.values) >= 0.0)
 
 
-def test_tracked_residual_and_orthonormality(domain, quad, context_for):
+def test_tracked_residual_and_orthonormality(context_for):
     # full-pencil residual of the tracked column within 1e-10 ||Lambda||_F;
     # metric orthonormality of the physical block within 2e-10 (whitening
     # noise floor for columns adjacent to the filter edge)
     for parity, target in ((Parity.EVEN, 2.0611**2), (Parity.ODD, 3.4507**2)):
         ctx = context_for(parity, 15)
         for method in (Method.DTN, Method.NTD):
-            pair = assemble(method, np.sqrt(target), ctx.spec, domain, quad, context=ctx)
+            pair = assemble(method, np.sqrt(target), ctx)
             sol = solve_generalized(pair)
             jt = int(np.argmin(np.abs(sol.values - target)))
             vec = sol.vectors[:, jt]
@@ -155,9 +190,9 @@ def test_tracked_residual_and_orthonormality(domain, quad, context_for):
             assert np.max(np.abs(gram - np.eye(hi - lo))) < 2e-10
 
 
-def test_solve_deterministic(domain, quad, context_for):
+def test_solve_deterministic(context_for):
     ctx = context_for(Parity.ODD, 5)
-    pair = assemble(Method.NTD, 3.4507, ctx.spec, domain, quad, context=ctx)
+    pair = assemble(Method.NTD, 3.4507, ctx)
     s1 = solve_generalized(pair)
     s2 = solve_generalized(pair)
     assert np.array_equal(s1.values, s2.values)

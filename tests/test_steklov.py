@@ -3,7 +3,6 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 
 from helmbound import (
-    Regime,
     apply_dtn,
     apply_dtn_derivative,
     apply_ntd,
@@ -14,7 +13,6 @@ from helmbound import (
     rectangle_volume_norm,
     steklov_eigenvalue,
     steklov_eigenvalue_derivative,
-    steklov_mode,
     steklov_mode_field,
     steklov_table,
     steklov_trace,
@@ -113,14 +111,8 @@ def test_dirichlet_resonance_guard(domain):
     with pytest.raises(NearDirichletResonance) as info:
         steklov_eigenvalue(5.0 * np.pi / 6.0, 1, domain)
     assert info.value.n == 1
-
-
-def test_mode_record(domain):
-    mode = steklov_mode(KAPPA, 1, domain)
-    assert mode.regime is Regime.OSCILLATORY
-    assert mode.b_n == pytest.approx(B1_REF, abs=1e-9)
-    assert mode.a_n > 0
-    assert steklov_mode(KAPPA, 2, domain).regime is Regime.EVANESCENT
+    # the guard checks only the requested mode
+    assert np.isfinite(steklov_eigenvalue(5.0 * np.pi / 6.0, 2, domain))
 
 
 def test_mode_field_dirichlet_walls(domain):
