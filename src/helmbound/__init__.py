@@ -47,7 +47,6 @@ from .reconstruct import (
 from .solver import (
     EigenSolution,
     IterationTrace,
-    ModeTracking,
     iterate_mode,
     select_mode,
     solve_generalized,

@@ -12,16 +12,18 @@ false).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
 from pathlib import Path
 
 from .assembly import Method, build_context
+from .basis import BasisSpec, Parity
 from .config import MODE_LABELS, ConfigError, RunConfig, mode_seeds, parse_mode_label
 from .errors import NearDirichletResonance, NearNeumannResonance, NotConverged
 from .oracle import Rectangle, richardson_eigen
-from .reconstruct import GridSpec, export_grid, sample_field
+from .reconstruct import export_grid, sample_field
 from .solver import iterate_mode
 
 EXIT_OK = 0
@@ -32,9 +34,7 @@ EXIT_CHECK_FAILED = 4
 
 
 def _load_config(path: str | None) -> RunConfig:
-    if path is None:
-        return RunConfig().validate()
-    return RunConfig.from_json_file(path)
+    return RunConfig() if path is None else RunConfig.from_json_file(path)
 
 
 def _outdir(cfg: RunConfig) -> Path:
@@ -47,15 +47,13 @@ def _write_json(path: Path, doc: dict) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _run_one(cfg: RunConfig, method: Method, parity: str, kappa0: float,
-             n_max: int | None = None, m_max: int | None = None, context=None):
-    spec = cfg.basis_spec(parity=parity, n_max=n_max, m_max=m_max)
+def _run_one(cfg: RunConfig, method: Method, spec: BasisSpec, kappa0: float, context=None):
     return iterate_mode(
         method,
         kappa0,
         spec,
-        cfg.domain(),
-        quad=cfg.quad(),
+        cfg.geometry,
+        quad=cfg.quadrature,
         n_modes=cfg.steklov_truncation,
         tol=cfg.tol,
         max_iter=cfg.max_iter,
@@ -66,16 +64,16 @@ def _run_one(cfg: RunConfig, method: Method, parity: str, kappa0: float,
 def cmd_solve(cfg: RunConfig, args) -> int:
     t0 = time.perf_counter()
     out = _outdir(cfg)
-    parity = cfg.basis["parity"]
+    method, parity = cfg.method.value, cfg.basis.parity.value
     doc = {
-        "method": cfg.method,
+        "method": method,
         "parity": parity,
         "kappa0": cfg.kappa0,
-        "basis_size": cfg.basis_spec().size,
+        "basis_size": cfg.basis.size,
     }
-    path = out / f"solve_{cfg.method}_{parity}.json"
+    path = out / f"solve_{method}_{parity}.json"
     try:
-        estimate, trace = _run_one(cfg, cfg.method_enum(), parity, cfg.kappa0)
+        estimate, trace = _run_one(cfg, cfg.method, cfg.basis, cfg.kappa0)
     except NotConverged as exc:
         doc.update(
             iterations=[round(k, 12) for k in exc.trace.estimates],
@@ -92,7 +90,7 @@ def cmd_solve(cfg: RunConfig, args) -> int:
         timings={"total_s": time.perf_counter() - t0},
     )
     _write_json(path, doc)
-    print(f"{cfg.method} {parity}: k = {estimate.k_estimate:.4f} "
+    print(f"{method} {parity}: k = {estimate.k_estimate:.4f} "
           f"({trace.iterations} iterations) -> {path}")
     return EXIT_OK
 
@@ -110,24 +108,22 @@ def _parse_sizes(text: str):
 def cmd_sweep_basis(cfg: RunConfig, args) -> int:
     sizes = _parse_sizes(args.sizes)
     out = _outdir(cfg)
-    seeds = mode_seeds(cfg.domain())
+    seeds = mode_seeds(cfg.geometry)
     methods = [Method.DTN, Method.NTD] if args.methods == "both" else [Method(args.methods)]
     rows = ["n_max,m_max,method,mode_label,converged_k,note"]
     for n_max, m_max in sizes:
-        contexts = {}
-        for parity in ("even", "odd"):
-            contexts[parity] = build_context(
-                cfg.basis_spec(parity=parity, n_max=n_max, m_max=m_max),
-                cfg.domain(), cfg.quad(), cfg.steklov_truncation,
+        contexts = {
+            parity: build_context(
+                dataclasses.replace(cfg.basis, parity=Parity(parity), n_max=n_max, m_max=m_max),
+                cfg.geometry, cfg.quadrature, cfg.steklov_truncation,
             )
+            for parity in ("even", "odd")
+        }
         for method in methods:
             for label in MODE_LABELS:
-                parity, _ = parse_mode_label(label)
+                ctx = contexts[parse_mode_label(label)[0]]
                 try:
-                    estimate, _trace = _run_one(
-                        cfg, method, parity, seeds[label],
-                        n_max=n_max, m_max=m_max, context=contexts[parity],
-                    )
+                    estimate, _trace = _run_one(cfg, method, ctx.spec, seeds[label], context=ctx)
                     rows.append(
                         f"{n_max},{m_max},{method.value},\"{label}\",{estimate.k_estimate:.6f},"
                     )
@@ -146,36 +142,28 @@ def cmd_field(cfg: RunConfig, args) -> int:
     if unknown:
         raise ConfigError(f"unknown mode label {unknown[0]!r}; expected one of {', '.join(MODE_LABELS)}")
     out = _outdir(cfg)
-    seeds = mode_seeds(cfg.domain())
-    grid_spec = GridSpec(nx=cfg.grid["nx"], ny=cfg.grid["ny"])
-    method = cfg.method_enum()
+    seeds = mode_seeds(cfg.geometry)
     for label in labels:
-        parity, _ = parse_mode_label(label)
-        estimate, _trace = _run_one(cfg, method, parity, seeds[label])
+        spec = dataclasses.replace(cfg.basis, parity=Parity(parse_mode_label(label)[0]))
+        estimate, _trace = _run_one(cfg, cfg.method, spec, seeds[label])
         # the converged estimate of k doubles as the sampling kappa
-        grid = sample_field(estimate, estimate.k_estimate, cfg.domain(), grid_spec)
-        stem = f"field_{cfg.method}_{label.replace(',', '_')}"
+        grid = sample_field(estimate, estimate.k_estimate, cfg.geometry, cfg.grid)
+        stem = f"field_{cfg.method.value}_{label.replace(',', '_')}"
         export_grid(grid, "csv", out / f"{stem}.csv")
         export_grid(grid, "pgm", out / f"{stem}.pgm")
         print(f"{label}: k = {estimate.k_estimate:.4f} -> {stem}.csv/.pgm")
     return EXIT_OK
 
 
-def _oracle_shape(cfg: RunConfig):
-    if cfg.oracle.get("shape", "composite") == "bounding_rectangle":
-        dom = cfg.domain()
-        return Rectangle(2.0 * dom.a, dom.a + dom.b)
-    return cfg.domain()
-
-
 def cmd_oracle(cfg: RunConfig, args) -> int:
     t0 = time.perf_counter()
     out = _outdir(cfg)
-    shape = _oracle_shape(cfg)
-    results, raw = richardson_eigen(shape, cfg.oracle["h"], cfg.oracle["num_modes"])
+    dom, oracle = cfg.geometry, cfg.oracle
+    shape = Rectangle(2.0 * dom.a, dom.a + dom.b) if oracle.shape == "bounding_rectangle" else dom
+    results, raw = richardson_eigen(shape, oracle.h, oracle.num_modes)
     doc = {
-        "shape": cfg.oracle.get("shape", "composite"),
-        "h": cfg.oracle["h"],
+        "shape": oracle.shape,
+        "h": oracle.h,
         "modes": [
             {"k": round(k, 9), "parity": parity, "k_coarse": round(k1, 9), "k_fine": round(k2, 9)}
             for (k, parity), (k1, k2) in zip(results, raw)
@@ -196,23 +184,24 @@ ORACLE_TOL = 1e-3
 
 def cmd_compare(cfg: RunConfig, args) -> int:
     out = _outdir(cfg)
-    seeds = mode_seeds(cfg.domain())
-    results, _raw = richardson_eigen(cfg.domain(), cfg.oracle["h"], cfg.oracle["num_modes"])
+    seeds = mode_seeds(cfg.geometry)
+    results, _raw = richardson_eigen(cfg.geometry, cfg.oracle.h, cfg.oracle.num_modes)
     by_parity = {"even": [], "odd": []}
     for k, parity in results:
         if parity in by_parity:
             by_parity[parity].append(k)
     contexts = {
-        parity: build_context(cfg.basis_spec(parity=parity), cfg.domain(), cfg.quad(),
-                              cfg.steklov_truncation)
+        parity: build_context(dataclasses.replace(cfg.basis, parity=Parity(parity)), cfg.geometry,
+                              cfg.quadrature, cfg.steklov_truncation)
         for parity in ("even", "odd")
     }
     report = {"modes": [], "mutual_tol": MUTUAL_TOL, "oracle_tol": ORACLE_TOL}
     all_pass = True
     for label in MODE_LABELS:
         parity, rank = parse_mode_label(label)
-        est_d, _ = _run_one(cfg, Method.DTN, parity, seeds[label], context=contexts[parity])
-        est_n, _ = _run_one(cfg, Method.NTD, parity, seeds[label], context=contexts[parity])
+        ctx = contexts[parity]
+        est_d, _ = _run_one(cfg, Method.DTN, ctx.spec, seeds[label], context=ctx)
+        est_n, _ = _run_one(cfg, Method.NTD, ctx.spec, seeds[label], context=ctx)
         k_fdm = by_parity[parity][rank - 1] if len(by_parity[parity]) >= rank else None
         mutual = abs(est_d.k_estimate - est_n.k_estimate)
         entry = {

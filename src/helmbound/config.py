@@ -1,76 +1,71 @@
-"""Run configuration: JSON in, validated dataclasses out.
+"""Run configuration: JSON in, the library's own frozen objects out.
 
-Defaults mirror the reference setup (a=1, b=1.5, alpha=beta=1, 15x15 basis,
-kappa0 = 2.0116), so a bare run reproduces the reference tables.
+Each JSON section is the library object it configures (``geometry`` a
+CompositeDomain, ``basis`` a BasisSpec, ``quadrature`` a QuadratureConfig,
+``grid`` a GridSpec, ``oracle`` an OracleConfig).  Defaults mirror the
+reference setup (a=1, b=1.5, alpha=beta=1, 15x15 basis, kappa0 = 2.0116), so
+a bare run reproduces the reference tables.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import enum
 import json
 import numbers
-from dataclasses import asdict, dataclass, field
+import typing
+from dataclasses import dataclass
 
 import numpy as np
 
 from .assembly import Method, QuadratureConfig
 from .basis import BasisSpec, Parity
 from .errors import HelmboundError
-from .geometry import CompositeDomain, make_domain
+from .geometry import CompositeDomain
+from .reconstruct import GridSpec
 
 
 class ConfigError(HelmboundError):
     """Invalid run configuration."""
 
 
-# Fields that must be integers, and fields that may be any number; booleans
-# are neither.  A dotted name is a key of a section object.
-INTEGER_FIELDS = (
-    "steklov_truncation", "max_iter", "basis.n_max", "basis.m_max", "quadrature.n_r",
-    "quadrature.n_phi", "quadrature.n_s", "grid.nx", "grid.ny", "oracle.num_modes",
-)
-NUMBER_FIELDS = ("kappa0", "tol", "geometry.a", "geometry.b", "basis.alpha", "basis.beta", "oracle.h")
+ORACLE_SHAPES = ("composite", "bounding_rectangle")
 
 
-@dataclass
+@dataclass(frozen=True)
+class OracleConfig:
+    """Finite-difference oracle: coarse step h, modes kept, domain shape."""
+
+    h: float = 1.0 / 64.0
+    num_modes: int = 8
+    shape: str = "composite"
+
+
+@dataclass(frozen=True)
 class RunConfig:
-    geometry: dict = field(default_factory=lambda: {"a": 1.0, "b": 1.5})
-    basis: dict = field(
-        default_factory=lambda: {
-            "parity": "even",
-            "alpha": 1.0,
-            "beta": 1.0,
-            "n_max": 15,
-            "m_max": 15,
-        }
-    )
-    method: str = "dtn"
+    geometry: CompositeDomain = CompositeDomain(1.0, 1.5)
+    basis: BasisSpec = BasisSpec(Parity.EVEN)
+    method: Method = Method.DTN
     steklov_truncation: int = 200
-    quadrature: dict = field(default_factory=lambda: {"n_r": 64, "n_phi": 64, "n_s": 128})
+    quadrature: QuadratureConfig = QuadratureConfig()
     kappa0: float = 2.0116
     tol: float = 5e-5
     max_iter: int = 20
-    grid: dict = field(default_factory=lambda: {"nx": 401, "ny": 701})
+    grid: GridSpec = GridSpec()
     output_dir: str = "helmbound-out"
-    oracle: dict = field(default_factory=lambda: {"h": 1.0 / 64.0, "num_modes": 8, "shape": "composite"})
+    oracle: OracleConfig = OracleConfig()
 
-    def validate(self) -> "RunConfig":
-        self._check_types()
-        try:
-            self.domain()
-            self.basis_spec()
-            self.method_enum()
-            quad = self.quad()
-        except (HelmboundError, ValueError, KeyError, TypeError) as exc:
-            raise ConfigError(str(exc)) from exc
+    def __post_init__(self):
+        quad = self.quadrature
         positives = {
             "steklov_truncation": self.steklov_truncation,
             "kappa0": self.kappa0,
             "tol": self.tol,
             "max_iter": self.max_iter,
-            "grid.nx": self.grid.get("nx", 0),
-            "grid.ny": self.grid.get("ny", 0),
-            "oracle.h": self.oracle.get("h", 0),
-            "oracle.num_modes": self.oracle.get("num_modes", 0),
+            "grid.nx": self.grid.nx,
+            "grid.ny": self.grid.ny,
+            "oracle.h": self.oracle.h,
+            "oracle.num_modes": self.oracle.num_modes,
             "quadrature.n_r": quad.n_r,
             "quadrature.n_phi": quad.n_phi,
             "quadrature.n_s": quad.n_s,
@@ -83,62 +78,12 @@ class RunConfig:
                 f"steklov_truncation={self.steklov_truncation} is not resolved by "
                 f"n_s={quad.n_s} interface nodes per panel (need truncation <= 2 n_s)"
             )
-        if self.oracle.get("shape", "composite") not in ("composite", "bounding_rectangle"):
-            raise ConfigError(f"unknown oracle shape {self.oracle.get('shape')!r}")
-        return self
-
-    def _check_types(self) -> None:
-        for name in INTEGER_FIELDS + NUMBER_FIELDS:
-            section, _, key = name.rpartition(".")
-            holder = getattr(self, section) if section else vars(self)
-            if not isinstance(holder, dict):
-                raise ConfigError(f"{section} must be an object, got {holder!r}")
-            if key not in holder:
-                continue
-            value = holder[key]
-            integer = name in INTEGER_FIELDS
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral if integer else numbers.Real):
-                raise ConfigError(f"{name} must be {'an integer' if integer else 'a number'}, got {value!r}")
-
-    def domain(self) -> CompositeDomain:
-        return make_domain(self.geometry["a"], self.geometry["b"])
-
-    def basis_spec(self, parity: str | None = None, n_max: int | None = None, m_max: int | None = None) -> BasisSpec:
-        b = self.basis
-        return BasisSpec(
-            parity=Parity(parity if parity is not None else b["parity"]),
-            alpha=b.get("alpha", 1.0),
-            beta=b.get("beta", 1.0),
-            n_max=n_max if n_max is not None else b["n_max"],
-            m_max=m_max if m_max is not None else b["m_max"],
-        )
-
-    def quad(self) -> QuadratureConfig:
-        q = self.quadrature
-        return QuadratureConfig(n_r=q["n_r"], n_phi=q["n_phi"], n_s=q["n_s"])
-
-    def method_enum(self) -> Method:
-        return Method(self.method)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
+        if self.oracle.shape not in ORACLE_SHAPES:
+            raise ConfigError(f"unknown oracle shape {self.oracle.shape!r}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        cfg = cls()
-        known = set(cfg.__dataclass_fields__)
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        for key, value in data.items():
-            current = getattr(cfg, key)
-            if isinstance(current, dict) and isinstance(value, dict):
-                merged = dict(current)
-                merged.update(value)
-                setattr(cfg, key, merged)
-            else:
-                setattr(cfg, key, value)
-        return cfg.validate()
+        return _replace(cls(), data, "config")
 
     @classmethod
     def from_json_file(cls, path) -> "RunConfig":
@@ -148,6 +93,40 @@ class RunConfig:
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         return cls.from_dict(data)
+
+
+def _replace(default, data, where: str):
+    """``default`` with the keys of the JSON object ``data`` replaced.
+
+    A key naming a dataclass field recurses into it; any other value must
+    have its field's annotated type (a bool is neither an int nor a number,
+    an int is a number, an enum field takes one of its values).  Unknown
+    keys at any depth are errors.
+    """
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where} must be an object, got {data!r}")
+    unknown = sorted(set(data) - {f.name for f in dataclasses.fields(default)})
+    if unknown:
+        raise ConfigError(f"unknown keys in {where}: {unknown}")
+    hints = typing.get_type_hints(type(default))
+    changes = {}
+    for key, value in data.items():
+        name, kind = f"{where}.{key}", hints[key]
+        if dataclasses.is_dataclass(kind):
+            changes[key] = _replace(getattr(default, key), value, name)
+        elif issubclass(kind, enum.Enum):
+            try:
+                changes[key] = kind(value)
+            except ValueError:
+                raise ConfigError(f"{name} must be one of {[m.value for m in kind]}, got {value!r}") from None
+        elif isinstance(value, bool) or not isinstance(value, numbers.Real if kind is float else kind):
+            raise ConfigError(f"{name} must be of type {kind.__name__}, got {value!r}")
+        else:
+            changes[key] = value
+    try:
+        return dataclasses.replace(default, **changes)
+    except (HelmboundError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def mode_seeds(domain: CompositeDomain) -> dict[str, float]:

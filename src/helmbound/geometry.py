@@ -169,7 +169,8 @@ def cartesian_to_polar(domain, x, y):
     """Map a point in the closed semicircle to (r, phi).
 
     phi is the angle from the y-axis, positive for x < 0:
-    x = -r sin(phi), y = r cos(phi).  Accepts scalars or arrays.
+    x = -r sin(phi), y = r cos(phi).  Accepts scalars or arrays that
+    broadcast together; two scalars give two floats.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -177,6 +178,6 @@ def cartesian_to_polar(domain, x, y):
     if np.any(r > domain.a * (1.0 + 1e-12) + INTERFACE_TOL) or np.any(y < -INTERFACE_TOL):
         raise OutsideSubdomain("point not in the closure of the semicircle")
     phi = np.arctan2(-x, y)
-    if x.ndim == 0:
+    if r.ndim == 0:
         return float(r), float(phi)
     return r, phi

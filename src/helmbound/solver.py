@@ -17,7 +17,6 @@ until successive estimates of k agree within the tolerance.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,11 +38,6 @@ from .reconstruct import ModeEstimate, gamma2_coefficients
 DEFAULT_FILTER_TOL = 1e-13
 DEFAULT_K_TOL = 5e-5
 DEFAULT_MAX_ITER = 20
-
-
-class ModeTracking(enum.Enum):
-    NEAREST = "nearest"
-    OVERLAP = "overlap"
 
 
 @dataclass(frozen=True)
@@ -111,15 +105,6 @@ def select_mode(previous_k_squared: float, solution: EigenSolution) -> int:
     return int(np.argmin(dist))
 
 
-def _select_overlap(prev_vec: np.ndarray, pair: MatrixPair, solution: EigenSolution) -> int:
-    """Index of the column with the largest |prev^T Delta vec| overlap."""
-    scores = np.abs(prev_vec @ pair.delta @ solution.vectors)
-    scores[solution.values <= 0] = -np.inf
-    if np.all(np.isneginf(scores)):
-        raise NoPositiveEigenvalue("no positive eigenvalue to track")
-    return int(np.argmax(scores))
-
-
 def iterate_mode(
     method: Method,
     kappa0: float,
@@ -129,7 +114,6 @@ def iterate_mode(
     n_modes: int = DEFAULT_STEKLOV_MODES,
     tol: float = DEFAULT_K_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    tracking: ModeTracking = ModeTracking.NEAREST,
     filter_tol: float = DEFAULT_FILTER_TOL,
     context: AssemblyContext | None = None,
 ):
@@ -151,22 +135,17 @@ def iterate_mode(
     trace = IterationTrace()
     kappa = float(kappa0)
     target = kappa0**2
-    prev_vec = None
     result = None
     for _ in range(max_iter):
         pair = assemble(method, kappa, context=ctx)
         solution = solve_generalized(pair, filter_tol)
-        if tracking is ModeTracking.OVERLAP and prev_vec is not None:
-            idx = _select_overlap(prev_vec, pair, solution)
-        else:
-            idx = select_mode(target, solution)
+        idx = select_mode(target, solution)
         f_val = solution.values[idx]
         k = float(np.sqrt(f_val))
         trace.kappas.append(kappa)
         trace.estimates.append(k)
         target = f_val
-        prev_vec = solution.vectors[:, idx]
-        result = (kappa, f_val, prev_vec)
+        result = (kappa, f_val, solution.vectors[:, idx])
         if trace.last_step() < tol:
             trace.converged = True
             break

@@ -45,6 +45,9 @@ def _dom():
 def test_eval_linear_member(domain):
     assert eval_basis(EVEN, 1, domain, 0.0, 0.5) == pytest.approx(-0.5, abs=1e-15)
     assert eval_basis(EVEN, 1, domain, 0.0, 0.0) == pytest.approx(-1.0, abs=1e-15)
+    # a scalar x broadcasts against an array y
+    values = eval_basis(EVEN, 1, domain, 0.0, np.array([0.1, 0.2]))
+    np.testing.assert_allclose(values, [-0.9, -0.8], atol=1e-15)
 
 
 def test_eval_odd_member(domain):

@@ -1,10 +1,15 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from helmbound import BasisSpec, Parity
 from helmbound.cli import main
 from helmbound.config import ConfigError, RunConfig, mode_seeds, parse_mode_label
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _write_config(tmp_path, **overrides):
@@ -21,12 +26,18 @@ def _write_config(tmp_path, **overrides):
     return path
 
 
-def test_config_roundtrip():
+def test_partial_section_keeps_defaults():
     cfg = RunConfig.from_dict({"kappa0": 3.3836, "basis": {"parity": "odd"}})
-    again = RunConfig.from_dict(cfg.to_dict())
-    assert again.to_dict() == cfg.to_dict()
-    assert again.basis["parity"] == "odd"
-    assert again.basis["n_max"] == 15  # merged default
+    assert cfg.basis == BasisSpec(Parity.ODD)
+    assert cfg.kappa0 == 3.3836
+    assert cfg.oracle == RunConfig().oracle
+
+
+def test_readme_example_config_is_valid():
+    text = README.read_text()
+    block = re.search(r"Example config[^\n]*\n+```json\n(.*?)```", text, re.S)
+    assert block is not None, "README has no JSON block under 'Example config'"
+    RunConfig.from_dict(json.loads(block.group(1)))
 
 
 def test_config_validation():
@@ -55,6 +66,10 @@ def test_config_validation():
     {"oracle": {"h": "0.01"}},
     {"geometry": {"a": 1.0, "b": True}},
     {"grid": 5},
+    {"basis": {"nmax": 30}},
+    {"grid": {"n_x": 5}},
+    {"oracle": {"hh": 1}},
+    {"output_dir": 5},
 ])
 def test_wrongly_typed_config_is_config_error(tmp_path, capsys, override):
     cfg_path = _write_config(tmp_path, **override)

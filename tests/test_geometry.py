@@ -117,6 +117,10 @@ def test_polar_convention(domain):
     assert (r, phi) == pytest.approx((1.0, np.pi / 2.0))
     r, phi = cartesian_to_polar(domain, 0.5, 0.5)
     assert (r, phi) == pytest.approx((np.sqrt(0.5), -np.pi / 4.0))
+    r, phi = cartesian_to_polar(domain, 0.0, np.array([0.25, 0.5]))
+    assert r.shape == phi.shape == (2,)
+    np.testing.assert_array_equal(r, [0.25, 0.5])
+    np.testing.assert_array_equal(phi, [0.0, 0.0])
 
 
 def test_polar_roundtrip(domain, rng):

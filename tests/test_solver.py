@@ -6,7 +6,6 @@ from helmbound import (
     EigenSolution,
     MatrixPair,
     Method,
-    ModeTracking,
     Parity,
     assemble,
     iterate_mode,
@@ -113,19 +112,6 @@ def test_iterate_rejects_foreign_context(domain, context_for, foreign):
         spec = BasisSpec(parity=Parity.EVEN, n_max=5, m_max=5)
     with pytest.raises(ValueError, match="another trial family or domain"):
         iterate_mode(Method.DTN, 2.0116, spec, dom, context=ctx)
-
-
-def test_overlap_tracking_matches_nearest(domain, quad, context_for):
-    ctx = context_for(Parity.EVEN, 5)
-    seeds = mode_seeds(domain)
-    est_a, _ = iterate_mode(
-        Method.DTN, seeds["even,1"], ctx.spec, domain, quad=quad, context=ctx
-    )
-    est_b, _ = iterate_mode(
-        Method.DTN, seeds["even,1"], ctx.spec, domain, quad=quad, context=ctx,
-        tracking=ModeTracking.OVERLAP,
-    )
-    assert est_b.k_estimate == pytest.approx(est_a.k_estimate, abs=1e-10)
 
 
 def test_monotone_convergence_after_first_step(converged):
