@@ -14,22 +14,13 @@ from .assembly import (
     build_context,
     evaluate_discontinuous_functional,
 )
-from .basis import (
-    BasisSpec,
-    Parity,
-    basis_normal_derivative_trace,
-    basis_trace,
-    eval_basis,
-    eval_basis_laplacian,
-)
+from .basis import BasisSpec, Parity
 from .config import RunConfig, mode_seeds
 from .geometry import (
     CompositeDomain,
     QuadratureRule1D,
     QuadratureRule2D,
-    Region,
     cartesian_to_polar,
-    classify_point,
     gauss_legendre,
     interface_rule,
     make_domain,
@@ -52,11 +43,6 @@ from .solver import (
     solve_generalized,
 )
 from .steklov import (
-    apply_dtn,
-    apply_dtn_derivative,
-    apply_ntd,
-    apply_ntd_derivative,
-    project_surface,
     rectangle_volume_norm,
     steklov_eigenvalue,
     steklov_eigenvalue_derivative,

@@ -195,12 +195,12 @@ def _surface_fields(ctx: AssemblyContext, trial: TrialPair):
     g1 = np.asarray(trial.gamma1, dtype=float)
     g2 = np.asarray(trial.gamma2, dtype=float)
     n2 = g2.size
+    if n2 > ctx.n_modes:
+        raise ValueError(
+            f"gamma2 has {n2} coefficients but the context holds {ctx.n_modes} Steklov modes"
+        )
     bn, dbn = steklov_table(trial.kappa, n2, ctx.domain) if n2 else (np.empty(0), np.empty(0))
-    if n2 <= ctx.steklov_traces.shape[0]:
-        psi = ctx.steklov_traces[:n2]
-    else:
-        n = np.arange(1, n2 + 1)
-        psi = steklov_trace(n[:, None], ctx.domain, ctx.surface_rule.nodes[None, :])
+    psi = ctx.steklov_traces[:n2]
     v1 = g1 @ ctx.traces
     d1 = g1 @ ctx.dtraces
     v2 = g2 @ psi

@@ -40,10 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndexOutOfRange, OutsideSubdomain, SingularOrigin
-from .geometry import INTERFACE_TOL, CompositeDomain, QuadratureRule1D, QuadratureRule2D, cartesian_to_polar
-
-ORIGIN_GUARD = 1e-14
+from .errors import IndexOutOfRange
+from .geometry import CompositeDomain, QuadratureRule1D, QuadratureRule2D
 
 
 class Parity(enum.Enum):
@@ -205,58 +203,3 @@ def basis_tables(
     V, L = volume_tables(spec, domain, volume_rule.r, volume_rule.phi)
     T, D = interface_tables(spec, domain, surface_rule.nodes)
     return V, L, T, D
-
-
-# The per-member evaluators below are one-row views of the tables above: they
-# check their inputs and return row mu in the shape of the points (a scalar
-# for scalar points).
-
-
-def _interface_points(domain: CompositeDomain, x):
-    x = np.asarray(x, dtype=float)
-    if np.any(np.abs(x) > domain.a + INTERFACE_TOL):
-        raise OutsideSubdomain("trace point beyond |x| = a")
-    return x
-
-
-def eval_basis(spec: BasisSpec, mu: int, domain: CompositeDomain, x, y):
-    """phi_mu at (x, y) in the closed semicircle; scalars or arrays."""
-    _check_mu(spec, mu)
-    r, phi = map(np.asarray, cartesian_to_polar(domain, x, y))
-    # only the values are read; the Laplacian rows are singular at r = 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        V, _ = volume_tables(spec, domain, r.ravel(), phi.ravel())
-    return V[mu - 1].reshape(r.shape)[()]
-
-
-def eval_basis_laplacian(spec: BasisSpec, mu: int, domain: CompositeDomain, x, y):
-    """Polar Laplacian of phi_mu (see ``volume_tables``).
-
-    Quadrature nodes exclude r = 0; an evaluation there is refused rather
-    than regularized.
-    """
-    _check_mu(spec, mu)
-    r, phi = map(np.asarray, cartesian_to_polar(domain, x, y))
-    if np.any(r < ORIGIN_GUARD):
-        raise SingularOrigin("Laplacian evaluation at r = 0")
-    _, L = volume_tables(spec, domain, r.ravel(), phi.ravel())
-    return L[mu - 1].reshape(r.shape)[()]
-
-
-def basis_trace(spec: BasisSpec, mu: int, domain: CompositeDomain, x):
-    """phi_mu on the interface y = 0 (r = |x|, phi = +-pi/2)."""
-    _check_mu(spec, mu)
-    x = _interface_points(domain, x)
-    T, _ = interface_tables(spec, domain, x.ravel())
-    return T[mu - 1].reshape(x.shape)[()]
-
-
-def basis_normal_derivative_trace(spec: BasisSpec, mu: int, domain: CompositeDomain, x):
-    """-d(phi_mu)/dy on y = 0, with the x -> 0 limit taken analytically.
-
-    The odd-family value at exactly x = 0 is the symmetric (average) limit 0.
-    """
-    _check_mu(spec, mu)
-    x = _interface_points(domain, x)
-    _, D = interface_tables(spec, domain, x.ravel())
-    return D[mu - 1].reshape(x.shape)[()]

@@ -21,7 +21,7 @@ from pathlib import Path
 from .assembly import Method, build_context
 from .basis import BasisSpec, Parity
 from .config import MODE_LABELS, ConfigError, RunConfig, mode_seeds, parse_mode_label
-from .errors import NearDirichletResonance, NearNeumannResonance, NotConverged
+from .errors import GridTooCoarse, NearDirichletResonance, NearNeumannResonance, NotConverged
 from .oracle import Rectangle, richardson_eigen
 from .reconstruct import export_grid, sample_field
 from .solver import iterate_mode
@@ -39,7 +39,10 @@ def _load_config(path: str | None) -> RunConfig:
 
 def _outdir(cfg: RunConfig) -> Path:
     out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output_dir {cfg.output_dir!r}: {exc}") from exc
     return out
 
 
@@ -146,8 +149,7 @@ def cmd_field(cfg: RunConfig, args) -> int:
     for label in labels:
         spec = dataclasses.replace(cfg.basis, parity=Parity(parse_mode_label(label)[0]))
         estimate, _trace = _run_one(cfg, cfg.method, spec, seeds[label])
-        # the converged estimate of k doubles as the sampling kappa
-        grid = sample_field(estimate, estimate.k_estimate, cfg.geometry, cfg.grid)
+        grid = sample_field(estimate, cfg.geometry, cfg.grid)
         stem = f"field_{cfg.method.value}_{label.replace(',', '_')}"
         export_grid(grid, "csv", out / f"{stem}.csv")
         export_grid(grid, "pgm", out / f"{stem}.pgm")
@@ -267,7 +269,7 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args.config)
         return COMMANDS[args.command](cfg, args)
-    except ConfigError as exc:
+    except (ConfigError, GridTooCoarse) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NotConverged as exc:

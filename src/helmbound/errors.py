@@ -26,10 +26,6 @@ class IndexOutOfRange(HelmboundError):
     """Basis index outside 1..M."""
 
 
-class SingularOrigin(HelmboundError):
-    """Evaluation at r = 0 where a 1/r factor is singular."""
-
-
 class NearDirichletResonance(HelmboundError):
     """kappa sits at an internal Dirichlet resonance of the rectangle.
 

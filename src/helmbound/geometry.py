@@ -16,7 +16,6 @@ positive for x < 0:  x = -r sin(phi),  y = r cos(phi),  phi in [-pi/2, pi/2].
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,13 +25,6 @@ from .errors import InvalidInterval, NonPositiveGeometry, OutsideSubdomain
 
 # Absolute tolerance for interface / closure membership at unit scale.
 INTERFACE_TOL = 1e-12
-
-
-class Region(enum.Enum):
-    SEMICIRCLE = "semicircle"
-    RECTANGLE = "rectangle"
-    INTERFACE = "interface"
-    OUTSIDE = "outside"
 
 
 @dataclass(frozen=True)
@@ -46,10 +38,6 @@ class CompositeDomain:
         if not (self.a > 0 and self.b > 0):
             raise NonPositiveGeometry(f"need a > 0 and b > 0, got a={self.a}, b={self.b}")
 
-    @property
-    def interface_length(self) -> float:
-        return 2.0 * self.a
-
 
 def make_domain(a: float, b: float) -> CompositeDomain:
     """Validate and build the composite domain."""
@@ -62,7 +50,6 @@ class QuadratureRule1D:
 
     nodes: np.ndarray
     weights: np.ndarray
-    interval: tuple[float, float]
 
     def integrate(self, values: np.ndarray) -> float:
         return float(np.dot(self.weights, values))
@@ -100,7 +87,6 @@ def gauss_legendre(order: int, lo: float, hi: float) -> QuadratureRule1D:
     return QuadratureRule1D(
         nodes=half * x + 0.5 * (hi + lo),
         weights=half * w,
-        interval=(lo, hi),
     )
 
 
@@ -121,7 +107,6 @@ def interface_rule(domain: CompositeDomain, n_s: int) -> QuadratureRule1D:
     return QuadratureRule1D(
         nodes=np.concatenate([left.nodes, right.nodes]),
         weights=np.concatenate([left.weights, right.weights]),
-        interval=(-a, a),
     )
 
 
@@ -147,22 +132,6 @@ def semicircle_rule(domain: CompositeDomain, n_r: int, n_phi: int) -> Quadrature
         r=r,
         phi=phi,
     )
-
-
-def classify_point(domain: CompositeDomain, x: float, y: float) -> Region:
-    """Classify a point against the composite-domain regions.
-
-    The interface means |y| <= 1e-12 and |x| < a; subdomain membership is
-    strict (boundary points fall outside).
-    """
-    a, b = domain.a, domain.b
-    if abs(y) <= INTERFACE_TOL:
-        return Region.INTERFACE if abs(x) < a - INTERFACE_TOL else Region.OUTSIDE
-    if y > 0:
-        return Region.SEMICIRCLE if x * x + y * y < a * a else Region.OUTSIDE
-    if -b < y < 0 and abs(x) < a:
-        return Region.RECTANGLE
-    return Region.OUTSIDE
 
 
 def cartesian_to_polar(domain, x, y):

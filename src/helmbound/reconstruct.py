@@ -39,10 +39,6 @@ class ModeEstimate:
     spec: BasisSpec
     kappa: float
 
-    @property
-    def parity(self):
-        return self.spec.parity
-
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -112,15 +108,14 @@ def _semicircle_field(spec: BasisSpec, domain: CompositeDomain, gamma1, x, y):
 
 def sample_field(
     estimate: ModeEstimate,
-    kappa: float,
     domain: CompositeDomain,
     grid: GridSpec = GridSpec(),
 ) -> FieldGrid:
     """Sample normalized |Psi|^2 on a grid covering [-a, a] x [-b, a].
 
     Semicircle cells take |sum gamma1 phi|^2, rectangle cells
-    |sum c_n psi_n(kappa)|^2, interface cells the semicircle-side trace,
-    outside cells 0.  The semicircle sum runs over blocks of CHUNK points
+    |sum c_n psi_n(k)|^2 at the estimate's k, interface cells the
+    semicircle-side trace, outside cells 0.  The semicircle sum runs over blocks of CHUNK points
     through the separable factors of ``family_factors``; the rectangle
     block is one product (X^T c) Y of the Steklov traces X (modes x columns)
     and the y-profiles Y (modes x rows), over the modes with c_n != 0.
@@ -144,7 +139,7 @@ def sample_field(
         c = estimate.gamma2
         n = np.flatnonzero(c) + 1
         traces = steklov_trace(n[:, None], domain, xs[in_x][None, :])
-        block = (traces.T * c[n - 1]) @ _mode_profile(kappa, n, domain, y_rect)
+        block = (traces.T * c[n - 1]) @ _mode_profile(estimate.k_estimate, n, domain, y_rect)
         values[np.ix_(in_x, rect_rows)] = block**2
     if np.any(inter_rows):
         trace = _semicircle_field(

@@ -1,4 +1,4 @@
-"""Steklov spectrum of the rectangle and the induced interface operators.
+"""Steklov spectrum of the rectangle, whose symbols define the interface operators.
 
 For the rectangle -a < x < a, -b < y < 0 with zero walls on x = +-a, y = -b
 and the spectral boundary condition on y = 0, the eigenpairs at a fixed real
@@ -19,9 +19,6 @@ Both b_n branches meet the regime switch kappa^2 = lam_n continuously with
 value -1/b.  With t = (kappa^2 - lam_n) b^2, a single series covers both
 sides; it is used for |t| < 1e-6 because the closed-form derivative loses
 ~10 digits to cancellation there (two ~1/u terms differing by O(u)).
-
-Surface functions are plain arrays: either samples at the nodes of an
-interface quadrature rule, or coefficients over the first N Steklov traces.
 """
 
 from __future__ import annotations
@@ -29,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NearDirichletResonance, NearNeumannResonance, OutsideSubdomain
-from .geometry import INTERFACE_TOL, CompositeDomain, QuadratureRule1D
+from .geometry import INTERFACE_TOL, CompositeDomain
 
 # |sin(mu b)| below this is treated as a Dirichlet resonance (pole of b_n).
 DIRICHLET_POLE_GUARD = 1e-8
@@ -180,54 +177,6 @@ def rectangle_volume_norm(kappa: float, n: int, domain: CompositeDomain) -> floa
     <psi_n|psi_n> = (1/2 kappa) db_n/dkappa exactly for a unit-trace mode.
     """
     return steklov_eigenvalue_derivative(kappa, n, domain) / (2.0 * kappa)
-
-
-def project_surface(
-    f_samples: np.ndarray,
-    kappa: float,
-    n_modes: int,
-    domain: CompositeDomain,
-    rule: QuadratureRule1D,
-) -> np.ndarray:
-    """Coefficients c_n = (psi_n | f), n = 1..n_modes, by interface quadrature.
-
-    ``f_samples`` are the values of f at ``rule.nodes``.  kappa is accepted
-    for signature uniformity; the traces do not depend on it here.
-    """
-    del kappa
-    n = np.arange(1, n_modes + 1)
-    traces = steklov_trace(n[:, None], domain, rule.nodes[None, :])
-    return traces @ (rule.weights * np.asarray(f_samples, dtype=float))
-
-
-def apply_dtn(c: np.ndarray, kappa: float, domain: CompositeDomain) -> np.ndarray:
-    """Dirichlet-to-Neumann action: scale c_n by b_n(kappa)."""
-    c = np.asarray(c, dtype=float)
-    bn, _ = steklov_table(kappa, c.size, domain)
-    return bn * c
-
-
-def apply_ntd(c: np.ndarray, kappa: float, domain: CompositeDomain) -> np.ndarray:
-    """Neumann-to-Dirichlet action: scale c_n by 1/b_n(kappa)."""
-    c = np.asarray(c, dtype=float)
-    bn, _ = steklov_table(kappa, c.size, domain)
-    _guard_neumann(bn, kappa)
-    return c / bn
-
-
-def apply_dtn_derivative(c: np.ndarray, kappa: float, domain: CompositeDomain) -> np.ndarray:
-    """Scale c_n by db_n/dkappa (>= 0)."""
-    c = np.asarray(c, dtype=float)
-    _, dbn = steklov_table(kappa, c.size, domain)
-    return dbn * c
-
-
-def apply_ntd_derivative(c: np.ndarray, kappa: float, domain: CompositeDomain) -> np.ndarray:
-    """Scale c_n by d(1/b_n)/dkappa = -db_n/dkappa / b_n^2 (<= 0)."""
-    c = np.asarray(c, dtype=float)
-    bn, dbn = steklov_table(kappa, c.size, domain)
-    _guard_neumann(bn, kappa)
-    return -dbn / bn**2 * c
 
 
 def _guard_neumann(bn: np.ndarray, kappa: float):

@@ -142,6 +142,14 @@ def test_functional_zero_trial(domain, context_for):
         evaluate_discontinuous_functional(trial, 0.3, ctx)
 
 
+def test_functional_rejects_gamma2_beyond_context(domain, context_for, rng):
+    ctx = context_for(Parity.EVEN, 5)
+    n2 = ctx.n_modes + 1
+    trial = TrialPair(gamma1=rng.normal(size=ctx.spec.size), gamma2=rng.normal(size=n2), kappa=KAPPA)
+    with pytest.raises(ValueError, match=f"{n2} coefficients .* {ctx.n_modes} Steklov modes"):
+        evaluate_discontinuous_functional(trial, 0.3, ctx)
+
+
 @pytest.fixture(scope="module")
 def fn_ctx(domain):
     # trace-product integrands reach Steklov frequency 2N; 256 nodes per

@@ -4,22 +4,24 @@ import pytest
 from helmbound import (
     BasisSpec,
     Parity,
-    basis_normal_derivative_trace,
     cartesian_to_polar,
-    basis_trace,
-    eval_basis,
-    eval_basis_laplacian,
     interface_rule,
     semicircle_rule,
 )
-from helmbound.basis import basis_tables, volume_tables
-from helmbound.errors import IndexOutOfRange, OutsideSubdomain, SingularOrigin
+from helmbound.basis import basis_tables, interface_tables, volume_tables
+from helmbound.errors import IndexOutOfRange
 
 EVEN = BasisSpec(parity=Parity.EVEN, n_max=3, m_max=3)
 ODD = BasisSpec(parity=Parity.ODD, n_max=3, m_max=3)
 
 # frozen 40-digit value of sqrt(.5) sin(sqrt(.5)-1) sin(pi/4)
 ODD11_AT_HALF = -0.144361716817
+
+
+def _volume(spec, domain, x, y):
+    """(V, L) of the whole family at Cartesian points, one column per point."""
+    r, phi = cartesian_to_polar(domain, x, y)
+    return volume_tables(spec, domain, np.atleast_1d(r), np.atleast_1d(phi))
 
 
 def test_sizes_and_bijection():
@@ -33,30 +35,20 @@ def test_sizes_and_bijection():
     with pytest.raises(IndexOutOfRange):
         EVEN.mu_to_nm(11)
     with pytest.raises(IndexOutOfRange):
-        eval_basis(ODD, 10, _dom(), 0.0, 0.5)
-
-
-def _dom():
-    from helmbound import make_domain
-
-    return make_domain(1.0, 1.5)
+        ODD.mu_to_nm(10)
 
 
 def test_eval_linear_member(domain):
-    assert eval_basis(EVEN, 1, domain, 0.0, 0.5) == pytest.approx(-0.5, abs=1e-15)
-    assert eval_basis(EVEN, 1, domain, 0.0, 0.0) == pytest.approx(-1.0, abs=1e-15)
+    assert _volume(EVEN, domain, 0.0, 0.5)[0][0] == pytest.approx([-0.5], abs=1e-15)
+    with np.errstate(divide="ignore", invalid="ignore"):  # L is singular at r = 0
+        assert _volume(EVEN, domain, 0.0, 0.0)[0][0] == pytest.approx([-1.0], abs=1e-15)
     # a scalar x broadcasts against an array y
-    values = eval_basis(EVEN, 1, domain, 0.0, np.array([0.1, 0.2]))
+    values = _volume(EVEN, domain, 0.0, np.array([0.1, 0.2]))[0][0]
     np.testing.assert_allclose(values, [-0.9, -0.8], atol=1e-15)
 
 
 def test_eval_odd_member(domain):
-    assert eval_basis(ODD, 1, domain, -0.5, 0.5) == pytest.approx(ODD11_AT_HALF, abs=1e-10)
-
-
-def test_eval_rejects_outside(domain):
-    with pytest.raises(OutsideSubdomain):
-        eval_basis(EVEN, 1, domain, 0.0, -0.5)
+    assert _volume(ODD, domain, -0.5, 0.5)[0][0] == pytest.approx([ODD11_AT_HALF], abs=1e-10)
 
 
 def test_all_members_vanish_on_arc(domain):
@@ -70,30 +62,27 @@ def test_all_members_vanish_on_arc(domain):
 
 def test_even_members_at_origin(domain):
     eps = 1e-9
-    assert eval_basis(EVEN, 1, domain, 0.0, 0.0) == pytest.approx(-1.0)
-    for mu in range(2, EVEN.size + 1):
-        assert abs(eval_basis(EVEN, mu, domain, 0.0, eps)) < 1e-8
+    with np.errstate(divide="ignore", invalid="ignore"):  # L is singular at r = 0
+        V0, _ = _volume(EVEN, domain, 0.0, 0.0)
+    assert V0[0] == pytest.approx([-1.0])
+    V, _ = _volume(EVEN, domain, 0.0, eps)
+    assert np.max(np.abs(V[1:])) < 1e-8
 
 
 def test_laplacian_of_linear_member(domain):
-    assert eval_basis_laplacian(EVEN, 1, domain, 0.0, 0.5) == pytest.approx(2.0, rel=1e-14)
-
-
-def test_laplacian_origin_guard(domain):
-    with pytest.raises(SingularOrigin):
-        eval_basis_laplacian(EVEN, 1, domain, 0.0, 0.0)
+    assert _volume(EVEN, domain, 0.0, 0.5)[1][0] == pytest.approx([2.0], rel=1e-14)
 
 
 def _fd_laplacian(spec, mu, domain, x, y, h=1e-4):
-    f = lambda px, py: eval_basis(spec, mu, domain, px, py)
+    f = lambda px, py: _volume(spec, domain, px, py)[0][mu - 1]
     return (f(x + h, y) + f(x - h, y) + f(x, y + h) + f(x, y - h) - 4.0 * f(x, y)) / h**2
 
 
 @pytest.mark.parametrize("spec,mu", [(EVEN, 1), (EVEN, 2), (EVEN, 7), (ODD, 1), (ODD, 6)])
 def test_laplacian_against_finite_difference(domain, spec, mu):
-    for x, y in [(-0.3, 0.4), (0.2, 0.3), (0.1, 0.6)]:
-        fd = _fd_laplacian(spec, mu, domain, x, y)
-        assert eval_basis_laplacian(spec, mu, domain, x, y) == pytest.approx(fd, rel=1e-6)
+    x, y = np.array([-0.3, 0.2, 0.1]), np.array([0.4, 0.3, 0.6])
+    fd = _fd_laplacian(spec, mu, domain, x, y)
+    assert _volume(spec, domain, x, y)[1][mu - 1] == pytest.approx(fd, rel=1e-6)
 
 
 def test_laplacian_against_symbolic(domain):
@@ -104,62 +93,59 @@ def test_laplacian_against_symbolic(domain):
     expr = r * sympy.sin(r - 1) * sympy.sin(phi)
     lap = sympy.diff(expr, x, 2) + sympy.diff(expr, y, 2)
     want = float(lap.subs({x: -0.5, y: 0.5}).evalf(30))
-    got = eval_basis_laplacian(ODD, 1, domain, -0.5, 0.5)
-    assert got == pytest.approx(want, abs=1e-10)
+    got = _volume(ODD, domain, -0.5, 0.5)[1][0]
+    assert got == pytest.approx([want], abs=1e-10)
 
 
 def test_trace_linear_member(domain):
     xs = np.linspace(-0.9, 0.9, 9)
-    assert basis_trace(EVEN, 1, domain, xs) == pytest.approx(np.abs(xs) - 1.0)
+    assert interface_tables(EVEN, domain, xs)[0][0] == pytest.approx(np.abs(xs) - 1.0)
 
 
 def test_trace_even_odd_m_vanishes(domain):
     # beta = 1 and odd m: cos(m pi / 2) = 0 kills the whole trace
     xs = np.linspace(-0.9, 0.9, 9)
+    T, _ = interface_tables(EVEN, domain, xs)
     for mu in range(2, EVEN.size + 1):
         n, m = EVEN.mu_to_nm(mu)
         if m % 2 == 1:
-            assert np.max(np.abs(basis_trace(EVEN, mu, domain, xs))) < 1e-15
+            assert np.max(np.abs(T[mu - 1])) < 1e-15
 
 
 def test_trace_odd_member_value(domain):
-    assert basis_trace(ODD, 1, domain, 0.5) == pytest.approx(0.239712769302, abs=1e-10)
+    assert interface_tables(ODD, domain, [0.5])[0][0] == pytest.approx([0.239712769302], abs=1e-10)
 
 
 def test_normal_trace_linear_member(domain):
     xs = np.linspace(-0.9, 0.9, 9)
-    assert np.all(basis_normal_derivative_trace(EVEN, 1, domain, xs) == 0.0)
+    assert np.all(interface_tables(EVEN, domain, xs)[1][0] == 0.0)
 
 
 @pytest.mark.parametrize("spec,mu", [(EVEN, 3), (EVEN, 8), (ODD, 1), (ODD, 5)])
 def test_normal_trace_against_finite_difference(domain, spec, mu):
     # one-sided into the semicircle with Richardson: O(h^2) estimate of -d/dy
     h = 1e-4
-    for x in (-0.62, 0.15, 0.4):
-        f0 = eval_basis(spec, mu, domain, x, 0.0)
-        d = lambda hh: -(eval_basis(spec, mu, domain, x, hh) - f0) / hh
-        fd = 2.0 * d(h / 2) - d(h)
-        assert basis_normal_derivative_trace(spec, mu, domain, x) == pytest.approx(
-            fd, rel=1e-5, abs=1e-7
-        )
+    x = np.array([-0.62, 0.15, 0.4])
+    f = lambda hh: _volume(spec, domain, x, hh)[0][mu - 1]
+    f0 = f(0.0)
+    d = lambda hh: -(f(hh) - f0) / hh
+    fd = 2.0 * d(h / 2) - d(h)
+    assert interface_tables(spec, domain, x)[1][mu - 1] == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
 
 def test_normal_trace_parity(domain):
     xs = np.linspace(0.05, 0.95, 7)
-    for mu in range(2, EVEN.size + 1):
-        left = basis_normal_derivative_trace(EVEN, mu, domain, -xs)
-        right = basis_normal_derivative_trace(EVEN, mu, domain, xs)
-        assert left == pytest.approx(right, abs=1e-15)
-    for mu in range(1, ODD.size + 1):
-        left = basis_normal_derivative_trace(ODD, mu, domain, -xs)
-        right = basis_normal_derivative_trace(ODD, mu, domain, xs)
-        assert left == pytest.approx(-right, abs=1e-15)
+    for spec, sign in ((EVEN, 1.0), (ODD, -1.0)):
+        _, left = interface_tables(spec, domain, -xs)
+        _, right = interface_tables(spec, domain, xs)
+        # the even linear row is 0 on both sides
+        assert left == pytest.approx(sign * right, abs=1e-15)
 
 
 def test_normal_trace_origin_limit(domain):
     # analytic finite limit; the odd family takes the symmetric value 0
-    assert np.isfinite(basis_normal_derivative_trace(EVEN, 2, domain, 0.0))
-    assert basis_normal_derivative_trace(ODD, 1, domain, 0.0) == 0.0
+    assert np.isfinite(interface_tables(EVEN, domain, [0.0])[1][1, 0])
+    assert interface_tables(ODD, domain, [0.0])[1][0, 0] == 0.0
 
 
 def test_green_identity(domain):
@@ -204,7 +190,6 @@ def _closed_forms(spec, domain, r, phi, xs):
 def test_tables_match_pointwise_evaluation(domain):
     vol = semicircle_rule(domain, 8, 8)
     surf = interface_rule(domain, 8)
-    x, y = vol.points[:, 0], vol.points[:, 1]
     specs = (EVEN, ODD,
              BasisSpec(parity=Parity.EVEN, alpha=0.9, beta=1.7, n_max=3, m_max=4),
              BasisSpec(parity=Parity.ODD, alpha=0.9, beta=1.7, n_max=4, m_max=2))
@@ -218,13 +203,3 @@ def test_tables_match_pointwise_evaluation(domain):
         assert L == pytest.approx(want[1], rel=1e-12, abs=1e-13)
         assert T == pytest.approx(want[2], abs=1e-14)
         assert D == pytest.approx(want[3], abs=1e-14)
-        # the per-member evaluators are rows of the same tables
-        for mu in (1, spec.size // 2 + 1, spec.size):
-            assert eval_basis(spec, mu, domain, x, y) == pytest.approx(want[0][mu - 1], abs=1e-14)
-            assert eval_basis_laplacian(spec, mu, domain, x, y) == pytest.approx(
-                want[1][mu - 1], rel=1e-12, abs=1e-13
-            )
-            assert basis_trace(spec, mu, domain, surf.nodes) == pytest.approx(want[2][mu - 1], abs=1e-14)
-            assert basis_normal_derivative_trace(spec, mu, domain, surf.nodes) == pytest.approx(
-                want[3][mu - 1], abs=1e-14
-            )

@@ -70,10 +70,17 @@ def test_config_validation():
     {"grid": {"n_x": 5}},
     {"oracle": {"hh": 1}},
     {"output_dir": 5},
+    # out-of-range values found only when they are used
+    {"output_dir": "file/out"},  # below the regular file made in tmp_path
+    {"oracle": {"h": 0.5}},  # fewer than 10 FD grid points across the domain
 ])
-def test_wrongly_typed_config_is_config_error(tmp_path, capsys, override):
+def test_wrongly_typed_config_is_config_error(tmp_path, monkeypatch, capsys, override):
+    monkeypatch.chdir(tmp_path)
+    Path("file").write_text("")
     cfg_path = _write_config(tmp_path, **override)
-    assert main(["--config", str(cfg_path), "solve"]) == 1
+    # the oracle section is read only by the FD subcommands
+    command = "oracle" if "oracle" in override else "solve"
+    assert main(["--config", str(cfg_path), command]) == 1
     assert "config error:" in capsys.readouterr().err
 
 

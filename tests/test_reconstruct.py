@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from helmbound import (
     FieldGrid,
@@ -8,23 +9,44 @@ from helmbound import (
     Parity,
     export_grid,
     gamma2_coefficients,
-    interface_rule,
-    project_surface,
     sample_field,
+    steklov_table,
+    steklov_trace,
 )
+from helmbound.basis import interface_tables
 from helmbound.errors import IoFailure
 from helmbound.reconstruct import interface_mismatch, read_grid_csv
 
+# Steklov indices checked against adaptive quadrature
+PROJECTED_MODES = (1, 2, 7, 20, 50)
+
+
+def _adaptive_projection(ctx, g1, table):
+    """(psi_n | g1 @ rows) for n in PROJECTED_MODES by adaptive quadrature.
+
+    The rows are interface_tables' traces (table 0) or normal-derivative
+    traces (table 1).  Each half of the interface is integrated on its own:
+    the traces carry |x| and sign(x) factors that kink or jump at x = 0.
+    """
+    a = ctx.domain.a
+    field = lambda x: float(g1 @ interface_tables(ctx.spec, ctx.domain, [x])[table][:, 0])
+    out = []
+    for n in PROJECTED_MODES:
+        integrand = lambda x: steklov_trace(n, ctx.domain, x) * field(x)
+        halves = (quad(integrand, lo, hi, epsabs=1e-13, epsrel=1e-12, limit=200)[0]
+                  for lo, hi in ((-a, 0.0), (0.0, a)))
+        out.append(sum(halves))
+    return np.array(out)
+
 
 def test_gamma2_matches_surface_projection(domain, context_for, rng):
-    # the DtN coefficients are exactly the interface projection of the trace
+    # the DtN coefficients are the interface projection of the trace
     ctx = context_for(Parity.EVEN, 5)
     g1 = rng.normal(size=ctx.spec.size)
-    rule = ctx.surface_rule
-    trace = g1 @ ctx.traces
-    via_projection = project_surface(trace, 2.0116, 50, domain, rule)
-    via_gamma2 = gamma2_coefficients(Method.DTN, g1, 2.0116, ctx)[:50]
-    assert via_gamma2 == pytest.approx(via_projection, abs=1e-14)
+    c = gamma2_coefficients(Method.DTN, g1, 2.0116, ctx)
+    got = c[np.array(PROJECTED_MODES) - 1]
+    want = _adaptive_projection(ctx, g1, 0)
+    assert got == pytest.approx(want, rel=1e-13, abs=1e-14)
 
 
 def test_gamma2_zero_trace_gives_zero(domain, context_for, rng):
@@ -40,16 +62,13 @@ def test_gamma2_zero_trace_gives_zero(domain, context_for, rng):
 
 def test_ntd_gamma2_respects_operator(domain, context_for, rng):
     # NtD coefficients times b_n reproduce the normal-derivative projection
-    from helmbound import steklov_table
-
     ctx = context_for(Parity.ODD, 5)
     g1 = rng.normal(size=ctx.spec.size)
-    rule = ctx.surface_rule
-    dtrace = g1 @ ctx.dtraces
-    proj = project_surface(dtrace, 3.4507, 50, domain, rule)
-    c = gamma2_coefficients(Method.NTD, g1, 3.4507, ctx)[:50]
-    bn, _ = steklov_table(3.4507, 50, domain)
-    assert bn * c == pytest.approx(proj, abs=1e-13)
+    c = gamma2_coefficients(Method.NTD, g1, 3.4507, ctx)
+    bn, _ = steklov_table(3.4507, ctx.n_modes, domain)
+    got = (bn * c)[np.array(PROJECTED_MODES) - 1]
+    want = _adaptive_projection(ctx, g1, 1)
+    assert got == pytest.approx(want, rel=1e-13, abs=1e-13)
 
 
 def test_value_mismatch_shrinks_with_basis(context_for, converged):
@@ -82,7 +101,7 @@ def test_ntd_derivative_mismatch_is_truncation_tail(context_for, converged):
 
 def _grid(domain, converged, method, label, size=15, spec=GridSpec(nx=81, ny=141)):
     est, _ = converged(method, label, size=size)
-    return sample_field(est, est.k_estimate, domain, spec)
+    return sample_field(est, domain, spec)
 
 
 def test_field_even_symmetry(domain, converged):
@@ -111,8 +130,8 @@ def test_field_outside_zero_and_normalized(domain, converged):
 def test_field_vanishes_toward_boundary(domain, converged):
     # Dirichlet: the outermost populated ring decays as the grid refines
     est, _ = converged(Method.DTN, "even,1")
-    coarse = sample_field(est, est.k_estimate, domain, GridSpec(nx=41, ny=71))
-    fine = sample_field(est, est.k_estimate, domain, GridSpec(nx=161, ny=281))
+    coarse = sample_field(est, domain, GridSpec(nx=41, ny=71))
+    fine = sample_field(est, domain, GridSpec(nx=161, ny=281))
 
     def boundary_max(grid):
         vals = grid.values
@@ -129,7 +148,7 @@ def test_field_vanishes_toward_boundary(domain, converged):
 def _reference_field(est, domain, grid):
     # |Psi|^2 cell by cell, summing closed forms written out here, one member
     # and one Steklov mode at a time
-    a, b, kappa, spec = domain.a, domain.b, est.kappa, est.spec
+    a, b, kappa, spec = domain.a, domain.b, est.k_estimate, est.spec
     ang = np.cos if spec.parity is Parity.EVEN else np.sin
     X, Y = np.meshgrid(grid.xs, grid.ys, indexing="ij")
     values = np.zeros_like(X)
@@ -171,7 +190,7 @@ def test_field_matches_scalar_reference(domain, converged, monkeypatch, label):
     # small blocks, so the semicircle points span several of them plus a remainder
     monkeypatch.setattr(reconstruct, "CHUNK", 37)
     est, _ = converged(Method.DTN, label)
-    grid = sample_field(est, est.kappa, domain, GridSpec(nx=21, ny=36))
+    grid = sample_field(est, domain, GridSpec(nx=21, ny=36))
     X, Y = np.meshgrid(grid.xs, grid.ys, indexing="ij")
     n_semi = int(np.sum((Y > 0) & (X * X + Y * Y < 1.0)))
     assert n_semi > 2 * 37 and n_semi % 37 != 0

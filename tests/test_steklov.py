@@ -1,16 +1,15 @@
 import numpy as np
 import pytest
-from numpy.polynomial.legendre import leggauss
 
 from helmbound import (
-    apply_dtn,
-    apply_dtn_derivative,
-    apply_ntd,
-    apply_ntd_derivative,
-    interface_rule,
+    BasisSpec,
+    Method,
+    Parity,
+    QuadratureConfig,
+    assemble_ntd,
+    build_context,
+    gamma2_coefficients,
     make_domain,
-    project_surface,
-    rectangle_volume_norm,
     steklov_eigenvalue,
     steklov_eigenvalue_derivative,
     steklov_mode_field,
@@ -91,21 +90,6 @@ def test_derivative_continuous_across_switch(domain):
     )
 
 
-def test_derivative_nonnegative_random(domain, rng):
-    checked = 0
-    while checked < 100:
-        kap = rng.uniform(0.1, 6.0)
-        n = int(rng.integers(1, 40))
-        try:
-            b = steklov_eigenvalue(kap, n, domain)
-            db = steklov_eigenvalue_derivative(kap, n, domain)
-        except NearDirichletResonance:
-            continue
-        assert np.isfinite(b) and np.isreal(b)
-        assert db >= 0.0
-        checked += 1
-
-
 def test_dirichlet_resonance_guard(domain):
     # mu b = pi at kappa = 5 pi / 6 for n = 1: a genuine pole of b_1
     with pytest.raises(NearDirichletResonance) as info:
@@ -147,102 +131,28 @@ def test_mode_field_finite_at_regime_switch(domain):
     )
 
 
-def test_trace_orthonormal_gram(domain):
-    rule = interface_rule(domain, 128)
-    n = np.arange(1, 61)
-    psi = steklov_trace(n[:, None], domain, rule.nodes[None, :])
-    gram = (psi * rule.weights) @ psi.T
-    assert np.max(np.abs(gram - np.eye(60))) < 1e-11
-
-
-def test_project_surface_recovers_unit_vector(domain):
-    rule = interface_rule(domain, 128)
-    f = steklov_trace(1, domain, rule.nodes)
-    c = project_surface(f, KAPPA, 10, domain, rule)
-    expected = np.zeros(10)
-    expected[0] = 1.0
-    assert c == pytest.approx(expected, abs=1e-12)
-
-
-def test_project_surface_constant(domain):
-    rule = interface_rule(domain, 128)
-    c = project_surface(np.ones(rule.nodes.size), KAPPA, 12, domain, rule)
-    n = np.arange(1, 13)
-    expected = np.where(n % 2 == 1, 4.0 / (n * np.pi), 0.0)
-    assert c == pytest.approx(expected, abs=1e-10)
-
-
-def test_project_surface_parity(domain):
-    rule = interface_rule(domain, 128)
-    c = project_surface(rule.nodes.copy(), KAPPA, 12, domain, rule)
-    assert np.max(np.abs(c[::2])) < 1e-14  # odd n rows vanish for an odd f
-
-
-def test_dtn_action(domain):
-    c = np.zeros(8)
-    c[0] = 1.0
-    out = apply_dtn(c, KAPPA, domain)
-    assert out[0] == pytest.approx(B1_REF, abs=1e-9)
-    assert np.max(np.abs(out[1:])) == 0.0
-    assert np.all(apply_dtn(np.zeros(8), KAPPA, domain) == 0.0)
-
-
-def test_ntd_action_and_reciprocity(domain, rng):
-    c = rng.normal(size=30)
-    assert apply_ntd(apply_dtn(c, KAPPA, domain), KAPPA, domain) == pytest.approx(c, abs=1e-13)
-    assert apply_dtn(apply_ntd(c, KAPPA, domain), KAPPA, domain) == pytest.approx(c, abs=1e-13)
-    e1 = np.zeros(4)
-    e1[0] = 1.0
-    assert apply_ntd(e1, KAPPA, domain)[0] == pytest.approx(1.0 / B1_REF, abs=1e-9)
-    assert apply_ntd(2.0 * c, KAPPA, domain) == pytest.approx(
-        2.0 * apply_ntd(c, KAPPA, domain), rel=1e-14
-    )
-
-
-def test_operator_derivative_signs_and_fd(domain, rng):
-    c = rng.normal(size=25)
-    e = np.eye(25)
-    d_dtn = apply_dtn_derivative(e[0], KAPPA, domain)
-    d_ntd = apply_ntd_derivative(e[0], KAPPA, domain)
-    assert d_dtn[0] >= 0.0 and d_ntd[0] <= 0.0
+def test_operator_derivative_signs_and_fd(domain):
+    # assemble_ntd weights R' = d(1/b_n)/dkappa by the steklov_table factor -b_n'/b_n^2
+    n = 25
+    bn, dbn = steklov_table(KAPPA, n, domain)
+    inv = lambda kap: 1.0 / steklov_table(kap, n, domain)[0]
     h = 1e-6
-    fd_dtn = (apply_dtn(c, KAPPA + h, domain) - apply_dtn(c, KAPPA - h, domain)) / (2 * h)
-    fd_ntd = (apply_ntd(c, KAPPA + h, domain) - apply_ntd(c, KAPPA - h, domain)) / (2 * h)
-    assert apply_dtn_derivative(c, KAPPA, domain) == pytest.approx(fd_dtn, rel=1e-6)
-    assert apply_ntd_derivative(c, KAPPA, domain) == pytest.approx(fd_ntd, rel=1e-6)
-    assert np.all(apply_dtn_derivative(np.zeros(5), KAPPA, domain) == 0.0)
+    fd = (inv(KAPPA + h) - inv(KAPPA - h)) / (2 * h)
+    assert -dbn / bn**2 == pytest.approx(fd, rel=1e-6)
+    assert np.all(-dbn / bn**2 <= 0.0)
 
 
 def test_neumann_resonance_guard():
-    # b_1 crosses zero near kappa where mu tan(mu b) has cot zero: find one numerically
+    # mu b = pi/2 -> cot(mu b) = 0 -> b_1 = 0: a pole of the NtD map 1/b_1
     dom = make_domain(1.0, 1.5)
     lam = np.pi**2 / 4.0
-    mu = 0.5 * np.pi / 1.5  # mu b = pi/2 -> cot = 0 -> b_1 = 0
+    mu = 0.5 * np.pi / 1.5
     kap = np.sqrt(lam + mu * mu)
-    with pytest.raises(NearNeumannResonance):
-        apply_ntd(np.ones(3), kap, dom)
-
-
-def test_volume_norm_identity_quadrature(domain):
-    xg, wx = leggauss(96)
-    yg, wy = leggauss(96)
-    ys = 0.75 * yg - 0.75
-    wy = 0.75 * wy
-    for kap in (1.0, 2.0116, 3.5):
-        for n in (1, 2, 3, 7, 15, 20):
-            ident = rectangle_volume_norm(kap, n, domain)
-            field = steklov_mode_field(kap, n, domain, xg[:, None], ys[None, :])
-            quad = float(wx @ (field * field) @ wy)
-            assert quad == pytest.approx(ident, rel=1e-10)
-
-
-def test_volume_norm_identity_ntd_form(domain):
-    # Neumann-datum version: <psi|psi> = -(1/2k) b_n^2 d(1/b_n)/dkappa,
-    # the b_n-scaled reduction of the same scalar identity
-    for n in (1, 2, 5, 12):
-        bn, _ = steklov_table(KAPPA, n, domain)
-        b = bn[-1]
-        dinv = apply_ntd_derivative(np.eye(n)[-1], KAPPA, domain)[-1]
-        lhs = rectangle_volume_norm(KAPPA, n, domain)
-        rhs = -0.5 / KAPPA * b * b * dinv
-        assert lhs == pytest.approx(rhs, rel=1e-10)
+    spec = BasisSpec(parity=Parity.EVEN, n_max=3, m_max=3)
+    ctx = build_context(spec, dom, QuadratureConfig(n_r=16, n_phi=16, n_s=16), n_modes=8)
+    with pytest.raises(NearNeumannResonance) as info:
+        assemble_ntd(kap, ctx)
+    assert info.value.n == 1
+    with pytest.raises(NearNeumannResonance) as info:
+        gamma2_coefficients(Method.NTD, np.ones(spec.size), kap, ctx)
+    assert info.value.n == 1
