@@ -9,8 +9,6 @@ from .assembly import (
     QuadratureConfig,
     TrialPair,
     assemble,
-    assemble_dtn,
-    assemble_ntd,
     build_context,
     evaluate_discontinuous_functional,
 )

@@ -1,23 +1,31 @@
-"""Assembly of the DtN/NtD matrix pairs and the discontinuous functional.
+"""Assembly of the DtN/NtD matrix pencil and the discontinuous functional.
 
-Both methods reduce the membrane eigenproblem to a generalized matrix pencil
-(Lambda, Delta) over the semicircle trial family, at a fixed operator
-parameter kappa.  With volume products <.|.> over the semicircle, surface
-products (.|.) over the interface, B the DtN map, R = B^-1 the NtD map and
-' denoting d/dkappa:
+Both methods reduce the membrane eigenproblem to one generalized matrix
+pencil (Lambda, Delta) over the semicircle trial family, at a fixed
+operator parameter kappa.  They share one variational principle and differ
+only in the interface operator: DtN uses the Dirichlet-to-Neumann map B,
+NtD its reciprocal R = B^-1.  With S = <phi_m|Lap phi_n> (``stiffness``),
+G = <phi_m|phi_n> (``gram``) and C = (phi_m|grad_perp phi_n) (``cross``)
+from the context, and ' denoting d/dkappa, the pencil is
 
-    DtN:  Lambda_mn = -<phi_m|Lap phi_n> + (phi_m| grad_perp phi_n - B phi_n + (kappa/2) B' phi_n)
-          Delta_mn  =  <phi_m|phi_n> + (1/2 kappa) (phi_m| B' phi_n)
-    NtD:  Lambda_mn = -<phi_m|Lap phi_n> + (grad_perp phi_m| R grad_perp phi_n - phi_n - (kappa/2) R' grad_perp phi_n)
-          Delta_mn  =  <phi_m|phi_n> - (1/2 kappa) (grad_perp phi_m| R' grad_perp phi_n)
+    Lambda = -S + X + W^T sigma W - (kappa/2) W^T sigma' W
+    Delta  =  G - W^T sigma' W / (2 kappa)
 
-Operator surface terms are evaluated spectrally: project both traces onto
-the first N Steklov traces and recombine with the diagonal symbol (b_n, b_n',
-1/b_n, (1/b_n)'), never forming the distributional kernels pointwise.
+where each method supplies only its triple (W, sigma, X):
 
-Everything kappa-independent (volume Gram/stiffness, surface trace tables,
-Steklov projections) is cached in an AssemblyContext so the fixed-point
-iteration only refreshes the diagonal symbols and a few small GEMMs.
+    method  W                                       sigma    X
+    DtN     P[n,mu] = (psi_n | phi_mu)              -b_n     C
+    NtD     Q[n,mu] = (psi_n | grad_perp phi_mu)    1/b_n    -C^T
+
+The operator is applied spectrally: W projects the trial traces onto the
+first N Steklov traces and the diagonal symbol sigma(kappa) recombines them,
+so the distributional kernels are never formed pointwise.  b_n and b_n' come
+from ``steklov_table``; NtD additionally refuses a kappa where some b_n ~ 0
+(``NearNeumannResonance``).
+
+Everything kappa-independent (S, G, C, the surface trace tables and the
+projections P, Q) is cached in an AssemblyContext, so the fixed-point
+iteration only refreshes the diagonal symbols and two N x M x M products.
 
 All arithmetic is real; complex enters only through the mixing parameter of
 the discontinuous functional.
@@ -32,7 +40,7 @@ import numpy as np
 
 from .basis import BasisSpec, basis_tables
 from .errors import ZeroTrial
-from .geometry import CompositeDomain, QuadratureRule1D, QuadratureRule2D, interface_rule, semicircle_rule
+from .geometry import CompositeDomain, QuadratureRule1D, interface_rule, semicircle_rule
 from .steklov import _guard_neumann, steklov_table, steklov_trace
 
 DEFAULT_STEKLOV_MODES = 200
@@ -67,8 +75,6 @@ class MatrixPair:
 
     lam: np.ndarray
     delta: np.ndarray
-    kappa: float
-    method: Method
     lambda_defect: float
     delta_defect: float
 
@@ -90,7 +96,6 @@ class AssemblyContext:
     domain: CompositeDomain
     quad: QuadratureConfig
     n_modes: int
-    volume_rule: QuadratureRule2D
     surface_rule: QuadratureRule1D
     stiffness: np.ndarray = field(repr=False)  # <phi_m | Lap phi_n>
     gram: np.ndarray = field(repr=False)  # <phi_m | phi_n>
@@ -126,7 +131,6 @@ def build_context(
         domain=domain,
         quad=quad,
         n_modes=n_modes,
-        volume_rule=vol,
         surface_rule=surf,
         stiffness=stiffness,
         gram=gram,
@@ -146,48 +150,33 @@ def _defect(A: np.ndarray) -> float:
     return float(np.max(np.abs(A - A.T)) / scale)
 
 
-def _finish(lam, delta, kappa, method) -> MatrixPair:
-    dl = _defect(lam)
-    dd = _defect(delta)
+def assemble(method: Method, kappa: float, context: AssemblyContext) -> MatrixPair:
+    """Matrix pair of either method at kappa, from the context's tables.
+
+    Raises NearDirichletResonance on a pole of some b_n, and for NtD
+    NearNeumannResonance if some b_n ~ 0.
+    """
+    bn, dbn = steklov_table(kappa, context.n_modes, context.domain)
+    # the method's (W, sigma, sigma', X); see the module docstring
+    if method is Method.DTN:
+        W, sigma, dsigma, X = context.proj_values, -bn, -dbn, context.cross
+    else:
+        _guard_neumann(bn, kappa)
+        W, sigma, dsigma, X = context.proj_derivs, 1.0 / bn, -dbn / bn**2, -context.cross.T
+    # W^T sigma W stays a temporary and the defects are taken before the
+    # symmetrized copies exist: at most six M x M arrays are live at once
+    # (6.5 MB each at 30x30), which bounds the sweep's peak memory
+    lam = -context.stiffness + X + W.T @ (sigma[:, None] * W)
+    dop = W.T @ (dsigma[:, None] * W)
+    lam -= 0.5 * kappa * dop
+    delta = context.gram - dop / (2.0 * kappa)
+    lambda_defect, delta_defect = _defect(lam), _defect(delta)
     return MatrixPair(
         lam=0.5 * (lam + lam.T),
         delta=0.5 * (delta + delta.T),
-        kappa=kappa,
-        method=method,
-        lambda_defect=dl,
-        delta_defect=dd,
+        lambda_defect=lambda_defect,
+        delta_defect=delta_defect,
     )
-
-
-def assemble_dtn(kappa: float, context: AssemblyContext) -> MatrixPair:
-    """DtN matrix pair at kappa; raises NearDirichletResonance on a pole."""
-    bn, dbn = steklov_table(kappa, context.n_modes, context.domain)
-    P = context.proj_values
-    op_b = P.T @ (bn[:, None] * P)
-    op_db = P.T @ (dbn[:, None] * P)
-    lam = -context.stiffness + context.cross - op_b + 0.5 * kappa * op_db
-    delta = context.gram + op_db / (2.0 * kappa)
-    return _finish(lam, delta, kappa, Method.DTN)
-
-
-def assemble_ntd(kappa: float, context: AssemblyContext) -> MatrixPair:
-    """NtD matrix pair at kappa; raises NearNeumannResonance if some b_n ~ 0."""
-    bn, dbn = steklov_table(kappa, context.n_modes, context.domain)
-    _guard_neumann(bn, kappa)
-    Q = context.proj_derivs
-    op_r = Q.T @ ((1.0 / bn)[:, None] * Q)
-    # -(kappa/2) (.| R' .) with R' = d(1/b)/dkappa = -b'/b^2
-    op_dr = Q.T @ ((dbn / bn**2)[:, None] * Q)
-    lam = -context.stiffness + op_r - context.cross.T + 0.5 * kappa * op_dr
-    delta = context.gram + op_dr / (2.0 * kappa)
-    return _finish(lam, delta, kappa, Method.NTD)
-
-
-def assemble(method: Method, kappa: float, context: AssemblyContext) -> MatrixPair:
-    """Matrix pair of either method at kappa, from the context's tables."""
-    if method is Method.DTN:
-        return assemble_dtn(kappa, context)
-    return assemble_ntd(kappa, context)
 
 
 def _surface_fields(ctx: AssemblyContext, trial: TrialPair):
@@ -208,22 +197,6 @@ def _surface_fields(ctx: AssemblyContext, trial: TrialPair):
     return g1, g2, bn, dbn, v1, d1, v2, d2
 
 
-def _volume_terms(ctx: AssemblyContext, trial, g1, g2, dbn):
-    """(<Psi|Lap Psi>, <Psi|Psi>) summed over both subdomains.
-
-    Rectangle-side products use the closed identities for a Helmholtz
-    solution: <psi|psi> = sum c_n^2 b_n'/(2 kappa) and <psi|Lap psi> =
-    -kappa^2 <psi|psi>; semicircle-side products come from the cached
-    volume quadrature matrices.
-    """
-    kappa = trial.kappa
-    norm2_ii = float(np.dot(g2 * g2, dbn)) / (2.0 * kappa)
-    lap_ii = -(kappa**2) * norm2_ii
-    lap_i = float(g1 @ ctx.stiffness @ g1)
-    norm2_i = float(g1 @ ctx.gram @ g1)
-    return lap_i + lap_ii, norm2_i + norm2_ii
-
-
 def evaluate_discontinuous_functional(
     trial: TrialPair,
     mixing: complex,
@@ -235,11 +208,18 @@ def evaluate_discontinuous_functional(
     mixing constant ``a`` and its reality partner 1 - a*; for real trial
     fields the imaginary part cancels identically, so any residual imag is
     floating-point noise.
+
+    Semicircle volume products come from the cached quadrature matrices,
+    rectangle ones from the closed identities for a Helmholtz solution:
+    <psi|psi> = sum c_n^2 b_n'/(2 kappa) and <psi|Lap psi> = -kappa^2 <psi|psi>.
     """
     g1, g2, bn, dbn, v1, d1, v2, d2 = _surface_fields(context, trial)
     if not (np.any(g1) or np.any(g2)):
         raise ZeroTrial("both trial coefficient vectors vanish")
-    lap, norm2 = _volume_terms(context, trial, g1, g2, dbn)
+    kappa = trial.kappa
+    norm2_ii = float(np.dot(g2 * g2, dbn)) / (2.0 * kappa)
+    lap = float(g1 @ context.stiffness @ g1) - kappa**2 * norm2_ii
+    norm2 = float(g1 @ context.gram @ g1) + norm2_ii
     ws = context.surface_rule.weights
     vmm = v1 - v2
     dmm = d1 - d2
@@ -250,31 +230,3 @@ def evaluate_discontinuous_functional(
     a = complex(mixing)
     num = -lap - (np.conj(a) * G1 + (1.0 - np.conj(a)) * G2) + ((1.0 - a) * H1 + a * H2)
     return num / norm2
-
-
-def functional_with_matched_values(trial: TrialPair, context: AssemblyContext) -> float:
-    """Reduced form valid under value matching on the interface.
-
-    F = [-<Psi|Lap Psi> + (Psi_I | grad_perp Psi_I - grad_perp Psi_II)] / <Psi|Psi>.
-    """
-    g1, g2, bn, dbn, v1, d1, v2, d2 = _surface_fields(context, trial)
-    if not (np.any(g1) or np.any(g2)):
-        raise ZeroTrial("both trial coefficient vectors vanish")
-    lap, norm2 = _volume_terms(context, trial, g1, g2, dbn)
-    ws = context.surface_rule.weights
-    H1 = float(np.dot(ws, v1 * (d1 - d2)))
-    return (-lap + H1) / norm2
-
-
-def functional_with_matched_derivatives(trial: TrialPair, context: AssemblyContext) -> float:
-    """Reduced form valid under normal-derivative matching on the interface.
-
-    F = [-<Psi|Lap Psi> - (grad_perp Psi_I | Psi_I - Psi_II)] / <Psi|Psi>.
-    """
-    g1, g2, bn, dbn, v1, d1, v2, d2 = _surface_fields(context, trial)
-    if not (np.any(g1) or np.any(g2)):
-        raise ZeroTrial("both trial coefficient vectors vanish")
-    lap, norm2 = _volume_terms(context, trial, g1, g2, dbn)
-    ws = context.surface_rule.weights
-    G1 = float(np.dot(ws, d1 * (v1 - v2)))
-    return (-lap - G1) / norm2

@@ -30,6 +30,7 @@ class ModeEstimate:
 
     ``kappa`` is the operator parameter the final matrices were assembled
     at; it agrees with ``k_estimate`` within the iteration tolerance.
+    ``spec`` and ``domain`` are those of the context it was solved in.
     """
 
     k_estimate: float
@@ -37,6 +38,7 @@ class ModeEstimate:
     gamma1: np.ndarray
     gamma2: np.ndarray
     spec: BasisSpec
+    domain: CompositeDomain
     kappa: float
 
 
@@ -106,12 +108,8 @@ def _semicircle_field(spec: BasisSpec, domain: CompositeDomain, gamma1, x, y):
     return out
 
 
-def sample_field(
-    estimate: ModeEstimate,
-    domain: CompositeDomain,
-    grid: GridSpec = GridSpec(),
-) -> FieldGrid:
-    """Sample normalized |Psi|^2 on a grid covering [-a, a] x [-b, a].
+def sample_field(estimate: ModeEstimate, grid: GridSpec = GridSpec()) -> FieldGrid:
+    """Sample normalized |Psi|^2 on a grid covering the estimate's [-a, a] x [-b, a].
 
     Semicircle cells take |sum gamma1 phi|^2, rectangle cells
     |sum c_n psi_n(k)|^2 at the estimate's k, interface cells the
@@ -120,6 +118,7 @@ def sample_field(
     block is one product (X^T c) Y of the Steklov traces X (modes x columns)
     and the y-profiles Y (modes x rows), over the modes with c_n != 0.
     """
+    domain = estimate.domain
     a, b = domain.a, domain.b
     xs = np.linspace(-a, a, grid.nx)
     ys = np.linspace(-b, a, grid.ny)
@@ -213,12 +212,13 @@ def interface_mismatch(
     """L2 norms of the value and normal-derivative jumps across the interface.
 
     Both sides are evaluated at the context's interface nodes from its trace
-    tables; the context must be built for the estimate's trial family.
+    tables; the context must be built for the estimate's trial family and
+    domain, or ValueError is raised.
     DtN solutions have (by construction) only the Steklov-truncation tail in
     the value jump; NtD solutions the analogue in the derivative jump.
     """
-    if context.spec != estimate.spec:
-        raise ValueError("context was built for another trial family")
+    if (context.spec, context.domain) != (estimate.spec, estimate.domain):
+        raise ValueError("context was built for another trial family or domain")
     trial = _assembly.TrialPair(estimate.gamma1, estimate.gamma2, estimate.kappa)
     *_, v1, d1, v2, d2 = _assembly._surface_fields(context, trial)
     ws = context.surface_rule.weights

@@ -160,6 +160,7 @@ def iterate_mode(
         gamma1=vec,
         gamma2=gamma2,
         spec=ctx.spec,
+        domain=ctx.domain,
         kappa=kappa_final,
     )
     return estimate, trace

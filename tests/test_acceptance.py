@@ -245,8 +245,8 @@ def test_criterion_7_field_artifacts(domain, converged, tmp_path):
     for label in ("even,1", "even,2", "odd,1", "odd,2"):
         est_d, _ = converged(Method.DTN, label, size=25)
         est_n, _ = converged(Method.NTD, label, size=25)
-        grid_d = sample_field(est_d, domain)
-        grid_n = sample_field(est_n, domain)
+        grid_d = sample_field(est_d)
+        grid_n = sample_field(est_n)
 
         # parity symmetry of the density
         for grid in (grid_d, grid_n):

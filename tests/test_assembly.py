@@ -8,14 +8,12 @@ from helmbound import (
     Parity,
     QuadratureConfig,
     TrialPair,
-    assemble_dtn,
-    assemble_ntd,
+    assemble,
     build_context,
     evaluate_discontinuous_functional,
     mode_seeds,
     steklov_table,
 )
-from helmbound.assembly import functional_with_matched_derivatives, functional_with_matched_values
 from helmbound.errors import NearDirichletResonance, ZeroTrial
 
 KAPPA = 2.0116
@@ -27,8 +25,8 @@ def _pairs(domain, quad, size):
     seeds = mode_seeds(domain)
     for parity, seed in ((Parity.EVEN, seeds["even,1"]), (Parity.ODD, seeds["odd,1"])):
         ctx = build_context(BasisSpec(parity=parity, n_max=size[0], m_max=size[1]), domain, quad)
-        out.append(assemble_dtn(seed, ctx))
-        out.append(assemble_ntd(seed, ctx))
+        out.append(assemble(Method.DTN, seed, ctx))
+        out.append(assemble(Method.NTD, seed, ctx))
     return out
 
 
@@ -54,7 +52,7 @@ def test_delta_positive_definite(domain, quad, size):
 def test_resonance_propagates(domain, quad):
     spec = BasisSpec(parity=Parity.EVEN, n_max=3, m_max=3)
     with pytest.raises(NearDirichletResonance):
-        assemble_dtn(5.0 * np.pi / 6.0, build_context(spec, domain, quad))
+        assemble(Method.DTN, 5.0 * np.pi / 6.0, build_context(spec, domain, quad))
 
 
 def test_delta11_volume_part(domain, context_for):
@@ -66,7 +64,7 @@ def test_delta11_volume_part(domain, context_for):
 def test_delta11_full_entry_against_independent_quadrature(domain, quad):
     # adaptive-quadrature oracle for Delta_11 = pi/12 + (1/2k) sum b_n' (psi_n||x|-a)^2
     spec = BasisSpec(parity=Parity.EVEN, n_max=3, m_max=3)
-    pair = assemble_dtn(KAPPA, build_context(spec, domain, quad))
+    pair = assemble(Method.DTN, KAPPA, build_context(spec, domain, quad))
     n_modes = 200
     _, dbn = steklov_table(KAPPA, n_modes, domain)
     surface = 0.0
@@ -85,9 +83,9 @@ def test_truncation_stability(domain):
     spec = BasisSpec(parity=Parity.EVEN, n_max=15, m_max=15)
     ctx200 = build_context(spec, domain, quad, n_modes=200)
     ctx400 = build_context(spec, domain, quad, n_modes=400)
-    for fn in (assemble_dtn, assemble_ntd):
-        p200 = fn(KAPPA, ctx200)
-        p400 = fn(KAPPA, ctx400)
+    for method in Method:
+        p200 = assemble(method, KAPPA, ctx200)
+        p400 = assemble(method, KAPPA, ctx400)
         assert np.max(np.abs(p200.delta - p400.delta)) < 1e-10
         assert np.max(np.abs(p200.lam - p400.lam)) < 2e-5
 
@@ -97,9 +95,9 @@ def test_quadrature_stability(domain):
     spec = BasisSpec(parity=Parity.EVEN, n_max=15, m_max=15)
     ctx1 = build_context(spec, domain, QuadratureConfig(64, 64, 128))
     ctx2 = build_context(spec, domain, QuadratureConfig(96, 96, 192))
-    for fn in (assemble_dtn, assemble_ntd):
-        p1 = fn(KAPPA, ctx1)
-        p2 = fn(KAPPA, ctx2)
+    for method in Method:
+        p1 = assemble(method, KAPPA, ctx1)
+        p2 = assemble(method, KAPPA, ctx2)
         assert np.max(np.abs(p1.lam - p2.lam)) < 1e-10 * max(1.0, np.max(np.abs(p1.lam)))
         assert np.max(np.abs(p1.delta - p2.delta)) < 1e-10 * max(1.0, np.max(np.abs(p1.delta)))
 
@@ -166,29 +164,11 @@ def _matched_trial(method, ctx, domain, rng):
     return TrialPair(gamma1=g1, gamma2=g2, kappa=KAPPA)
 
 
-def test_reduction_to_value_matched_form(domain, fn_ctx, rng):
-    # with gamma2 the projection of the gamma1 trace, the general functional
-    # at mixing 0 collapses to the value-matched reduced form
-    trial = _matched_trial(Method.DTN, fn_ctx, domain, rng)
-    general = evaluate_discontinuous_functional(trial, 0.0, fn_ctx).real
-    reduced = functional_with_matched_values(trial, fn_ctx)
-    assert abs(general - reduced) < 1e-10
-
-
-def test_reduction_to_derivative_matched_form(domain, fn_ctx, rng):
-    # with gamma2 the NtD image of the gamma1 normal derivative, mixing 1
-    # collapses to the derivative-matched reduced form
-    trial = _matched_trial(Method.NTD, fn_ctx, domain, rng)
-    general = evaluate_discontinuous_functional(trial, 1.0, fn_ctx).real
-    reduced = functional_with_matched_derivatives(trial, fn_ctx)
-    assert abs(general - reduced) < 1e-10
-
-
 def test_functional_matches_rayleigh_quotient(domain, fn_ctx, rng):
     # for a value-matched trial at mixing 0 the functional equals the
     # assembled DtN Rayleigh quotient of gamma1
     trial = _matched_trial(Method.DTN, fn_ctx, domain, rng)
-    pair = assemble_dtn(KAPPA, fn_ctx)
+    pair = assemble(Method.DTN, KAPPA, fn_ctx)
     g1 = trial.gamma1
     rq = float(g1 @ pair.lam @ g1) / float(g1 @ pair.delta @ g1)
     general = evaluate_discontinuous_functional(trial, 0.0, fn_ctx).real
@@ -197,7 +177,7 @@ def test_functional_matches_rayleigh_quotient(domain, fn_ctx, rng):
 
 def test_functional_matches_ntd_rayleigh_quotient(domain, fn_ctx, rng):
     trial = _matched_trial(Method.NTD, fn_ctx, domain, rng)
-    pair = assemble_ntd(KAPPA, fn_ctx)
+    pair = assemble(Method.NTD, KAPPA, fn_ctx)
     g1 = trial.gamma1
     rq = float(g1 @ pair.lam @ g1) / float(g1 @ pair.delta @ g1)
     general = evaluate_discontinuous_functional(trial, 1.0, fn_ctx).real

@@ -207,7 +207,8 @@ def test_compare_all_pass(tmp_path):
         assert entry["pass_mutual"] and entry["pass_oracle"]
 
 
-def test_compare_shares_one_context_per_parity(tmp_path, monkeypatch):
+def _count_contexts(monkeypatch):
+    """Parities of the contexts built from here on, through either builder."""
     from helmbound import cli, solver
 
     built = []
@@ -217,9 +218,22 @@ def test_compare_shares_one_context_per_parity(tmp_path, monkeypatch):
             return _build(spec, *args, **kwargs)
 
         monkeypatch.setattr(module, "build_context", counted)
+    return built
+
+
+def test_compare_shares_one_context_per_parity(tmp_path, monkeypatch):
+    built = _count_contexts(monkeypatch)
     cfg_path = _write_config(tmp_path, oracle={"h": 1.0 / 32.0, "num_modes": 8})
     assert main(["--config", str(cfg_path), "compare"]) == 0
     assert sorted(built) == ["even", "odd"]  # not one per DtN/NtD solve
+
+
+def test_field_shares_one_context_per_parity(tmp_path, monkeypatch):
+    built = _count_contexts(monkeypatch)
+    cfg_path = _write_config(tmp_path, basis={"parity": "even", "n_max": 5, "m_max": 5},
+                             grid={"nx": 21, "ny": 36})
+    assert main(["--config", str(cfg_path), "field", "--mode", "even,1", "--mode", "even,2"]) == 0
+    assert built == ["even"]  # not one per label
 
 
 def test_compare_failed_check_exit(tmp_path):

@@ -7,8 +7,10 @@ from helmbound import (
     GridSpec,
     Method,
     Parity,
+    build_context,
     export_grid,
     gamma2_coefficients,
+    make_domain,
     sample_field,
     steklov_table,
     steklov_trace,
@@ -85,6 +87,14 @@ def test_mismatch_rejects_foreign_context(context_for, converged):
         interface_mismatch(est, context_for(Parity.EVEN, 5))
 
 
+def test_mismatch_rejects_foreign_depth(quad, converged):
+    # same trial family, deeper rectangle: the jumps would be meaningless
+    est, _ = converged(Method.NTD, "even,1", size=5)
+    deeper = build_context(est.spec, make_domain(1.0, 2.0), quad)
+    with pytest.raises(ValueError, match="domain"):
+        interface_mismatch(est, deeper)
+
+
 def test_dtn_value_mismatch_is_truncation_tail(context_for, converged):
     est, _ = converged(Method.DTN, "even,1")
     value_jump, deriv_jump = interface_mismatch(est, context_for(Parity.EVEN))
@@ -99,25 +109,25 @@ def test_ntd_derivative_mismatch_is_truncation_tail(context_for, converged):
     assert deriv_jump < value_jump
 
 
-def _grid(domain, converged, method, label, size=15, spec=GridSpec(nx=81, ny=141)):
+def _grid(converged, method, label, size=15, spec=GridSpec(nx=81, ny=141)):
     est, _ = converged(method, label, size=size)
-    return sample_field(est, domain, spec)
+    return sample_field(est, spec)
 
 
-def test_field_even_symmetry(domain, converged):
-    grid = _grid(domain, converged, Method.DTN, "even,1")
+def test_field_even_symmetry(converged):
+    grid = _grid(converged, Method.DTN, "even,1")
     assert grid.values == pytest.approx(grid.values[::-1, :], abs=1e-10)
 
 
-def test_field_odd_parity_kills_axis(domain, converged):
-    grid = _grid(domain, converged, Method.DTN, "odd,1")
+def test_field_odd_parity_kills_axis(converged):
+    grid = _grid(converged, Method.DTN, "odd,1")
     mid = grid.nx // 2
     assert np.max(np.abs(grid.values[mid, :])) < 1e-10
     assert grid.values == pytest.approx(grid.values[::-1, :], abs=1e-10)
 
 
-def test_field_outside_zero_and_normalized(domain, converged):
-    grid = _grid(domain, converged, Method.DTN, "even,1")
+def test_field_outside_zero_and_normalized(converged):
+    grid = _grid(converged, Method.DTN, "even,1")
     X, Y = np.meshgrid(grid.xs, grid.ys, indexing="ij")
     outside = (Y > 0) & (X * X + Y * Y > 1.0 + 1e-9)
     assert np.max(grid.values[outside]) == 0.0
@@ -127,11 +137,11 @@ def test_field_outside_zero_and_normalized(domain, converged):
     assert np.min(grid.values) >= 0.0
 
 
-def test_field_vanishes_toward_boundary(domain, converged):
+def test_field_vanishes_toward_boundary(converged):
     # Dirichlet: the outermost populated ring decays as the grid refines
     est, _ = converged(Method.DTN, "even,1")
-    coarse = sample_field(est, domain, GridSpec(nx=41, ny=71))
-    fine = sample_field(est, domain, GridSpec(nx=161, ny=281))
+    coarse = sample_field(est, GridSpec(nx=41, ny=71))
+    fine = sample_field(est, GridSpec(nx=161, ny=281))
 
     def boundary_max(grid):
         vals = grid.values
@@ -190,7 +200,7 @@ def test_field_matches_scalar_reference(domain, converged, monkeypatch, label):
     # small blocks, so the semicircle points span several of them plus a remainder
     monkeypatch.setattr(reconstruct, "CHUNK", 37)
     est, _ = converged(Method.DTN, label)
-    grid = sample_field(est, domain, GridSpec(nx=21, ny=36))
+    grid = sample_field(est, GridSpec(nx=21, ny=36))
     X, Y = np.meshgrid(grid.xs, grid.ys, indexing="ij")
     n_semi = int(np.sum((Y > 0) & (X * X + Y * Y < 1.0)))
     assert n_semi > 2 * 37 and n_semi % 37 != 0
@@ -221,8 +231,8 @@ def test_pgm_rows_top_to_bottom(tmp_path, rng):
     assert path.read_bytes() == ("\n".join(["P2", "7 4", "65535"] + rows) + "\n").encode()
 
 
-def test_csv_roundtrip(tmp_path, domain, converged):
-    grid = _grid(domain, converged, Method.DTN, "even,1", spec=GridSpec(nx=21, ny=36))
+def test_csv_roundtrip(tmp_path, converged):
+    grid = _grid(converged, Method.DTN, "even,1", spec=GridSpec(nx=21, ny=36))
     path = tmp_path / "field.csv"
     export_grid(grid, "csv", path)
     back = read_grid_csv(path)
@@ -232,8 +242,8 @@ def test_csv_roundtrip(tmp_path, domain, converged):
     assert np.max(np.abs(back.values - grid.values)) < 1e-9 * scale
 
 
-def test_pgm_format(tmp_path, domain, converged):
-    grid = _grid(domain, converged, Method.DTN, "even,1", spec=GridSpec(nx=21, ny=36))
+def test_pgm_format(tmp_path, converged):
+    grid = _grid(converged, Method.DTN, "even,1", spec=GridSpec(nx=21, ny=36))
     path = tmp_path / "field.pgm"
     export_grid(grid, "pgm", path)
     lines = path.read_text().splitlines()
@@ -257,8 +267,8 @@ def test_pgm_all_zero_grid(tmp_path):
     assert raster == [0, 0, 0, 0]
 
 
-def test_export_bad_path(domain, converged):
-    grid = _grid(domain, converged, Method.DTN, "even,1", spec=GridSpec(nx=11, ny=18))
+def test_export_bad_path(converged):
+    grid = _grid(converged, Method.DTN, "even,1", spec=GridSpec(nx=11, ny=18))
     with pytest.raises(IoFailure):
         export_grid(grid, "csv", "/nonexistent-dir/field.csv")
     with pytest.raises(ValueError):

@@ -21,8 +21,6 @@ def _pair(lam, delta):
     return MatrixPair(
         lam=np.asarray(lam, dtype=float),
         delta=np.asarray(delta, dtype=float),
-        kappa=1.0,
-        method=Method.DTN,
         lambda_defect=0.0,
         delta_defect=0.0,
     )

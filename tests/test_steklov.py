@@ -6,7 +6,7 @@ from helmbound import (
     Method,
     Parity,
     QuadratureConfig,
-    assemble_ntd,
+    assemble,
     build_context,
     gamma2_coefficients,
     make_domain,
@@ -132,7 +132,7 @@ def test_mode_field_finite_at_regime_switch(domain):
 
 
 def test_operator_derivative_signs_and_fd(domain):
-    # assemble_ntd weights R' = d(1/b_n)/dkappa by the steklov_table factor -b_n'/b_n^2
+    # NtD assembly weights R' = d(1/b_n)/dkappa by the steklov_table factor -b_n'/b_n^2
     n = 25
     bn, dbn = steklov_table(KAPPA, n, domain)
     inv = lambda kap: 1.0 / steklov_table(kap, n, domain)[0]
@@ -151,7 +151,7 @@ def test_neumann_resonance_guard():
     spec = BasisSpec(parity=Parity.EVEN, n_max=3, m_max=3)
     ctx = build_context(spec, dom, QuadratureConfig(n_r=16, n_phi=16, n_s=16), n_modes=8)
     with pytest.raises(NearNeumannResonance) as info:
-        assemble_ntd(kap, ctx)
+        assemble(Method.NTD, kap, ctx)
     assert info.value.n == 1
     with pytest.raises(NearNeumannResonance) as info:
         gamma2_coefficients(Method.NTD, np.ones(spec.size), kap, ctx)
