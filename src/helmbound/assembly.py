@@ -5,8 +5,8 @@ pencil (Lambda, Delta) over the semicircle trial family, at a fixed
 operator parameter kappa.  They share one variational principle and differ
 only in the interface operator: DtN uses the Dirichlet-to-Neumann map B,
 NtD its reciprocal R = B^-1.  With S = <phi_m|Lap phi_n> (``stiffness``),
-G = <phi_m|phi_n> (``gram``) and C = (phi_m|grad_perp phi_n) (``cross``)
-from the context, and ' denoting d/dkappa, the pencil is
+G = <phi_m|phi_n> (``gram``) and C = (phi_m|grad_perp phi_n) (the cross
+term), and ' denoting d/dkappa, the pencil is
 
     Lambda = -S + X + W^T sigma W - (kappa/2) W^T sigma' W
     Delta  =  G - W^T sigma' W / (2 kappa)
@@ -23,9 +23,21 @@ so the distributional kernels are never formed pointwise.  b_n and b_n' come
 from ``steklov_table``; NtD additionally refuses a kappa where some b_n ~ 0
 (``NearNeumannResonance``).
 
-Everything kappa-independent (S, G, C, the surface trace tables and the
-projections P, Q) is cached in an AssemblyContext, so the fixed-point
-iteration only refreshes the diagonal symbols and two N x M x M products.
+Everything kappa-independent is cached in an AssemblyContext, which also
+compresses the strongly redundant family once.  With the interface values
+T and normal derivatives D of the members and the interface weights w, the
+augmented Gram A = G + T w T^T + D w D^T bounds Delta up to a kappa-dependent
+constant, so a direction that is null for A is null for both methods'
+metrics.  The
+context keeps the orthonormal eigenvectors Y of A (M x r, ``coords``) whose
+eigenvalue exceeds COMPRESS_FLOOR times the largest, and stores S, G, C, P
+and Q in Y coordinates.  ``assemble`` returns the pencil Y^T (Lambda, Delta) Y
+at kappa, so the fixed-point iteration only refreshes the diagonal symbols
+and two N x r x r products, and the solver works on r x r matrices.  Since
+Y is orthonormal, the reduced pencil is the family pencil restricted to the
+kept subspace, with its scale and rounding level; the family vector of a
+reduced vector a is gamma1 = Y a.  Everything downstream of the solve
+(gamma2, sampling, the functional) reads the family tables.
 
 All arithmetic is real; complex enters only through the mixing parameter of
 the discontinuous functional.
@@ -44,6 +56,12 @@ from .geometry import CompositeDomain, QuadratureRule1D, interface_rule, semicir
 from .steklov import _guard_neumann, steklov_table, steklov_trace
 
 DEFAULT_STEKLOV_MODES = 200
+# Eigenvalues of A below this fraction of the largest are dropped.  At
+# b = 1.5 it keeps r = 111/108 of 226/225 directions (15x15, even/odd) and
+# 287/281 of 901/900 (30x30).  Measured on the eight Table 2 solves per size
+# (tol 1e-8): 1e-16 keeps 322/308 at 30x30 and moves no k by more than
+# 7e-9; 1e-14 keeps 282/273 and moves 30x30 k by up to 1.7e-6.
+COMPRESS_FLOOR = 1e-15
 
 
 class Method(enum.Enum):
@@ -67,10 +85,11 @@ class QuadratureConfig:
 
 @dataclass(frozen=True)
 class MatrixPair:
-    """Assembled (Lambda, Delta) at one kappa, symmetrized.
+    """Assembled (Lambda, Delta) at one kappa in the context's coordinates Y, symmetrized.
 
-    The recorded defects are max|A - A^T| / max|A| before symmetrization;
-    Hermiticity of the construction keeps them at quadrature-noise level.
+    The recorded defects are max|X - X^T| / max|X| before symmetrization,
+    for X = Lambda and Delta; Hermiticity of the construction keeps them at
+    quadrature-noise level, and the orthonormal Y does not magnify them.
     """
 
     lam: np.ndarray
@@ -90,7 +109,12 @@ class TrialPair:
 
 @dataclass(frozen=True)
 class AssemblyContext:
-    """kappa-independent tables for one (spec, domain, quadrature, N)."""
+    """kappa-independent tables for one (spec, domain, quadrature, N).
+
+    The family tables (one row or column per member) serve the functional,
+    gamma2 and sampling; ``assemble`` reads only the compressed basis
+    ``coords`` and the ``red_*`` tables in its coordinates.
+    """
 
     spec: BasisSpec
     domain: CompositeDomain
@@ -99,12 +123,17 @@ class AssemblyContext:
     surface_rule: QuadratureRule1D
     stiffness: np.ndarray = field(repr=False)  # <phi_m | Lap phi_n>
     gram: np.ndarray = field(repr=False)  # <phi_m | phi_n>
-    cross: np.ndarray = field(repr=False)  # (phi_m | grad_perp phi_n)
     traces: np.ndarray = field(repr=False)  # (M, Ks) values on the interface
     dtraces: np.ndarray = field(repr=False)  # (M, Ks) normal derivatives
     steklov_traces: np.ndarray = field(repr=False)  # (N, Ks)
     proj_values: np.ndarray = field(repr=False)  # P[n,mu] = (psi_n | phi_mu)
     proj_derivs: np.ndarray = field(repr=False)  # Q[n,mu] = (psi_n | grad_perp phi_mu)
+    coords: np.ndarray = field(repr=False)  # Y (M, r), orthonormal eigenvectors of A
+    red_stiffness: np.ndarray = field(repr=False)  # Y^T S Y
+    red_gram: np.ndarray = field(repr=False)  # Y^T G Y
+    red_cross: np.ndarray = field(repr=False)  # Y^T C Y
+    red_proj_values: np.ndarray = field(repr=False)  # P Y
+    red_proj_derivs: np.ndarray = field(repr=False)  # Q Y
 
 
 def build_context(
@@ -113,7 +142,7 @@ def build_context(
     quad: QuadratureConfig = QuadratureConfig(),
     n_modes: int = DEFAULT_STEKLOV_MODES,
 ) -> AssemblyContext:
-    """Precompute every kappa-independent ingredient of the assembly."""
+    """Precompute every kappa-independent ingredient, the compression included."""
     vol = semicircle_rule(domain, quad.n_r, quad.n_phi)
     surf = interface_rule(domain, quad.n_s)
     V, L, T, D = basis_tables(spec, domain, vol, surf)
@@ -121,11 +150,16 @@ def build_context(
     ws = surf.weights
     stiffness = (V * wv) @ L.T
     gram = (V * wv) @ V.T
-    cross = (T * ws) @ D.T
+    # the volume tables are the largest arrays (M x n_r n_phi): freed before
+    # the eigh of A, so its workspace never adds to them
+    del V, L
+    Tw, Dw = T * ws, D * ws
     n = np.arange(1, n_modes + 1)
     psi = steklov_trace(n[:, None], domain, surf.nodes[None, :])
     proj_values = (psi * ws) @ T.T
     proj_derivs = (psi * ws) @ D.T
+    lam, U = np.linalg.eigh(gram + Tw @ T.T + Dw @ D.T)
+    Y = U[:, lam > COMPRESS_FLOOR * lam[-1]]  # a copy: U is freed on return
     return AssemblyContext(
         spec=spec,
         domain=domain,
@@ -134,12 +168,17 @@ def build_context(
         surface_rule=surf,
         stiffness=stiffness,
         gram=gram,
-        cross=cross,
         traces=T,
         dtraces=D,
         steklov_traces=psi,
         proj_values=proj_values,
         proj_derivs=proj_derivs,
+        coords=Y,
+        red_stiffness=Y.T @ stiffness @ Y,
+        red_gram=Y.T @ gram @ Y,
+        red_cross=(Y.T @ Tw) @ (D.T @ Y),
+        red_proj_values=proj_values @ Y,
+        red_proj_derivs=proj_derivs @ Y,
     )
 
 
@@ -151,7 +190,9 @@ def _defect(A: np.ndarray) -> float:
 
 
 def assemble(method: Method, kappa: float, context: AssemblyContext) -> MatrixPair:
-    """Matrix pair of either method at kappa, from the context's tables.
+    """Matrix pair of either method at kappa, in the context's coordinates Y.
+
+    Reads only the r x r and N x r ``red_*`` tables of the context.
 
     Raises NearDirichletResonance on a pole of some b_n, and for NtD
     NearNeumannResonance if some b_n ~ 0.
@@ -159,17 +200,14 @@ def assemble(method: Method, kappa: float, context: AssemblyContext) -> MatrixPa
     bn, dbn = steklov_table(kappa, context.n_modes, context.domain)
     # the method's (W, sigma, sigma', X); see the module docstring
     if method is Method.DTN:
-        W, sigma, dsigma, X = context.proj_values, -bn, -dbn, context.cross
+        W, sigma, dsigma, X = context.red_proj_values, -bn, -dbn, context.red_cross
     else:
         _guard_neumann(bn, kappa)
-        W, sigma, dsigma, X = context.proj_derivs, 1.0 / bn, -dbn / bn**2, -context.cross.T
-    # W^T sigma W stays a temporary and the defects are taken before the
-    # symmetrized copies exist: at most six M x M arrays are live at once
-    # (6.5 MB each at 30x30), which bounds the sweep's peak memory
-    lam = -context.stiffness + X + W.T @ (sigma[:, None] * W)
+        W, sigma, dsigma, X = context.red_proj_derivs, 1.0 / bn, -dbn / bn**2, -context.red_cross.T
+    lam = -context.red_stiffness + X + W.T @ (sigma[:, None] * W)
     dop = W.T @ (dsigma[:, None] * W)
     lam -= 0.5 * kappa * dop
-    delta = context.gram - dop / (2.0 * kappa)
+    delta = context.red_gram - dop / (2.0 * kappa)
     lambda_defect, delta_defect = _defect(lam), _defect(delta)
     return MatrixPair(
         lam=0.5 * (lam + lam.T),

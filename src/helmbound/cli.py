@@ -77,14 +77,15 @@ def cmd_solve(cfg: RunConfig, args) -> int:
     t0 = time.perf_counter()
     out = _outdir(cfg)
     method, parity = cfg.method.value, cfg.basis.parity.value
+    ctx = _contexts(cfg, [cfg.basis.parity])[cfg.basis.parity]
     doc = {
         "method": method,
         "parity": parity,
         "kappa0": cfg.kappa0,
         "basis_size": cfg.basis.size,
+        "trial_dim": ctx.coords.shape[1],
     }
     path = out / f"solve_{method}_{parity}.json"
-    ctx = _contexts(cfg, [cfg.basis.parity])[cfg.basis.parity]
     try:
         estimate, trace = _run_one(cfg, cfg.method, ctx, cfg.kappa0)
     except NotConverged as exc:

@@ -1,15 +1,21 @@
 """Generalized eigensolve and the kappa fixed-point iteration.
 
-The trial family is strongly non-orthogonal: the metric Delta is numerically
-singular in double precision already for moderate n_max (its spectrum spans
-more than sixteen decades), so a plain Cholesky reduction fails.  The solve
-instead filters the metric: eigendecompose Delta, keep directions with
-sigma > filter_tol * sigma_max, whiten, and solve the standard symmetric
-problem in the kept subspace.  Returned eigenpairs are exact pairs of the
-filtered pencil; the physically tracked low modes carry full-pencil
-residuals at the 1e-10 level, while Ritz values far outside the physical
-window (e.g. the large negative ones of the NtD pencil) are meaningful only
-as subspace artifacts and are never selected by the tracking rule.
+The solve runs on the pencil in the context's compressed coordinates
+(``assembly`` module docstring), so each iteration works on r x r
+matrices; the tracked vector a maps back to the family vector gamma1 = Y a.
+
+The compression drops only directions that are null for the whole family,
+not for the method's metric: the reduced Delta keeps the spread of the full
+one (at b = 1.5 its smallest eigenvalues sit at roundoff, between -1e-16
+and 1e-14 of the largest), so a plain Cholesky reduction still fails.  The
+solve instead filters the reduced metric: eigendecompose Delta, keep
+directions with sigma > filter_tol * sigma_max, whiten, and solve the
+standard symmetric problem in the kept subspace.  Returned eigenpairs are
+exact pairs of the filtered pencil; the physically tracked low modes carry
+pencil residuals at the 1e-10 level, while Ritz values far outside the
+physical window (e.g. the large negative ones of the NtD pencil) are
+meaningful only as subspace artifacts and are never selected by the
+tracking rule.
 
 The fixed-point loop sets kappa to the square root of the tracked eigenvalue
 until successive estimates of k agree within the tolerance.
@@ -45,7 +51,8 @@ class EigenSolution:
     """Ascending eigenvalues and metric-orthonormal eigenvectors.
 
     ``vectors[:, i]`` belongs to ``values[i]``; ``kept`` is the dimension of
-    the filtered subspace actually solved (<= basis size).
+    the filtered subspace actually solved (<= the pencil's size, which for
+    an assembled pair is the context's trial dimension r).
     """
 
     values: np.ndarray
@@ -153,11 +160,12 @@ def iterate_mode(
     if not trace.converged:
         raise NotConverged(trace)
     kappa_final, f_final, vec = result
-    gamma2 = gamma2_coefficients(method, vec, kappa_final, ctx)
+    gamma1 = ctx.coords @ vec
+    gamma2 = gamma2_coefficients(method, gamma1, kappa_final, ctx)
     estimate = ModeEstimate(
         k_estimate=float(np.sqrt(f_final)),
         method=method,
-        gamma1=vec,
+        gamma1=gamma1,
         gamma2=gamma2,
         spec=ctx.spec,
         domain=ctx.domain,

@@ -14,10 +14,25 @@ from helmbound import (
     mode_seeds,
     steklov_table,
 )
+from helmbound.assembly import COMPRESS_FLOOR
 from helmbound.errors import NearDirichletResonance, ZeroTrial
 
 KAPPA = 2.0116
 SIZES = [(3, 3), (5, 5), (15, 15)]
+
+
+def _family_pencil(method, kappa, ctx):
+    """(Lambda, Delta) over the whole family, unsymmetrized, written out from
+    the context's family tables (the formula in the assembly docstring)."""
+    bn, dbn = steklov_table(kappa, ctx.n_modes, ctx.domain)
+    cross = (ctx.traces * ctx.surface_rule.weights) @ ctx.dtraces.T
+    if method is Method.DTN:
+        W, sigma, dsigma, X = ctx.proj_values, -bn, -dbn, cross
+    else:
+        W, sigma, dsigma, X = ctx.proj_derivs, 1.0 / bn, -dbn / bn**2, -cross.T
+    dop = W.T @ (dsigma[:, None] * W)
+    lam = -ctx.stiffness + X + W.T @ (sigma[:, None] * W) - 0.5 * kappa * dop
+    return lam, ctx.gram - dop / (2.0 * kappa)
 
 
 def _pairs(domain, quad, size):
@@ -61,10 +76,44 @@ def test_delta11_volume_part(domain, context_for):
     assert ctx.gram[0, 0] == pytest.approx(np.pi / 12.0, abs=1e-13)
 
 
+@pytest.mark.parametrize("size", [5, 15])
+@pytest.mark.parametrize("parity", list(Parity))
+def test_assemble_is_compressed_family_pencil(context_for, size, parity):
+    ctx = context_for(parity, size)
+    Y = ctx.coords
+    for method in Method:
+        pair = assemble(method, KAPPA, ctx)
+        lam, delta = _family_pencil(method, KAPPA, ctx)
+        for got, full in ((pair.lam, lam), (pair.delta, delta)):
+            want = Y.T @ (0.5 * (full + full.T)) @ Y
+            assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want)), method
+
+
+@pytest.mark.parametrize("size", [5, 15])
+@pytest.mark.parametrize("parity", list(Parity))
+def test_compressed_basis_is_orthonormal_eigenbasis_of_augmented_gram(context_for, size, parity):
+    # Y holds the eigenvectors of A above COMPRESS_FLOOR * lambda_max, and
+    # the complement it drops is null for A at roundoff level
+    ctx = context_for(parity, size)
+    Y = ctx.coords
+    ws = ctx.surface_rule.weights
+    A = ctx.gram + (ctx.traces * ws) @ ctx.traces.T + (ctx.dtraces * ws) @ ctx.dtraces.T
+    lam = np.linalg.eigvalsh(A)
+    r = Y.shape[1]
+    assert r == np.count_nonzero(lam > COMPRESS_FLOOR * lam[-1])
+    assert np.max(np.abs(Y.T @ Y - np.eye(r))) < 1e-10
+    AY = Y.T @ A @ Y
+    assert np.max(np.abs(AY - np.diag(np.diag(AY)))) < 1e-10 * lam[-1]
+    assert np.allclose(np.diag(AY), lam[-r:], rtol=0.0, atol=1e-10 * lam[-1])
+    drop = np.eye(ctx.spec.size) - Y @ Y.T
+    assert np.linalg.norm(drop @ A @ drop, 2) < 1e-14 * lam[-1]
+
+
 def test_delta11_full_entry_against_independent_quadrature(domain, quad):
-    # adaptive-quadrature oracle for Delta_11 = pi/12 + (1/2k) sum b_n' (psi_n||x|-a)^2
+    # adaptive-quadrature oracle for Delta_11 = pi/12 + (1/2k) sum b_n' (psi_n||x|-a)^2,
+    # an entry of the family pencil
     spec = BasisSpec(parity=Parity.EVEN, n_max=3, m_max=3)
-    pair = assemble(Method.DTN, KAPPA, build_context(spec, domain, quad))
+    _, delta = _family_pencil(Method.DTN, KAPPA, build_context(spec, domain, quad))
     n_modes = 200
     _, dbn = steklov_table(KAPPA, n_modes, domain)
     surface = 0.0
@@ -73,33 +122,35 @@ def test_delta11_full_entry_against_independent_quadrature(domain, quad):
         proj, _ = scipy_quad(integrand, -1.0, 1.0, points=[0.0], limit=200)
         surface += dbn[n - 1] * proj * proj
     expected = np.pi / 12.0 + surface / (2.0 * KAPPA)
-    assert pair.delta[0, 0] == pytest.approx(expected, rel=1e-8)
+    assert delta[0, 0] == pytest.approx(expected, rel=1e-8)
 
 
 def test_truncation_stability(domain):
-    # Delta entries are stable at 1e-10 under N doubling; Lambda's DtN tail
-    # decays only like N^-2 (kinked basis traces), measured ~5e-6 at N=200
+    # family pencil entries: Delta is stable at 1e-10 under N doubling;
+    # Lambda's DtN tail decays only like N^-2 (kinked basis traces),
+    # measured ~5e-6 at N=200
     quad = QuadratureConfig(n_r=64, n_phi=64, n_s=256)
     spec = BasisSpec(parity=Parity.EVEN, n_max=15, m_max=15)
     ctx200 = build_context(spec, domain, quad, n_modes=200)
     ctx400 = build_context(spec, domain, quad, n_modes=400)
     for method in Method:
-        p200 = assemble(method, KAPPA, ctx200)
-        p400 = assemble(method, KAPPA, ctx400)
-        assert np.max(np.abs(p200.delta - p400.delta)) < 1e-10
-        assert np.max(np.abs(p200.lam - p400.lam)) < 2e-5
+        lam200, delta200 = _family_pencil(method, KAPPA, ctx200)
+        lam400, delta400 = _family_pencil(method, KAPPA, ctx400)
+        assert np.max(np.abs(delta200 - delta400)) < 1e-10
+        assert np.max(np.abs(lam200 - lam400)) < 2e-5
 
 
 def test_quadrature_stability(domain):
-    # entry drift under 50% richer quadrature, relative to the matrix scale
+    # family pencil entry drift under 50% richer quadrature, relative to the
+    # matrix scale (the two contexts' compressed bases differ)
     spec = BasisSpec(parity=Parity.EVEN, n_max=15, m_max=15)
     ctx1 = build_context(spec, domain, QuadratureConfig(64, 64, 128))
     ctx2 = build_context(spec, domain, QuadratureConfig(96, 96, 192))
     for method in Method:
-        p1 = assemble(method, KAPPA, ctx1)
-        p2 = assemble(method, KAPPA, ctx2)
-        assert np.max(np.abs(p1.lam - p2.lam)) < 1e-10 * max(1.0, np.max(np.abs(p1.lam)))
-        assert np.max(np.abs(p1.delta - p2.delta)) < 1e-10 * max(1.0, np.max(np.abs(p1.delta)))
+        lam1, delta1 = _family_pencil(method, KAPPA, ctx1)
+        lam2, delta2 = _family_pencil(method, KAPPA, ctx2)
+        assert np.max(np.abs(lam1 - lam2)) < 1e-10 * max(1.0, np.max(np.abs(lam1)))
+        assert np.max(np.abs(delta1 - delta2)) < 1e-10 * max(1.0, np.max(np.abs(delta1)))
 
 
 def _zero_trace_trial(ctx, rng):
@@ -157,28 +208,28 @@ def fn_ctx(domain):
 
 
 def _matched_trial(method, ctx, domain, rng):
+    """A trial gamma1 = Y z in the compressed span, its gamma2 matched; returns (trial, z)."""
     from helmbound import gamma2_coefficients
 
-    g1 = rng.normal(size=ctx.spec.size)
+    z = rng.normal(size=ctx.coords.shape[1])
+    g1 = ctx.coords @ z
     g2 = gamma2_coefficients(method, g1, KAPPA, ctx)
-    return TrialPair(gamma1=g1, gamma2=g2, kappa=KAPPA)
+    return TrialPair(gamma1=g1, gamma2=g2, kappa=KAPPA), z
 
 
 def test_functional_matches_rayleigh_quotient(domain, fn_ctx, rng):
     # for a value-matched trial at mixing 0 the functional equals the
-    # assembled DtN Rayleigh quotient of gamma1
-    trial = _matched_trial(Method.DTN, fn_ctx, domain, rng)
+    # assembled DtN Rayleigh quotient of the trial's reduced coordinates
+    trial, z = _matched_trial(Method.DTN, fn_ctx, domain, rng)
     pair = assemble(Method.DTN, KAPPA, fn_ctx)
-    g1 = trial.gamma1
-    rq = float(g1 @ pair.lam @ g1) / float(g1 @ pair.delta @ g1)
+    rq = float(z @ pair.lam @ z) / float(z @ pair.delta @ z)
     general = evaluate_discontinuous_functional(trial, 0.0, fn_ctx).real
     assert general == pytest.approx(rq, rel=1e-10)
 
 
 def test_functional_matches_ntd_rayleigh_quotient(domain, fn_ctx, rng):
-    trial = _matched_trial(Method.NTD, fn_ctx, domain, rng)
+    trial, z = _matched_trial(Method.NTD, fn_ctx, domain, rng)
     pair = assemble(Method.NTD, KAPPA, fn_ctx)
-    g1 = trial.gamma1
-    rq = float(g1 @ pair.lam @ g1) / float(g1 @ pair.delta @ g1)
+    rq = float(z @ pair.lam @ z) / float(z @ pair.delta @ z)
     general = evaluate_discontinuous_functional(trial, 1.0, fn_ctx).real
     assert general == pytest.approx(rq, rel=1e-10)

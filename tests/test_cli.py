@@ -94,13 +94,14 @@ def test_mode_seeds_match_bounding_rectangle(domain):
         parse_mode_label("sideways,1")
 
 
-def test_solve_reproduces_table_value(tmp_path, capsys):
+def test_solve_reproduces_table_value(tmp_path, capsys, context_for):
     cfg_path = _write_config(tmp_path)
     assert main(["--config", str(cfg_path), "solve"]) == 0
     doc = json.loads((tmp_path / "out" / "solve_dtn_even.json").read_text())
     assert doc["converged"] is True
     assert doc["converged_k"] == pytest.approx(2.0611, abs=5e-4)
     assert doc["basis_size"] == 226
+    assert doc["trial_dim"] == context_for(Parity.EVEN, 15).coords.shape[1]
     assert doc["iterations"][0] == pytest.approx(2.0633, abs=5e-4)
 
 
