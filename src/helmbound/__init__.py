@@ -40,14 +40,7 @@ from .solver import (
     select_mode,
     solve_generalized,
 )
-from .steklov import (
-    rectangle_volume_norm,
-    steklov_eigenvalue,
-    steklov_eigenvalue_derivative,
-    steklov_mode_field,
-    steklov_table,
-    steklov_trace,
-)
+from .steklov import steklov_profile, steklov_table, steklov_trace
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

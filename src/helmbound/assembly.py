@@ -28,12 +28,13 @@ compresses the strongly redundant family once.  With the interface values
 T and normal derivatives D of the members and the interface weights w, the
 augmented Gram A = G + T w T^T + D w D^T bounds Delta up to a kappa-dependent
 constant, so a direction that is null for A is null for both methods'
-metrics.  The
-context keeps the orthonormal eigenvectors Y of A (M x r, ``coords``) whose
-eigenvalue exceeds COMPRESS_FLOOR times the largest, and stores S, G, C, P
-and Q in Y coordinates.  ``assemble`` returns the pencil Y^T (Lambda, Delta) Y
-at kappa, so the fixed-point iteration only refreshes the diagonal symbols
-and two N x r x r products, and the solver works on r x r matrices.  Since
+metrics.  The context keeps the orthonormal eigenvectors Y of A (M x r,
+``coords``) whose eigenvalue exceeds COMPRESS_FLOOR times the largest, and
+stores S, G, C, P and Q in Y coordinates only; in family coordinates P and
+Q are the weighted Steklov traces applied to T and D, which it holds.
+``assemble`` returns the pencil Y^T (Lambda, Delta) Y at kappa, so the
+fixed-point iteration only refreshes the diagonal symbols and two
+N x r x r products, and the solver works on r x r matrices.  Since
 Y is orthonormal, the reduced pencil is the family pencil restricted to the
 kept subspace, with its scale and rounding level; the family vector of a
 reduced vector a is gamma1 = Y a.  Everything downstream of the solve
@@ -58,7 +59,8 @@ from .steklov import _guard_neumann, steklov_table, steklov_trace
 DEFAULT_STEKLOV_MODES = 200
 # Eigenvalues of A below this fraction of the largest are dropped.  At
 # b = 1.5 it keeps r = 111/108 of 226/225 directions (15x15, even/odd) and
-# 287/281 of 901/900 (30x30).  Measured on the eight Table 2 solves per size
+# 287/281 of 901/900 (30x30).  It cuts through the roundoff cloud of A's
+# spectrum, so even 15x15 keeps 112 with 2 OpenBLAS threads.  Measured on the eight Table 2 solves per size
 # (tol 1e-8): 1e-16 keeps 322/308 at 30x30 and moves no k by more than
 # 7e-9; 1e-14 keeps 282/273 and moves 30x30 k by up to 1.7e-6.
 COMPRESS_FLOOR = 1e-15
@@ -112,8 +114,10 @@ class AssemblyContext:
     """kappa-independent tables for one (spec, domain, quadrature, N).
 
     The family tables (one row or column per member) serve the functional,
-    gamma2 and sampling; ``assemble`` reads only the compressed basis
-    ``coords`` and the ``red_*`` tables in its coordinates.
+    gamma2 and sampling; gamma2 projects the trace tables onto
+    ``steklov_traces`` itself, so the family projections P and Q are not
+    kept.  ``assemble`` reads only the compressed basis ``coords`` and the
+    ``red_*`` tables in its coordinates.
     """
 
     spec: BasisSpec
@@ -126,14 +130,12 @@ class AssemblyContext:
     traces: np.ndarray = field(repr=False)  # (M, Ks) values on the interface
     dtraces: np.ndarray = field(repr=False)  # (M, Ks) normal derivatives
     steklov_traces: np.ndarray = field(repr=False)  # (N, Ks)
-    proj_values: np.ndarray = field(repr=False)  # P[n,mu] = (psi_n | phi_mu)
-    proj_derivs: np.ndarray = field(repr=False)  # Q[n,mu] = (psi_n | grad_perp phi_mu)
     coords: np.ndarray = field(repr=False)  # Y (M, r), orthonormal eigenvectors of A
     red_stiffness: np.ndarray = field(repr=False)  # Y^T S Y
     red_gram: np.ndarray = field(repr=False)  # Y^T G Y
     red_cross: np.ndarray = field(repr=False)  # Y^T C Y
-    red_proj_values: np.ndarray = field(repr=False)  # P Y
-    red_proj_derivs: np.ndarray = field(repr=False)  # Q Y
+    red_proj_values: np.ndarray = field(repr=False)  # P Y = (psi w T^T) Y
+    red_proj_derivs: np.ndarray = field(repr=False)  # Q Y = (psi w D^T) Y
 
 
 def build_context(
@@ -156,8 +158,6 @@ def build_context(
     Tw, Dw = T * ws, D * ws
     n = np.arange(1, n_modes + 1)
     psi = steklov_trace(n[:, None], domain, surf.nodes[None, :])
-    proj_values = (psi * ws) @ T.T
-    proj_derivs = (psi * ws) @ D.T
     lam, U = np.linalg.eigh(gram + Tw @ T.T + Dw @ D.T)
     Y = U[:, lam > COMPRESS_FLOOR * lam[-1]]  # a copy: U is freed on return
     return AssemblyContext(
@@ -171,14 +171,14 @@ def build_context(
         traces=T,
         dtraces=D,
         steklov_traces=psi,
-        proj_values=proj_values,
-        proj_derivs=proj_derivs,
         coords=Y,
         red_stiffness=Y.T @ stiffness @ Y,
         red_gram=Y.T @ gram @ Y,
         red_cross=(Y.T @ Tw) @ (D.T @ Y),
-        red_proj_values=proj_values @ Y,
-        red_proj_derivs=proj_derivs @ Y,
+        # (psi w T^T) Y, not (psi w)(Y^T T)^T: the latter rounds differently
+        # and moves the NtD k at 15x15 by up to 2e-10
+        red_proj_values=(psi * ws) @ T.T @ Y,
+        red_proj_derivs=(psi * ws) @ D.T @ Y,
     )
 
 

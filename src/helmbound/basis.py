@@ -40,7 +40,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndexOutOfRange
 from .geometry import CompositeDomain, QuadratureRule1D, QuadratureRule2D
 
 
@@ -69,22 +68,6 @@ class BasisSpec:
     def size(self) -> int:
         base = self.n_max * self.m_max
         return base + 1 if self.parity is Parity.EVEN else base
-
-    def mu_to_nm(self, mu: int):
-        """Map index mu to (n, m); None for the even linear function."""
-        _check_mu(self, mu)
-        if self.parity is Parity.EVEN:
-            if mu == 1:
-                return None
-            mu -= 2
-        else:
-            mu -= 1
-        return mu // self.m_max + 1, mu % self.m_max + 1
-
-
-def _check_mu(spec: BasisSpec, mu: int):
-    if not 1 <= mu <= spec.size:
-        raise IndexOutOfRange(f"mu={mu} outside 1..{spec.size}")
 
 
 def _frequencies(count: int, step: float):

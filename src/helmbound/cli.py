@@ -3,10 +3,10 @@
 Subcommands: solve | sweep-basis | field | oracle | compare, each driven by
 a JSON config (--config; defaults reproduce the reference setup).
 
-Exit codes: 0 success, 1 invalid configuration or arguments, 2 iteration
-did not converge, 3 operator resonance (the offending mode index is
-reported), 4 a cross-check failed (``compare`` wrote a report with all_pass
-false).
+Exit codes: 0 success, 1 invalid configuration or arguments, or an output
+file that cannot be written, 2 iteration did not converge, 3 operator
+resonance (the offending mode index is reported), 4 a cross-check failed
+(``compare`` wrote a report with all_pass false).
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ from pathlib import Path
 from .assembly import AssemblyContext, Method, build_context
 from .basis import Parity
 from .config import MODE_LABELS, ConfigError, RunConfig, mode_seeds, parse_mode_label
-from .errors import GridTooCoarse, NearDirichletResonance, NearNeumannResonance, NotConverged
+from .errors import (GridTooCoarse, IoFailure, NearDirichletResonance, NearNeumannResonance,
+                     NotConverged)
 from .oracle import Rectangle, richardson_eigen
 from .reconstruct import export_grid, sample_field
 from .solver import iterate_mode
@@ -65,8 +66,6 @@ def _run_one(cfg: RunConfig, method: Method, context: AssemblyContext, kappa0: f
         kappa0,
         context.spec,
         context.domain,
-        quad=context.quad,
-        n_modes=context.n_modes,
         tol=cfg.tol,
         max_iter=cfg.max_iter,
         context=context,
@@ -277,7 +276,7 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args.config)
         return COMMANDS[args.command](cfg, args)
-    except (ConfigError, GridTooCoarse) as exc:
+    except (ConfigError, GridTooCoarse, IoFailure) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NotConverged as exc:

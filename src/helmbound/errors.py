@@ -22,10 +22,6 @@ class OutsideSubdomain(HelmboundError):
     """Point lies outside the subdomain a function is defined on."""
 
 
-class IndexOutOfRange(HelmboundError):
-    """Basis index outside 1..M."""
-
-
 class NearDirichletResonance(HelmboundError):
     """kappa sits at an internal Dirichlet resonance of the rectangle.
 

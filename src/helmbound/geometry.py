@@ -139,14 +139,11 @@ def cartesian_to_polar(domain, x, y):
 
     phi is the angle from the y-axis, positive for x < 0:
     x = -r sin(phi), y = r cos(phi).  Accepts scalars or arrays that
-    broadcast together; two scalars give two floats.
+    broadcast together and returns arrays of their broadcast shape.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     r = np.hypot(x, y)
     if np.any(r > domain.a * (1.0 + 1e-12) + INTERFACE_TOL) or np.any(y < -INTERFACE_TOL):
         raise OutsideSubdomain("point not in the closure of the semicircle")
-    phi = np.arctan2(-x, y)
-    if r.ndim == 0:
-        return float(r), float(phi)
-    return r, phi
+    return r, np.arctan2(-x, y)

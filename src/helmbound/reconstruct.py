@@ -20,8 +20,8 @@ import numpy as np
 from . import assembly as _assembly
 from .basis import BasisSpec, Parity, family_factors
 from .errors import IoFailure
-from .geometry import CompositeDomain
-from .steklov import _guard_neumann, _mode_profile, steklov_table, steklov_trace
+from .geometry import CompositeDomain, cartesian_to_polar
+from .steklov import _guard_neumann, steklov_profile, steklov_table, steklov_trace
 
 
 @dataclass(frozen=True)
@@ -73,16 +73,18 @@ def gamma2_coefficients(
 ) -> np.ndarray:
     """Rectangle-side Steklov coefficients for a given semicircle solution.
 
-    Read off the context's interface projections P[n, mu] = (psi_n | phi_mu)
-    and Q[n, mu] = (psi_n | grad_perp phi_mu): gamma2 = P gamma1 for DtN and
-    (Q gamma1) / b_n for NtD, over the context's n_modes Steklov modes.
+    Projects the trial's interface value (DtN) or normal derivative (NtD),
+    read from the context's trace tables, onto its n_modes Steklov traces
+    with the interface rule: c_n = (psi_n | Psi_I) for DtN and
+    (psi_n | grad_perp Psi_I) / b_n for NtD.
     """
     gamma1 = np.asarray(gamma1, dtype=float)
+    psi_w = context.steklov_traces * context.surface_rule.weights
     if method is _assembly.Method.DTN:
-        return context.proj_values @ gamma1
+        return psi_w @ (gamma1 @ context.traces)
     bn, _ = steklov_table(kappa, context.n_modes, context.domain)
     _guard_neumann(bn, kappa)
-    return (context.proj_derivs @ gamma1) / bn
+    return (psi_w @ (gamma1 @ context.dtraces)) / bn
 
 
 # Semicircle points evaluated per block: bounds the (n_max + m_max) x CHUNK
@@ -97,8 +99,7 @@ def _semicircle_field(spec: BasisSpec, domain: CompositeDomain, gamma1, x, y):
     reshaped to (n_max, m_max), so the M x P table of members is never
     formed.
     """
-    r = np.hypot(x, y)
-    phi = np.arctan2(-x, y)
+    r, phi = cartesian_to_polar(domain, x, y)
     even = spec.parity is Parity.EVEN
     G = np.asarray(gamma1[1:] if even else gamma1, dtype=float).reshape(spec.n_max, spec.m_max)
     out = gamma1[0] * (r - domain.a) if even else np.zeros_like(r)
@@ -138,7 +139,7 @@ def sample_field(estimate: ModeEstimate, grid: GridSpec = GridSpec()) -> FieldGr
         c = estimate.gamma2
         n = np.flatnonzero(c) + 1
         traces = steklov_trace(n[:, None], domain, xs[in_x][None, :])
-        block = (traces.T * c[n - 1]) @ _mode_profile(estimate.k_estimate, n, domain, y_rect)
+        block = (traces.T * c[n - 1]) @ steklov_profile(estimate.k_estimate, n, domain, y_rect)
         values[np.ix_(in_x, rect_rows)] = block**2
     if np.any(inter_rows):
         trace = _semicircle_field(

@@ -12,8 +12,11 @@ parameter kappa are closed-form.  With lam_n = n^2 pi^2 / (4 a^2):
         psi_n = A_n sin(n pi (x+a) / 2a) sinh(s (y+b)),  A_n = 1/(sqrt(a) sinh(s b))
 
 The interface traces psi_n(x, 0) = sin(n pi (x+a)/2a)/sqrt(a) are orthonormal
-on (-a, a) and independent of kappa.  The Dirichlet-to-Neumann map scales the
-n-th trace coefficient by b_n(kappa); the Neumann-to-Dirichlet map by 1/b_n.
+on (-a, a) and independent of kappa.  Green's theorem applied to the
+kappa-differentiated Helmholtz pair gives the volume norm of such a
+unit-trace mode exactly: <psi_n|psi_n> = b_n'(kappa) / (2 kappa).  The
+Dirichlet-to-Neumann map scales the n-th trace coefficient by b_n(kappa);
+the Neumann-to-Dirichlet map by 1/b_n.
 
 Both b_n branches meet the regime switch kappa^2 = lam_n continuously with
 value -1/b.  With t = (kappa^2 - lam_n) b^2, a single series covers both
@@ -25,8 +28,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NearDirichletResonance, NearNeumannResonance, OutsideSubdomain
-from .geometry import INTERFACE_TOL, CompositeDomain
+from .errors import NearDirichletResonance, NearNeumannResonance
+from .geometry import CompositeDomain
 
 # |sin(mu b)| below this is treated as a Dirichlet resonance (pole of b_n).
 DIRICHLET_POLE_GUARD = 1e-8
@@ -102,24 +105,12 @@ def _symbols(kappa: float, n: np.ndarray, domain: CompositeDomain):
 
 
 def steklov_table(kappa: float, n_modes: int, domain: CompositeDomain):
-    """Vectorized (b_n, db_n/dkappa) for n = 1..n_modes.
+    """Vectorized (b_n, db_n/dkappa) for n = 1..n_modes; db_n/dkappa >= 0.
 
     Raises NearDirichletResonance if any retained oscillatory mode sits on a
     pole of b_n.
     """
     return _symbols(kappa, np.arange(1, n_modes + 1), domain)
-
-
-def steklov_eigenvalue(kappa: float, n: int, domain: CompositeDomain) -> float:
-    """b_n(kappa); continuous across the regime switch with value -1/b."""
-    bn, _ = _symbols(kappa, np.array([n]), domain)
-    return float(bn[0])
-
-
-def steklov_eigenvalue_derivative(kappa: float, n: int, domain: CompositeDomain) -> float:
-    """Analytic db_n/dkappa; >= 0 for kappa > 0 on both branches."""
-    _, dbn = _symbols(kappa, np.array([n]), domain)
-    return float(dbn[0])
 
 
 def steklov_trace(n, domain: CompositeDomain, x):
@@ -134,27 +125,13 @@ def steklov_trace(n, domain: CompositeDomain, x):
     return np.sin(n * np.pi * (x + a) / (2.0 * a)) / np.sqrt(a)
 
 
-def steklov_mode_field(kappa: float, n: int, domain: CompositeDomain, x, y):
-    """psi_n(kappa, x, y) inside the closed rectangle.
+def steklov_profile(kappa: float, n, domain: CompositeDomain, y):
+    """y-profiles g_n(y) with g_n(0) = 1 and g_n(-b) = 0, shape n.shape + y.shape.
 
-    Evaluated as trace(x) * g(y) with g the y-profile normalized to g(0) = 1;
-    the evanescent profile uses exp/expm1 so large s b cannot overflow.
+    The mode inside the rectangle is psi_n(kappa, x, y) = steklov_trace(n, x)
+    * g_n(y); the evanescent profile uses exp/expm1 so large s b cannot
+    overflow.  Raises NearDirichletResonance as ``steklov_table`` does.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    a, b = domain.a, domain.b
-    if (
-        np.any(np.abs(x) > a + INTERFACE_TOL)
-        or np.any(y > INTERFACE_TOL)
-        or np.any(y < -b - INTERFACE_TOL)
-    ):
-        raise OutsideSubdomain("point not in the closure of the rectangle")
-    xpart = steklov_trace(n, domain, x)
-    return xpart * _mode_profile(kappa, n, domain, y)
-
-
-def _mode_profile(kappa: float, n, domain: CompositeDomain, y):
-    """y-profiles g_n(y) with g_n(0) = 1 and g_n(-b) = 0, shape n.shape + y.shape."""
     n = np.asarray(n)
     y = np.asarray(y, dtype=float)
     t, band, osc, ev, q = _regimes(kappa, n.ravel(), domain)
@@ -168,15 +145,6 @@ def _mode_profile(kappa: float, n, domain: CompositeDomain, y):
     s = q[ev][col]
     out[ev] = np.exp(s * y) * np.expm1(-2.0 * s * yb) / np.expm1(-2.0 * s * b)
     return out.reshape(n.shape + y.shape)
-
-
-def rectangle_volume_norm(kappa: float, n: int, domain: CompositeDomain) -> float:
-    """Volume norm <psi_n|psi_n> over the rectangle, via the derivative identity.
-
-    Green's theorem applied to the kappa-differentiated Helmholtz pair gives
-    <psi_n|psi_n> = (1/2 kappa) db_n/dkappa exactly for a unit-trace mode.
-    """
-    return steklov_eigenvalue_derivative(kappa, n, domain) / (2.0 * kappa)
 
 
 def _guard_neumann(bn: np.ndarray, kappa: float):

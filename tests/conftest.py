@@ -41,7 +41,7 @@ def context_for(domain, quad):
 
 
 @pytest.fixture(scope="session")
-def converged(domain, quad, context_for):
+def converged(domain, context_for):
     """Factory for cached converged runs keyed by (method, label, size, tol)."""
     cache = {}
     seeds = mode_seeds(domain)
@@ -51,15 +51,7 @@ def converged(domain, quad, context_for):
         if key not in cache:
             parity = Parity(label.split(",")[0])
             ctx = context_for(parity, size)
-            cache[key] = iterate_mode(
-                method,
-                seeds[label],
-                ctx.spec,
-                domain,
-                quad=quad,
-                tol=tol,
-                context=ctx,
-            )
+            cache[key] = iterate_mode(method, seeds[label], ctx.spec, domain, tol=tol, context=ctx)
         return cache[key]
 
     return get

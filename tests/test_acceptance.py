@@ -25,14 +25,12 @@ from helmbound import (
     richardson_eigen,
     sample_field,
     solve_generalized,
-    steklov_eigenvalue,
-    steklov_eigenvalue_derivative,
+    steklov_profile,
     steklov_table,
     steklov_trace,
 )
 from helmbound.errors import NearDirichletResonance
 from helmbound.reconstruct import read_grid_csv
-from helmbound.steklov import rectangle_volume_norm, steklov_mode_field
 
 # Reference values, four decimals.
 TABLE1 = {
@@ -95,12 +93,15 @@ def test_criterion_3_volume_norm_identity(domain):
     wy = 0.75 * wy
     checked = 0
     for kappa in (1.0, 2.0116, 2.0611, 3.5):
+        try:
+            _, dbn = steklov_table(kappa, 20, domain)
+        except NearDirichletResonance:
+            continue
         for n in range(1, 21):
-            try:
-                ident = rectangle_volume_norm(kappa, n, domain)
-                field = steklov_mode_field(kappa, n, domain, xg[:, None], ys[None, :])
-            except NearDirichletResonance:
-                continue
+            # the unit-trace mode as sample_field composes it
+            field = (steklov_trace(n, domain, xg)[:, None]
+                     * steklov_profile(kappa, n, domain, ys)[None, :])
+            ident = dbn[n - 1] / (2.0 * kappa)
             quad_val = float(wx @ (field * field) @ wy)
             assert abs(quad_val - ident) <= 1e-10 * abs(ident), (kappa, n)
             checked += 1
@@ -126,12 +127,11 @@ def test_criterion_4_operator_properties(domain, quad, rng):
         kappa = float(rng.uniform(0.1, 6.0))
         mode = int(rng.integers(1, 40))
         try:
-            b = steklov_eigenvalue(kappa, mode, domain)
-            db = steklov_eigenvalue_derivative(kappa, mode, domain)
+            bn, dbn = steklov_table(kappa, mode, domain)
         except NearDirichletResonance:
             continue
-        assert np.isreal(b) and np.isfinite(b)
-        assert db >= 0.0
+        assert np.all(np.isreal(bn)) and np.all(np.isfinite(bn))
+        assert np.all(dbn >= 0.0)
         checked += 1
 
     # symmetry and metric positivity across every Table 2 configuration
@@ -176,7 +176,7 @@ def test_criterion_5_functional_suite(domain, quad, context_for, tight_solutions
     # mixing independence for an exactly matched (zero interface trace) trial
     g1 = np.zeros(ctx.spec.size)
     for mu in range(2, ctx.spec.size + 1):
-        _n, m = ctx.spec.mu_to_nm(mu)
+        m = (mu - 2) % ctx.spec.m_max + 1  # even: mu = 1 + (n-1) m_max + m
         if m % 2 == 1:
             g1[mu - 1] = rng.normal()
     matched = TrialPair(gamma1=g1, gamma2=np.zeros(10), kappa=2.0116)

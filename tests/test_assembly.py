@@ -25,11 +25,13 @@ def _family_pencil(method, kappa, ctx):
     """(Lambda, Delta) over the whole family, unsymmetrized, written out from
     the context's family tables (the formula in the assembly docstring)."""
     bn, dbn = steklov_table(kappa, ctx.n_modes, ctx.domain)
-    cross = (ctx.traces * ctx.surface_rule.weights) @ ctx.dtraces.T
+    ws = ctx.surface_rule.weights
+    cross = (ctx.traces * ws) @ ctx.dtraces.T
+    psi_w = ctx.steklov_traces * ws
     if method is Method.DTN:
-        W, sigma, dsigma, X = ctx.proj_values, -bn, -dbn, cross
+        W, sigma, dsigma, X = psi_w @ ctx.traces.T, -bn, -dbn, cross
     else:
-        W, sigma, dsigma, X = ctx.proj_derivs, 1.0 / bn, -dbn / bn**2, -cross.T
+        W, sigma, dsigma, X = psi_w @ ctx.dtraces.T, 1.0 / bn, -dbn / bn**2, -cross.T
     dop = W.T @ (dsigma[:, None] * W)
     lam = -ctx.stiffness + X + W.T @ (sigma[:, None] * W) - 0.5 * kappa * dop
     return lam, ctx.gram - dop / (2.0 * kappa)
@@ -109,6 +111,23 @@ def test_compressed_basis_is_orthonormal_eigenbasis_of_augmented_gram(context_fo
     assert np.linalg.norm(drop @ A @ drop, 2) < 1e-14 * lam[-1]
 
 
+def test_compressed_dimensions_at_reference_depth(context_for):
+    # the r of each family that the README and the COMPRESS_FLOOR comment
+    # quote, at b = 1.5.  The floor cuts through the roundoff cloud of A's
+    # spectrum (eigenvalues from 2e-16 to 3e-15 of the largest), so a
+    # direction there can fall on either side with the BLAS rounding: even
+    # 15x15 keeps 111 on 1 OpenBLAS thread and 112 on 2.
+    dims = {}
+    for parity in Parity:
+        for size in (15, 30):
+            ctx = context_for(parity, size)
+            dims[parity.value, size] = (ctx.spec.size, ctx.coords.shape[1])
+    assert dims["even", 15] in ((226, 111), (226, 112))
+    assert dims["odd", 15] == (225, 108)
+    assert dims["even", 30] == (901, 287)
+    assert dims["odd", 30] == (900, 281)
+
+
 def test_delta11_full_entry_against_independent_quadrature(domain, quad):
     # adaptive-quadrature oracle for Delta_11 = pi/12 + (1/2k) sum b_n' (psi_n||x|-a)^2,
     # an entry of the family pencil
@@ -157,7 +176,7 @@ def _zero_trace_trial(ctx, rng):
     """Even members with odd m have identically zero interface traces."""
     g1 = np.zeros(ctx.spec.size)
     for mu in range(2, ctx.spec.size + 1):
-        n, m = ctx.spec.mu_to_nm(mu)
+        m = (mu - 2) % ctx.spec.m_max + 1  # even: mu = 1 + (n-1) m_max + m
         if m % 2 == 1:
             g1[mu - 1] = rng.normal()
     return TrialPair(gamma1=g1, gamma2=np.zeros(8), kappa=KAPPA)

@@ -9,7 +9,6 @@ from helmbound import (
     semicircle_rule,
 )
 from helmbound.basis import basis_tables, interface_tables, volume_tables
-from helmbound.errors import IndexOutOfRange
 
 EVEN = BasisSpec(parity=Parity.EVEN, n_max=3, m_max=3)
 ODD = BasisSpec(parity=Parity.ODD, n_max=3, m_max=3)
@@ -24,18 +23,28 @@ def _volume(spec, domain, x, y):
     return volume_tables(spec, domain, np.atleast_1d(r), np.atleast_1d(phi))
 
 
-def test_sizes_and_bijection():
+def _nm(spec, mu):
+    """(n, m) of member mu by the module docstring's bijection; None for the linear member."""
+    if spec.parity is Parity.EVEN:
+        if mu == 1:
+            return None
+        mu -= 1
+    n, m = divmod(mu - 1, spec.m_max)
+    return n + 1, m + 1
+
+
+def test_sizes_and_bijection(domain):
     assert EVEN.size == 10 and ODD.size == 9
-    assert EVEN.mu_to_nm(1) is None
-    assert EVEN.mu_to_nm(2) == (1, 1)
-    assert EVEN.mu_to_nm(5) == (2, 1)
-    assert EVEN.mu_to_nm(10) == (3, 3)
-    assert ODD.mu_to_nm(1) == (1, 1)
-    assert ODD.mu_to_nm(9) == (3, 3)
-    with pytest.raises(IndexOutOfRange):
-        EVEN.mu_to_nm(11)
-    with pytest.raises(IndexOutOfRange):
-        ODD.mu_to_nm(10)
+    # the table rows follow the bijection: even mu = 2, 5, 10 and odd mu = 1,
+    # 4, 9 are the members (1, 1), (2, 1), (3, 3)
+    r, phi = np.array([0.3, 0.7]), np.array([0.2, -0.4])
+    for spec, ang, first in ((EVEN, np.cos, 2), (ODD, np.sin, 1)):
+        V, _ = volume_tables(spec, domain, r, phi)
+        for mu, nm in ((first, (1, 1)), (first + 3, (2, 1)), (spec.size, (3, 3))):
+            assert _nm(spec, mu) == nm
+            want = r * np.sin(nm[0] * (r - domain.a)) * ang(nm[1] * phi)
+            assert V[mu - 1] == pytest.approx(want, abs=1e-15)
+    assert _nm(EVEN, 1) is None
 
 
 def test_eval_linear_member(domain):
@@ -107,7 +116,7 @@ def test_trace_even_odd_m_vanishes(domain):
     xs = np.linspace(-0.9, 0.9, 9)
     T, _ = interface_tables(EVEN, domain, xs)
     for mu in range(2, EVEN.size + 1):
-        n, m = EVEN.mu_to_nm(mu)
+        _n, m = _nm(EVEN, mu)
         if m % 2 == 1:
             assert np.max(np.abs(T[mu - 1])) < 1e-15
 
@@ -169,7 +178,7 @@ def _closed_forms(spec, domain, r, phi, xs):
     ang = np.cos if even else np.sin
     rows = []
     for mu in range(1, spec.size + 1):
-        nm = spec.mu_to_nm(mu)
+        nm = _nm(spec, mu)
         if nm is None:
             rows.append((r - a, 1.0 / r, np.abs(xs) - a, np.zeros_like(xs)))
             continue

@@ -188,6 +188,20 @@ def test_field_outputs(tmp_path):
     assert -1.5 < grid.ys[j_max] < 1.0
 
 
+def test_unwritable_output_file_is_config_error(tmp_path, capsys):
+    # a directory where the CSV should go: one line on stderr, exit 1
+    cfg_path = _write_config(
+        tmp_path,
+        basis={"parity": "even", "n_max": 5, "m_max": 5},
+        grid={"nx": 41, "ny": 71},
+    )
+    (tmp_path / "out" / "field_dtn_even_1.csv").mkdir(parents=True)
+    assert main(["--config", str(cfg_path), "field", "--mode", "even,1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write") and "field_dtn_even_1.csv" in err
+    assert err.count("\n") == 1
+
+
 def test_oracle_rectangle_seeds(tmp_path):
     cfg_path = _write_config(
         tmp_path, oracle={"h": 1.0 / 32.0, "num_modes": 4, "shape": "bounding_rectangle"}

@@ -102,7 +102,9 @@ def test_quadrature_nodes_classify_semicircle(domain):
 
 
 def test_polar_convention(domain):
-    assert cartesian_to_polar(domain, 0.0, 1.0) == pytest.approx((1.0, 0.0))
+    r, phi = cartesian_to_polar(domain, 0.0, 1.0)
+    assert r.shape == phi.shape == ()
+    assert (r, phi) == pytest.approx((1.0, 0.0))
     r, phi = cartesian_to_polar(domain, -1.0, 0.0)
     assert (r, phi) == pytest.approx((1.0, np.pi / 2.0))
     r, phi = cartesian_to_polar(domain, 0.5, 0.5)

@@ -55,7 +55,7 @@ def test_gamma2_zero_trace_gives_zero(domain, context_for, rng):
     ctx = context_for(Parity.EVEN, 5)
     g1 = np.zeros(ctx.spec.size)
     for mu in range(2, ctx.spec.size + 1):
-        n, m = ctx.spec.mu_to_nm(mu)
+        m = (mu - 2) % ctx.spec.m_max + 1  # even: mu = 1 + (n-1) m_max + m
         if m % 2 == 1:  # identically zero interface trace
             g1[mu - 1] = rng.normal()
     c = gamma2_coefficients(Method.DTN, g1, 2.0116, ctx)
@@ -159,7 +159,8 @@ def _reference_field(est, domain, grid):
     # |Psi|^2 cell by cell, summing closed forms written out here, one member
     # and one Steklov mode at a time
     a, b, kappa, spec = domain.a, domain.b, est.k_estimate, est.spec
-    ang = np.cos if spec.parity is Parity.EVEN else np.sin
+    even = spec.parity is Parity.EVEN
+    ang = np.cos if even else np.sin
     X, Y = np.meshgrid(grid.xs, grid.ys, indexing="ij")
     values = np.zeros_like(X)
     semi = (Y > 0) & (X * X + Y * Y < a**2)
@@ -169,11 +170,12 @@ def _reference_field(est, domain, grid):
         r, phi = np.hypot(X[cells], Y[cells]), np.arctan2(-X[cells], Y[cells])
         field = np.zeros_like(r)
         for mu in range(1, spec.size + 1):
-            nm = spec.mu_to_nm(mu)
-            if nm is None:
+            if even and mu == 1:
                 member = r - a
             else:
-                member = r * np.sin(nm[0] * spec.alpha * (r - a)) * ang(nm[1] * spec.beta * phi)
+                # the basis docstring's bijection, row-major in (n, m)
+                n, m = divmod(mu - (2 if even else 1), spec.m_max)
+                member = r * np.sin((n + 1) * spec.alpha * (r - a)) * ang((m + 1) * spec.beta * phi)
             field += est.gamma1[mu - 1] * member
         values[cells] = field**2
     x, y = X[rect], Y[rect]

@@ -82,12 +82,10 @@ def test_iterate_table_run(converged):
     assert trace.kappas[1:] == pytest.approx(trace.estimates[:-1])
 
 
-def test_iterate_not_converged(domain, quad, context_for):
+def test_iterate_not_converged(domain, context_for):
     ctx = context_for(Parity.EVEN, 15)
     with pytest.raises(NotConverged) as info:
-        iterate_mode(
-            Method.DTN, 2.0116, ctx.spec, domain, quad=quad, max_iter=1, context=ctx
-        )
+        iterate_mode(Method.DTN, 2.0116, ctx.spec, domain, max_iter=1, context=ctx)
     assert info.value.trace.iterations == 1
 
 
