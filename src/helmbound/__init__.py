@@ -17,7 +17,6 @@ from .config import RunConfig, mode_seeds
 from .geometry import (
     CompositeDomain,
     QuadratureRule1D,
-    QuadratureRule2D,
     cartesian_to_polar,
     gauss_legendre,
     interface_rule,

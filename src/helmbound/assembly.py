@@ -24,7 +24,10 @@ from ``steklov_table``; NtD additionally refuses a kappa where some b_n ~ 0
 (``NearNeumannResonance``).
 
 Everything kappa-independent is cached in an AssemblyContext, which also
-compresses the strongly redundant family once.  With the interface values
+compresses the strongly redundant family once.  S and G come from
+``basis_tables`` as Kronecker products of 1-D radial and angular matrices:
+each member and the volume rule are separable in (r, phi), so no table over
+the 2-D volume nodes is formed.  With the interface values
 T and normal derivatives D of the members and the interface weights w, the
 augmented Gram A = G + T w T^T + D w D^T bounds Delta up to a kappa-dependent
 constant, so a direction that is null for A is null for both methods'
@@ -59,10 +62,12 @@ from .steklov import _guard_neumann, steklov_table, steklov_trace
 DEFAULT_STEKLOV_MODES = 200
 # Eigenvalues of A below this fraction of the largest are dropped.  At
 # b = 1.5 it keeps r = 111/108 of 226/225 directions (15x15, even/odd) and
-# 287/281 of 901/900 (30x30).  It cuts through the roundoff cloud of A's
-# spectrum, so even 15x15 keeps 112 with 2 OpenBLAS threads.  Measured on the eight Table 2 solves per size
-# (tol 1e-8): 1e-16 keeps 322/308 at 30x30 and moves no k by more than
-# 7e-9; 1e-14 keeps 282/273 and moves 30x30 k by up to 1.7e-6.
+# 287/281 of 901/900 (30x30) on 1 and 2 OpenBLAS threads.  It sits inside
+# the roundoff cloud of A's spectrum, so r can move by a few directions with
+# the rounding.  Measured on the eight Table 2 solves per size (tol 1e-8),
+# 1 / 2 threads: 1e-16 keeps 121/117-118 and 319-320/309-310 and moves k by
+# at most 6.3e-9 / 7.0e-9 at 15x15 and 2.0e-8 / 9.8e-9 at 30x30; 1e-14 keeps
+# 108/102 and 282/272-273 and moves 30x30 k by up to 1.7e-6.
 COMPRESS_FLOOR = 1e-15
 
 
@@ -147,14 +152,8 @@ def build_context(
     """Precompute every kappa-independent ingredient, the compression included."""
     vol = semicircle_rule(domain, quad.n_r, quad.n_phi)
     surf = interface_rule(domain, quad.n_s)
-    V, L, T, D = basis_tables(spec, domain, vol, surf)
-    wv = vol.weights
+    gram, stiffness, T, D = basis_tables(spec, domain, vol, surf)
     ws = surf.weights
-    stiffness = (V * wv) @ L.T
-    gram = (V * wv) @ V.T
-    # the volume tables are the largest arrays (M x n_r n_phi): freed before
-    # the eigh of A, so its workspace never adds to them
-    del V, L
     Tw, Dw = T * ws, D * ws
     n = np.arange(1, n_modes + 1)
     psi = steklov_trace(n[:, None], domain, surf.nodes[None, :])

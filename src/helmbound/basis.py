@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CompositeDomain, QuadratureRule1D, QuadratureRule2D
+from .geometry import CompositeDomain, QuadratureRule1D
 
 
 class Parity(enum.Enum):
@@ -70,119 +70,128 @@ class BasisSpec:
         return base + 1 if self.parity is Parity.EVEN else base
 
 
-def _frequencies(count: int, step: float):
-    """step * (1, 2, ..., count): the n alpha or m beta of the family."""
-    return np.arange(1, count + 1) * step
-
-
 def _radial_phase(spec: BasisSpec, domain: CompositeDomain, r):
-    """n alpha (r - a) for n = 1..n_max, shape (n_max, P)."""
-    return np.multiply.outer(_frequencies(spec.n_max, spec.alpha), np.asarray(r, dtype=float) - domain.a)
+    """w = n alpha for n = 1..n_max, shape (n_max, 1), and the phase w (r - a), shape (n_max, P)."""
+    w = np.arange(1, spec.n_max + 1)[:, None] * spec.alpha
+    return w, w * (np.asarray(r, dtype=float) - domain.a)
+
+
+def _angular_frequencies(spec: BasisSpec):
+    """nu = m beta of the angular factors, led by 0 (the constant 1) for the even family."""
+    first = 0 if spec.parity is Parity.EVEN else 1
+    return np.arange(first, spec.m_max + 1) * spec.beta
+
+
+def member_index(spec: BasisSpec):
+    """Flat index i * rows(A) + j of each member R[i] A[j] of ``family_factors``, in index order.
+
+    The even factor tables lead with the linear member's factors, (0, 0);
+    the product members follow row-major in (n, m), as in the module docstring.
+    """
+    lead = int(spec.parity is Parity.EVEN)
+    cols = spec.m_max + lead
+    grid = np.arange(lead, spec.n_max + lead)[:, None] * cols + np.arange(lead, cols)
+    return np.concatenate([np.zeros(lead, dtype=int), grid.ravel()])
 
 
 def family_factors(spec: BasisSpec, domain: CompositeDomain, r, phi):
-    """Separable factors of the product members at points (r, phi).
+    """Separable factors of the family at 1-D arrays of radii r and angles phi.
 
-    Returns (R, A) with R[n-1] = r sin(n alpha (r - a)), shape (n_max, P),
-    and A[m-1] = cos(m beta phi) (even) or sin(m beta phi) (odd), shape
-    (m_max, P); member (n, m) is R[n-1] * A[m-1].  The even linear member
-    r - a is not included.
+    Returns (R, A): the radial rows r sin(n alpha (r - a)), n = 1..n_max,
+    one column per radius, and the angular rows cos(m beta phi) (even) or
+    sin(m beta phi) (odd), m = 1..m_max, one column per angle.  The even
+    family leads both with the linear member's factors, R[0] = r - a and
+    A[0] = cos(0 phi) = 1.  Member mu is the product R[i] A[j] at flat
+    index ``member_index(spec)[mu - 1]``.
     """
     r = np.asarray(r, dtype=float)
     ang = np.cos if spec.parity is Parity.EVEN else np.sin
-    R = r * np.sin(_radial_phase(spec, domain, r))
-    A = ang(np.multiply.outer(_frequencies(spec.m_max, spec.beta), np.asarray(phi, dtype=float)))
+    R = r * np.sin(_radial_phase(spec, domain, r)[1])
+    if spec.parity is Parity.EVEN:
+        R = np.vstack([r - domain.a, R])
+    A = ang(np.multiply.outer(_angular_frequencies(spec), np.asarray(phi, dtype=float)))
     return R, A
 
 
-def volume_tables(spec: BasisSpec, domain: CompositeDomain, r, phi):
-    """Values and polar Laplacians of the whole family at points (r, phi).
+def laplacian_factors(spec: BasisSpec, domain: CompositeDomain, r):
+    """Factors of the polar Laplacian of the family at radii r.
 
-    Returns (V, L), each of shape (M, P) for P points, with rows in the
-    index order of the family.  The Laplacian is d_rr + (1/r) d_r +
-    (1/r^2) d_phiphi.  For the radial part g(r) = r sin(w(r-a)) with
-    w = n alpha:
+    Returns (P, Q, nu): the Laplacian d_rr + (1/r) d_r + (1/r^2) d_phiphi of
+    the factor product R[i] A[j] of ``family_factors`` is
+    (P[i] - nu[j]^2 Q[i]) A[j], with P = R'' + R'/r, Q = R/r^2 and nu[j] the
+    frequency of A[j].  For R = r sin(w (r - a)) with w = n alpha,
 
-        g'' + g'/r = 3 w cos(w(r-a)) - w^2 r sin(w(r-a)) + sin(w(r-a))/r,
+        P = 3 w cos(w(r-a)) - w^2 r sin(w(r-a)) + sin(w(r-a))/r,
+        Q = sin(w(r-a))/r,
 
-    and the angular factor contributes -(m beta)^2 sin(w(r-a))/r.  The even
-    linear function gives exactly 1/r, so L is singular at r = 0.  The
-    (n, m) rows are the broadcast product of per-n radial rows and per-m
-    angular columns (the factors of ``family_factors``), without a loop
-    over members.
+    and the even linear member r - a gives P = 1/r (singular at r = 0),
+    while its angular factor 1 has nu = 0.
     """
     r = np.asarray(r, dtype=float)
-    M = spec.size
-    V = np.empty((M, r.size))
-    L = np.empty((M, r.size))
-    row = 0
+    w, phase = _radial_phase(spec, domain, r)
+    Q = np.sin(phase) / r
+    P = 3.0 * w * np.cos(phase) - w * w * r * np.sin(phase) + Q
     if spec.parity is Parity.EVEN:
-        V[0] = r - domain.a
-        L[0] = 1.0 / r
-        row = 1
-    nm = (spec.n_max, spec.m_max)
-    w = _frequencies(spec.n_max, spec.alpha)[:, None]
-    mb = _frequencies(spec.m_max, spec.beta)
-    R, ang = family_factors(spec, domain, r, phi)
-    np.multiply(R[:, None, :], ang, out=V[row:].reshape(nm + (r.size,)))
-    phase = _radial_phase(spec, domain, r)
-    sr = np.sin(phase)
-    cr = np.cos(phase)
-    # L[(n, m)] = (3 w cos - w^2 r sin + (1 - (m beta)^2) sin / r) ang_m
-    radial_lap = 3.0 * w * cr - w * w * r * sr
-    Lnm = L[row:].reshape(nm + (r.size,))
-    np.multiply((1.0 - mb * mb)[None, :, None], (sr / r)[:, None, :], out=Lnm)
-    Lnm += radial_lap[:, None, :]
-    Lnm *= ang
-    return V, L
+        P = np.vstack([1.0 / r, P])
+        Q = np.vstack([(r - domain.a) / r**2, Q])
+    return P, Q, _angular_frequencies(spec)
 
 
 def interface_tables(spec: BasisSpec, domain: CompositeDomain, x):
     """Traces and normal-derivative traces of the whole family at interface points x.
 
-    Returns (T, D), each of shape (M, P), from the closed forms of the
-    module docstring: on y = 0, r = |x| and phi = +-pi/2.  The odd
-    normal-derivative rows take the value 0 at x = 0 through sign(0) = 0.
+    Returns (T, D), each of shape (M, P).  On y = 0, r = |x| and
+    phi = -sign(x) pi/2, so T is the family's value there (``family_factors``);
+    D is the closed form of the module docstring, whose radial factor
+    sin(n alpha (|x| - a)) the even linear member lacks (its D is 0, since
+    its angular factor is constant).  The odd normal-derivative rows take the
+    value 0 at x = 0 through sign(0) = 0.
     """
     xs = np.asarray(x, dtype=float)
     absx = np.abs(xs)
-    M = spec.size
-    T = np.empty((M, xs.size))
-    D = np.empty((M, xs.size))
-    even = spec.parity is Parity.EVEN
-    row = 0
-    if even:
-        T[0] = absx - domain.a
-        D[0] = 0.0
-        row = 1
-    nm = (spec.n_max, spec.m_max)
-    mb = _frequencies(spec.m_max, spec.beta)
-    tr_rad = np.sin(_radial_phase(spec, domain, absx))[:, None, :]
-    half = mb * np.pi / 2.0
-    Tnm = T[row:].reshape(nm + (xs.size,))
-    Dnm = D[row:].reshape(nm + (xs.size,))
-    if even:
-        Tnm[...] = (absx * tr_rad) * np.cos(half)[:, None]
-        Dnm[...] = (-mb * np.sin(half))[:, None] * tr_rad
+    R, A = family_factors(spec, domain, absx, -np.sign(xs) * (np.pi / 2.0))
+    nu = _angular_frequencies(spec)[:, None]
+    rad = np.sin(_radial_phase(spec, domain, absx)[1])
+    if spec.parity is Parity.EVEN:
+        rad = np.vstack([np.zeros_like(xs), rad])
+        ang = -nu * np.sin(nu * np.pi / 2.0)
     else:
-        Tnm[...] = (-xs * tr_rad) * np.sin(half)[:, None]
-        Dnm[...] = ((-mb * np.cos(half))[:, None] * np.sign(xs)) * tr_rad
+        ang = (-nu * np.cos(nu * np.pi / 2.0)) * np.sign(xs)
+    members = member_index(spec)
+    T = (R[:, None] * A).reshape(-1, xs.size)[members]
+    D = (ang * rad[:, None]).reshape(-1, xs.size)[members]
     return T, D
 
 
 def basis_tables(
     spec: BasisSpec,
     domain: CompositeDomain,
-    volume_rule: QuadratureRule2D,
+    volume_rule: tuple[QuadratureRule1D, QuadratureRule1D],
     surface_rule: QuadratureRule1D,
 ):
-    """Evaluate the whole family on quadrature nodes.
+    """Volume matrices and interface tables of the whole family.
 
-    Returns (V, L, T, D): values and Laplacians at the volume nodes
-    (``volume_tables``), traces and normal-derivative traces at the surface
-    nodes (``interface_tables``), each of shape (M, #nodes).  This is the
-    hot path for assembly.
+    Returns (G, S, T, D): the Gram matrix <phi_mu|phi_nu> and the stiffness
+    <phi_mu|Lap phi_nu> over the semicircle, each (M, M), and the
+    ``interface_tables`` at the surface nodes.  The volume rule
+    (``semicircle_rule``) and every member are separable in (r, phi), so
+    with the 1-D products (X|Y)_r = (X w_r) Y^T (w_r carries r) and
+    (X|Y)_phi = (X w_phi) Y^T, in the factors of ``family_factors`` and
+    ``laplacian_factors``, both are Kronecker products,
+
+        G = (R|R)_r x (A|A)_phi,   S = (R|P)_r x (A|A)_phi - (R|Q)_r x ((A|A)_phi diag(nu^2)),
+
+    restricted to the members' rows and columns (``member_index``).
     """
-    V, L = volume_tables(spec, domain, volume_rule.r, volume_rule.phi)
+    radial, angular = volume_rule
+    R, A = family_factors(spec, domain, radial.nodes, angular.nodes)
+    P, Q, nu = laplacian_factors(spec, domain, radial.nodes)
+    # einsum sums outside BLAS: (R|R)_r and (A|A)_phi come out exactly
+    # symmetric and the same on any number of BLAS threads
+    RR, RP, RQ = (np.einsum("ik,jk,k->ij", R, X, radial.weights) for X in (R, P, Q))
+    AA = np.einsum("ik,jk,k->ij", A, A, angular.weights)
+    members = np.ix_(member_index(spec), member_index(spec))
+    G = np.kron(RR, AA)[members]
+    S = (np.kron(RP, AA) - np.kron(RQ, AA * nu**2))[members]
     T, D = interface_tables(spec, domain, surface_rule.nodes)
-    return V, L, T, D
+    return G, S, T, D

@@ -16,7 +16,7 @@ positive for x < 0:  x = -r sin(phi),  y = r cos(phi),  phi in [-pi/2, pi/2].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -46,28 +46,10 @@ def make_domain(a: float, b: float) -> CompositeDomain:
 
 @dataclass(frozen=True)
 class QuadratureRule1D:
-    """Nodes/weights on an interval; weights sum to the interval length."""
+    """Nodes/weights on an interval (the semicircle's radial weights also carry r)."""
 
     nodes: np.ndarray
     weights: np.ndarray
-
-    def integrate(self, values: np.ndarray) -> float:
-        return float(np.dot(self.weights, values))
-
-
-@dataclass(frozen=True)
-class QuadratureRule2D:
-    """Tensor rule over the semicircle in polar coordinates.
-
-    ``weights`` contain the polar measure r dr dphi; ``points`` are the
-    Cartesian node locations.  The polar node coordinates are kept alongside
-    so integrands given in (r, phi) form avoid a back-conversion.
-    """
-
-    points: np.ndarray  # (K, 2) Cartesian
-    weights: np.ndarray  # (K,)
-    r: np.ndarray = field(repr=False)  # (K,)
-    phi: np.ndarray = field(repr=False)  # (K,)
 
     def integrate(self, values: np.ndarray) -> float:
         return float(np.dot(self.weights, values))
@@ -110,28 +92,19 @@ def interface_rule(domain: CompositeDomain, n_s: int) -> QuadratureRule1D:
     )
 
 
-def semicircle_rule(domain: CompositeDomain, n_r: int, n_phi: int) -> QuadratureRule2D:
-    """Tensor Gauss-Legendre rule over the semicircle in polar coordinates.
+def semicircle_rule(
+    domain: CompositeDomain, n_r: int, n_phi: int
+) -> tuple[QuadratureRule1D, QuadratureRule1D]:
+    """Tensor Gauss-Legendre rule over the semicircle in polar coordinates, as its two factors.
 
-    r in (0, a) with n_r nodes, phi in (-pi/2, pi/2) with n_phi nodes; the
-    weight includes the polar factor r.
+    Returns (radial, angular): r in (0, a) with n_r nodes, whose weights
+    include the polar factor r, and phi in (-pi/2, pi/2) with n_phi nodes.
+    The rule integrates f(r, phi) as
+    sum_ij radial.weights[i] angular.weights[j] f(radial.nodes[i], angular.nodes[j]).
     """
-    if n_r < 1 or n_phi < 1:
-        raise ValueError(f"need n_r, n_phi >= 1, got ({n_r}, {n_phi})")
     rad = gauss_legendre(n_r, 0.0, domain.a)
-    ang = gauss_legendre(n_phi, -0.5 * np.pi, 0.5 * np.pi)
-    R, PH = np.meshgrid(rad.nodes, ang.nodes, indexing="ij")
-    W = np.outer(rad.weights * rad.nodes, ang.weights)
-    r = R.ravel()
-    phi = PH.ravel()
-    x = -r * np.sin(phi)
-    y = r * np.cos(phi)
-    return QuadratureRule2D(
-        points=np.column_stack([x, y]),
-        weights=W.ravel(),
-        r=r,
-        phi=phi,
-    )
+    radial = QuadratureRule1D(nodes=rad.nodes, weights=rad.weights * rad.nodes)
+    return radial, gauss_legendre(n_phi, -0.5 * np.pi, 0.5 * np.pi)
 
 
 def cartesian_to_polar(domain, x, y):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import assembly as _assembly
-from .basis import BasisSpec, Parity, family_factors
+from .basis import BasisSpec, Parity, family_factors, member_index
 from .errors import IoFailure
 from .geometry import CompositeDomain, cartesian_to_polar
 from .steklov import _guard_neumann, steklov_profile, steklov_table, steklov_trace
@@ -95,17 +95,18 @@ CHUNK = 4096
 def _semicircle_field(spec: BasisSpec, domain: CompositeDomain, gamma1, x, y):
     """sum_mu gamma1_mu phi_mu at scattered semicircle points.
 
-    The product members are summed as sum_n R_n (G A)_n with G = gamma1
-    reshaped to (n_max, m_max), so the M x P table of members is never
-    formed.
+    The members are summed as sum_i R_i (G A)_i with G = gamma1 placed on
+    the factor grid of ``family_factors`` by ``member_index``, so the M x P
+    table of members is never formed.
     """
     r, phi = cartesian_to_polar(domain, x, y)
-    even = spec.parity is Parity.EVEN
-    G = np.asarray(gamma1[1:] if even else gamma1, dtype=float).reshape(spec.n_max, spec.m_max)
-    out = gamma1[0] * (r - domain.a) if even else np.zeros_like(r)
+    lead = int(spec.parity is Parity.EVEN)  # the even tables lead with the linear member
+    G = np.zeros((spec.n_max + lead, spec.m_max + lead))
+    G.flat[member_index(spec)] = gamma1
+    out = np.empty_like(r)
     for lo in range(0, r.size, CHUNK):
         R, A = family_factors(spec, domain, r[lo:lo + CHUNK], phi[lo:lo + CHUNK])
-        out[lo:lo + CHUNK] += np.einsum("np,np->p", R, G @ A)
+        out[lo:lo + CHUNK] = np.einsum("np,np->p", R, G @ A)
     return out
 
 

@@ -8,7 +8,13 @@ from helmbound import (
     interface_rule,
     semicircle_rule,
 )
-from helmbound.basis import basis_tables, interface_tables, volume_tables
+from helmbound.basis import (
+    basis_tables,
+    family_factors,
+    interface_tables,
+    laplacian_factors,
+    member_index,
+)
 
 EVEN = BasisSpec(parity=Parity.EVEN, n_max=3, m_max=3)
 ODD = BasisSpec(parity=Parity.ODD, n_max=3, m_max=3)
@@ -18,9 +24,16 @@ ODD11_AT_HALF = -0.144361716817
 
 
 def _volume(spec, domain, x, y):
-    """(V, L) of the whole family at Cartesian points, one column per point."""
+    """(V, L) of the whole family at Cartesian points, one column per point,
+    composed from the 1-D factors as the volume matrices are."""
     r, phi = cartesian_to_polar(domain, x, y)
-    return volume_tables(spec, domain, np.atleast_1d(r), np.atleast_1d(phi))
+    r, phi = np.atleast_1d(r), np.atleast_1d(phi)
+    R, A = family_factors(spec, domain, r, phi)
+    P, Q, nu = laplacian_factors(spec, domain, r)
+    V = R[:, None] * A[None]
+    L = (P[:, None] - (nu * nu)[None, :, None] * Q[:, None]) * A[None]
+    members = member_index(spec)
+    return V.reshape(-1, r.size)[members], L.reshape(-1, r.size)[members]
 
 
 def _nm(spec, mu):
@@ -35,47 +48,54 @@ def _nm(spec, mu):
 
 def test_sizes_and_bijection(domain):
     assert EVEN.size == 10 and ODD.size == 9
-    # the table rows follow the bijection: even mu = 2, 5, 10 and odd mu = 1,
-    # 4, 9 are the members (1, 1), (2, 1), (3, 3)
+    # member_index puts the docstring's (n, m) examples on the factor
+    # products R_n A_m: even mu = 2, 5, 10 and odd mu = 1, 4, 9 are the
+    # members (1, 1), (2, 1), (3, 3)
     r, phi = np.array([0.3, 0.7]), np.array([0.2, -0.4])
     for spec, ang, first in ((EVEN, np.cos, 2), (ODD, np.sin, 1)):
-        V, _ = volume_tables(spec, domain, r, phi)
+        R, A = family_factors(spec, domain, r, phi)
+        lead = R.shape[0] - spec.n_max  # the even linear member's row
+        assert A.shape[0] - spec.m_max == lead
+        members = member_index(spec)
+        assert members.shape == (spec.size,)
         for mu, nm in ((first, (1, 1)), (first + 3, (2, 1)), (spec.size, (3, 3))):
             assert _nm(spec, mu) == nm
+            i, j = divmod(members[mu - 1], A.shape[0])
+            assert (i, j) == (nm[0] - 1 + lead, nm[1] - 1 + lead)
             want = r * np.sin(nm[0] * (r - domain.a)) * ang(nm[1] * phi)
-            assert V[mu - 1] == pytest.approx(want, abs=1e-15)
+            assert R[i] * A[j] == pytest.approx(want, abs=1e-15)
     assert _nm(EVEN, 1) is None
+    assert member_index(EVEN)[0] == 0
 
 
 def test_eval_linear_member(domain):
+    R, A = family_factors(EVEN, domain, [0.0, 0.5, 1.0], [0.3, -1.2, 0.0])
+    assert R[0] == pytest.approx([-1.0, -0.5, 0.0], abs=1e-15)
+    assert np.all(A[0] == 1.0)
     assert _volume(EVEN, domain, 0.0, 0.5)[0][0] == pytest.approx([-0.5], abs=1e-15)
-    with np.errstate(divide="ignore", invalid="ignore"):  # L is singular at r = 0
-        assert _volume(EVEN, domain, 0.0, 0.0)[0][0] == pytest.approx([-1.0], abs=1e-15)
     # a scalar x broadcasts against an array y
     values = _volume(EVEN, domain, 0.0, np.array([0.1, 0.2]))[0][0]
     np.testing.assert_allclose(values, [-0.9, -0.8], atol=1e-15)
 
 
 def test_eval_odd_member(domain):
-    assert _volume(ODD, domain, -0.5, 0.5)[0][0] == pytest.approx([ODD11_AT_HALF], abs=1e-10)
+    R, A = family_factors(ODD, domain, [np.sqrt(0.5)], [np.pi / 4])
+    assert R[0] * A[0] == pytest.approx([ODD11_AT_HALF], abs=1e-10)
 
 
 def test_all_members_vanish_on_arc(domain):
     theta = np.linspace(-np.pi / 2, np.pi / 2, 1000)
-    r, phi = cartesian_to_polar(domain, -np.sin(theta), np.cos(theta))
     for spec in (BasisSpec(parity=Parity.EVEN), BasisSpec(parity=Parity.ODD)):
-        V, _ = volume_tables(spec, domain, r, phi)
+        V, _ = _volume(spec, domain, -np.sin(theta), np.cos(theta))
         assert V.shape == (spec.size, theta.size)
         assert np.max(np.abs(V)) <= 1e-13
 
 
 def test_even_members_at_origin(domain):
-    eps = 1e-9
-    with np.errstate(divide="ignore", invalid="ignore"):  # L is singular at r = 0
-        V0, _ = _volume(EVEN, domain, 0.0, 0.0)
-    assert V0[0] == pytest.approx([-1.0])
-    V, _ = _volume(EVEN, domain, 0.0, eps)
-    assert np.max(np.abs(V[1:])) < 1e-8
+    R, _ = family_factors(EVEN, domain, [0.0, 1e-9], [0.0, 0.0])
+    assert R[0] == pytest.approx([-1.0, -1.0 + 1e-9])
+    assert np.all(R[1:, 0] == 0.0)
+    assert np.max(np.abs(R[1:, 1])) < 1e-8
 
 
 def test_laplacian_of_linear_member(domain):
@@ -157,18 +177,15 @@ def test_normal_trace_origin_limit(domain):
     assert interface_tables(ODD, domain, [0.0])[1][0, 0] == 0.0
 
 
-def test_green_identity(domain):
+def test_green_identity(context_for):
     # <u|Lap v> - <Lap u|v> = (u|grad_perp v) - (grad_perp u|v): grad_perp is
     # the outward normal derivative of the semicircle on the interface, and
     # the arc contributions vanish
-    vol = semicircle_rule(domain, 64, 64)
-    surf = interface_rule(domain, 128)
-    for spec in (BasisSpec(parity=Parity.EVEN, n_max=5, m_max=5),
-                 BasisSpec(parity=Parity.ODD, n_max=5, m_max=5)):
-        V, L, T, D = basis_tables(spec, domain, vol, surf)
-        K = (V * vol.weights) @ L.T
-        C = (T * surf.weights) @ D.T  # (phi_mu | grad_perp phi_nu)
-        assert np.max(np.abs((K - K.T) - (C - C.T))) < 1e-8
+    for parity in Parity:
+        ctx = context_for(parity, 5)
+        S = ctx.stiffness
+        C = (ctx.traces * ctx.surface_rule.weights) @ ctx.dtraces.T  # (phi_mu | grad_perp phi_nu)
+        assert np.max(np.abs((S - S.T) - (C - C.T))) < 1e-8
 
 
 def _closed_forms(spec, domain, r, phi, xs):
@@ -197,18 +214,23 @@ def _closed_forms(spec, domain, r, phi, xs):
 
 
 def test_tables_match_pointwise_evaluation(domain):
-    vol = semicircle_rule(domain, 8, 8)
+    # G and S against a brute-force sum over the nodes of the 2-D tensor
+    # rule, of the closed forms evaluated member by member
+    radial, angular = semicircle_rule(domain, 8, 8)
     surf = interface_rule(domain, 8)
+    r, phi = (grid.ravel() for grid in np.meshgrid(radial.nodes, angular.nodes, indexing="ij"))
+    w = np.outer(radial.weights, angular.weights).ravel()
     specs = (EVEN, ODD,
              BasisSpec(parity=Parity.EVEN, alpha=0.9, beta=1.7, n_max=3, m_max=4),
              BasisSpec(parity=Parity.ODD, alpha=0.9, beta=1.7, n_max=4, m_max=2))
     for spec in specs:
-        tables = basis_tables(spec, domain, vol, surf)
-        want = _closed_forms(spec, domain, vol.r, vol.phi, surf.nodes)
-        for got, ref in zip(tables, want):
+        G, S, T, D = basis_tables(spec, domain, (radial, angular), surf)
+        V, L, T_ref, D_ref = _closed_forms(spec, domain, r, phi, surf.nodes)
+        G_ref, S_ref = (V * w) @ V.T, (V * w) @ L.T
+        for got, ref in ((G, G_ref), (S, S_ref), (T, T_ref), (D, D_ref)):
             assert got.shape == ref.shape
-        V, L, T, D = tables
-        assert V == pytest.approx(want[0], abs=1e-14)
-        assert L == pytest.approx(want[1], rel=1e-12, abs=1e-13)
-        assert T == pytest.approx(want[2], abs=1e-14)
-        assert D == pytest.approx(want[3], abs=1e-14)
+        assert np.max(np.abs(G - G_ref)) < 1e-14 * np.max(np.abs(G_ref))
+        assert np.max(np.abs(S - S_ref)) < 1e-14 * np.max(np.abs(S_ref))
+        assert np.array_equal(G, G.T)
+        assert T == pytest.approx(T_ref, abs=1e-14)
+        assert D == pytest.approx(D_ref, abs=1e-14)

@@ -47,28 +47,34 @@ def test_gauss_legendre_bad_interval():
         gauss_legendre(4, 1.0, 1.0)
 
 
+def _semicircle_integral(domain, n, f):
+    """Integral of f(x, y) over the semicircle by the tensor product of the two factors."""
+    radial, angular = semicircle_rule(domain, n, n)
+    r, phi = np.meshgrid(radial.nodes, angular.nodes, indexing="ij")
+    weights = np.outer(radial.weights, angular.weights)
+    return float(np.sum(weights * f(-r * np.sin(phi), r * np.cos(phi))))
+
+
 def test_semicircle_area(domain):
-    rule = semicircle_rule(domain, 16, 16)
-    assert rule.weights.sum() == pytest.approx(np.pi / 2.0, abs=1e-12)
+    radial, angular = semicircle_rule(domain, 16, 16)
+    assert radial.weights.sum() * angular.weights.sum() == pytest.approx(np.pi / 2.0, abs=1e-12)
+    assert _semicircle_integral(domain, 16, lambda x, y: np.ones_like(x)) == pytest.approx(
+        np.pi / 2.0, abs=1e-12)
 
 
 def test_semicircle_odd_moment(domain):
-    rule = semicircle_rule(domain, 16, 16)
-    assert rule.integrate(rule.points[:, 0]) == pytest.approx(0.0, abs=1e-13)
+    assert _semicircle_integral(domain, 16, lambda x, y: x) == pytest.approx(0.0, abs=1e-13)
 
 
 def test_semicircle_y_moment(domain):
     # int y over the semicircle = int r^2 dr int cos(phi) dphi = (a^3/3) * 2
-    rule = semicircle_rule(domain, 16, 16)
-    assert rule.integrate(rule.points[:, 1]) == pytest.approx(2.0 / 3.0, abs=1e-12)
+    assert _semicircle_integral(domain, 16, lambda x, y: y) == pytest.approx(2.0 / 3.0, abs=1e-12)
 
 
 def test_semicircle_rule_convergence(domain):
-    f = lambda p: np.exp(p[:, 0] + p[:, 1])
-    r1 = semicircle_rule(domain, 32, 32)
-    r2 = semicircle_rule(domain, 48, 48)
-    v1 = r1.integrate(f(r1.points))
-    v2 = r2.integrate(f(r2.points))
+    f = lambda x, y: np.exp(x + y)
+    v1 = _semicircle_integral(domain, 32, f)
+    v2 = _semicircle_integral(domain, 48, f)
     assert abs(v1 - v2) / abs(v2) < 1e-12
 
 
@@ -95,8 +101,11 @@ def test_interface_nodes_inside_and_increasing(domain):
 
 
 def test_quadrature_nodes_classify_semicircle(domain):
-    rule = semicircle_rule(domain, 64, 64)
-    x, y = rule.points[:, 0], rule.points[:, 1]
+    radial, angular = semicircle_rule(domain, 64, 64)
+    assert np.all((radial.nodes > 0) & (radial.nodes < domain.a))
+    assert np.all(np.abs(angular.nodes) < np.pi / 2)
+    r, phi = np.meshgrid(radial.nodes, angular.nodes, indexing="ij")
+    x, y = -r * np.sin(phi), r * np.cos(phi)
     assert np.all(x * x + y * y < domain.a**2)
     assert np.all(y > 0)
 
