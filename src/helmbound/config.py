@@ -34,7 +34,9 @@ ORACLE_SHAPES = ("composite", "bounding_rectangle")
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Finite-difference oracle: coarse step h, modes kept, domain shape."""
+    """Finite-difference oracle: coarse step h, modes kept, domain shape.
+
+    ``compare`` reads only h; num_modes and shape set the ``oracle`` command."""
 
     h: float = 1.0 / 64.0
     num_modes: int = 8

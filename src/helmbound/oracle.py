@@ -8,6 +8,13 @@ eigenvalue errors are O(h^2), and Richardson extrapolation from the
 spacings (h, h/2) cancels the leading term.  On a grid-aligned wall the
 stencil is the plain 5-point one.
 
+The grid is mirror-symmetric in x, so A = -Lap_h commutes with x -> -x.
+E_p copies a half-grid vector (x >= 0 even, x > 0 odd) to the mirror nodes
+with sign +1 (even) or -1 (odd); A E_p is again of parity p, so
+A E_p = E_p B_p with B_p = (A E_p) on the half rows, and each eigenvector v
+of B_p gives the exactly even or odd mode E_p v.  A's spectrum is the union
+of the two blocks', and each block is solved for num_modes of its parity.
+
 Deliberately unrelated to the embedding pipeline: different discretization,
 different eigensolver (sparse shift-invert Arnoldi), no shared code paths.
 """
@@ -142,77 +149,79 @@ def _laplacian(shape, problem: FdmProblem) -> sp.csr_matrix:
     )
 
 
-def fdm_eigen(shape, h: float, num_modes: int):
-    """Smallest num_modes eigenpairs of -Lap_h; returns (problem, [(k, field), ...]).
+def _extension(problem: FdmProblem, parity: str):
+    """Mirror extension E (full grid x half grid) of one parity, and the half's rows.
 
-    Fields come back on the full grid (zeros outside the mask), ascending
-    in k, scaled so their largest-magnitude entry is positive.
-    Deterministic: the Arnoldi start vector is fixed.  Raises
-    IterationStalled when ARPACK does not converge or returns eigenvalues
-    that are not real.
+    Column q of E is 1 at half node q and the parity's sign at its mirror.
     """
-    problem = build_fdm_problem(shape, h)
-    A = _laplacian(shape, problem)
-    # The sparsity pattern is symmetric: ordering on A + A^T roughly halves the
+    ii, jj = np.nonzero(problem.mask)
+    index = np.zeros(problem.mask.shape, dtype=np.int64)
+    index[ii, jj] = np.arange(ii.size)
+    centre = problem.mask.shape[0] // 2
+    rows = np.flatnonzero(ii >= centre if parity == "even" else ii > centre)
+    off = np.flatnonzero(ii[rows] > centre)  # half nodes whose mirror is another node
+    mirror = index[-1 - ii[rows[off]], jj[rows[off]]]  # grid column -1 - i mirrors column i
+    vals = np.r_[np.ones(rows.size), np.full(off.size, 1.0 if parity == "even" else -1.0)]
+    cols = np.r_[np.arange(rows.size), off]
+    return sp.csc_matrix((vals, (np.r_[rows, mirror], cols)), shape=(ii.size, rows.size)), rows
+
+
+def _block_modes(problem: FdmProblem, A: sp.csr_matrix, parity: str, num_modes: int):
+    """The num_modes lowest (k, parity, field) of one parity's block B = (A E)[rows].
+
+    Its LU is freed on return, before the next block is factored."""
+    E, rows = _extension(problem, parity)
+    B = (A[rows] @ E).tocsc()
+    # The sparsity pattern is symmetric: ordering on B + B^T roughly halves the
     # LU fill of eigs' default (COLAMD), and with it the shift-invert solves.
-    lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
-    inverse = spla.LinearOperator(A.shape, matvec=lu.solve, dtype=float)
-    v0 = np.ones(A.shape[0])
+    lu = spla.splu(B, permc_spec="MMD_AT_PLUS_A")
+    inverse = spla.LinearOperator(B.shape, matvec=lu.solve, dtype=float)
+    v0 = np.ones(B.shape[0])
     try:
-        lam, vecs = spla.eigs(A, k=num_modes, sigma=0.0, which="LM", v0=v0, OPinv=inverse)
+        lam, vecs = spla.eigs(B, k=num_modes, sigma=0.0, which="LM", v0=v0, OPinv=inverse)
     except spla.ArpackNoConvergence as exc:
         raise IterationStalled(f"eigensolve stalled: {exc}") from exc
     if np.max(np.abs(lam.imag)) > IMAG_TOL * np.max(np.abs(lam)):
         raise IterationStalled(f"eigensolve returned complex eigenvalues {lam}")
-    out = []
+    modes = []
     for j in np.argsort(lam.real):
         vec = vecs[:, j]
         peak = vec[np.argmax(np.abs(vec))]
         field = np.zeros(problem.mask.shape)
-        field[problem.mask] = (vec * (abs(peak) / peak)).real  # peak onto the positive axis
-        out.append((float(np.sqrt(lam[j].real)), field))
-    return problem, out
+        field[problem.mask] = E @ (vec * (abs(peak) / peak)).real  # peak onto the positive axis
+        modes.append((float(np.sqrt(lam[j].real)), parity, field))
+    return modes
 
 
-def field_parity(problem: FdmProblem, field: np.ndarray) -> str:
-    """Classify a grid field as even/odd in x (the grid is x-symmetric)."""
-    mirrored = field[::-1, :]
-    scale = np.linalg.norm(field)
-    if scale == 0:
-        return "none"
-    even_err = np.linalg.norm(field - mirrored) / scale
-    odd_err = np.linalg.norm(field + mirrored) / scale
-    if even_err < 0.1 and even_err < odd_err:
-        return "even"
-    if odd_err < 0.1:
-        return "odd"
-    return "none"
+def fdm_eigen(shape, h: float, num_modes: int):
+    """num_modes smallest eigenpairs of -Lap_h per parity; returns (problem, modes).
+
+    modes is [(k, parity, field), ...], ascending in k.  Fields come back on
+    the full grid (zeros outside the mask), exactly even or odd in x, with
+    their largest-magnitude half-grid entry positive.  Deterministic: the
+    Arnoldi start vector is fixed.  Raises IterationStalled when ARPACK does
+    not converge or returns eigenvalues that are not real.
+    """
+    problem = build_fdm_problem(shape, h)
+    A = _laplacian(shape, problem)
+    modes = _block_modes(problem, A, "even", num_modes) + _block_modes(problem, A, "odd", num_modes)
+    return problem, sorted(modes, key=lambda mode: mode[0])
 
 
 def richardson_eigen(shape, h: float, num_modes: int):
-    """Eigenvalues from spacings (h, h/2) combined by Richardson.
+    """Eigenvalues from spacings (h, h/2) combined by Richardson, num_modes per parity.
 
-    The scheme is O(h^2), so lam = (4 lam_{h/2} - lam_h) / 3.  Both grids
-    are classified by parity and modes pair by (parity, rank): the r-th
-    mode of a parity on the coarse grid meets the r-th of that parity on
-    the fine grid, so a near-degenerate pair that swaps order between the
-    grids is never mixed.  A mode without a partner is dropped.  Returns a
-    list of (k_extrapolated, parity), ascending in k, plus the matching raw
+    The scheme is O(h^2), so lam = (4 lam_{h/2} - lam_h) / 3.  Modes pair
+    by (parity, rank): the r-th mode of a parity on the coarse grid meets
+    the r-th of that parity on the fine grid, so a near-degenerate pair that
+    swaps order between the grids is never mixed.  Returns a list of
+    (k_extrapolated, parity), ascending in k, plus the matching raw
     (k_h, k_{h/2}) list.
     """
-    problem_c, coarse = fdm_eigen(shape, h, num_modes)
-    problem_f, fine = fdm_eigen(shape, h / 2.0, num_modes)
-    coarse_k = {}
-    for k1, field1 in coarse:
-        coarse_k.setdefault(field_parity(problem_c, field1), []).append(k1)
-    rank = {}
+    coarse, fine = (fdm_eigen(shape, grid_h, num_modes)[1] for grid_h in (h, h / 2.0))
     paired = []
-    for k2, field2 in fine:
-        parity = field_parity(problem_f, field2)
-        r = rank[parity] = rank.get(parity, -1) + 1
-        if r < len(coarse_k.get(parity, ())):
-            k1 = coarse_k[parity][r]
-            lam = (4.0 * k2 * k2 - k1 * k1) / 3.0
-            paired.append((float(np.sqrt(lam)), parity, k1, k2))
+    for parity in ("even", "odd"):
+        ks = [[k for k, p, _ in modes if p == parity] for modes in (coarse, fine)]
+        paired += [(float(np.sqrt((4.0 * k2 * k2 - k1 * k1) / 3.0)), parity, k1, k2) for k1, k2 in zip(*ks)]
     paired.sort()
     return [(k, parity) for k, parity, _, _ in paired], [(k1, k2) for _, _, k1, k2 in paired]

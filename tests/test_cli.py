@@ -212,6 +212,22 @@ def test_oracle_rectangle_seeds(tmp_path):
     assert ks == pytest.approx([2.0116, 2.9638, 3.3836, 4.0232], abs=2e-3)
 
 
+ORACLE_H32 = [(2.061071069, "even"), (3.073016073, "even"), (3.450613551, "odd"),
+              (4.212011377, "even"), (4.218863438, "odd"), (4.942691245, "even"),
+              (5.195166735, "odd"), (5.361694131, "even")]
+
+
+@pytest.mark.parametrize("num_modes", [8, 3])
+def test_oracle_lists_lowest_modes(tmp_path, num_modes):
+    # num_modes per parity are solved; the num_modes lowest overall are written
+    cfg_path = _write_config(tmp_path, oracle={"h": 1.0 / 32.0, "num_modes": num_modes})
+    assert main(["--config", str(cfg_path), "oracle"]) == 0
+    doc = json.loads((tmp_path / "out" / "oracle.json").read_text())
+    assert [mode["parity"] for mode in doc["modes"]] == [p for _, p in ORACLE_H32[:num_modes]]
+    ks = [mode["k"] for mode in doc["modes"]]
+    assert ks == pytest.approx([k for k, _ in ORACLE_H32[:num_modes]], abs=1e-9)
+
+
 def test_compare_all_pass(tmp_path):
     cfg_path = _write_config(tmp_path, oracle={"h": 1.0 / 64.0, "num_modes": 8})
     assert main(["--config", str(cfg_path), "compare"]) == 0
@@ -252,13 +268,13 @@ def test_field_shares_one_context_per_parity(tmp_path, monkeypatch):
 
 
 def test_compare_failed_check_exit(tmp_path):
-    # two oracle modes on a 5x5 basis leave some labels without an FD value
-    cfg_path = _write_config(tmp_path, basis={"parity": "even", "n_max": 5, "m_max": 5},
-                             oracle={"h": 1.0 / 32.0, "num_modes": 2})
+    # a 3x3 basis misses ORACLE_TOL on every label (1.45e-3 to 4.6e-3 at h = 1/32)
+    cfg_path = _write_config(tmp_path, basis={"parity": "even", "n_max": 3, "m_max": 3},
+                             oracle={"h": 1.0 / 32.0})
     assert main(["--config", str(cfg_path), "compare"]) == 4
     doc = json.loads((tmp_path / "out" / "compare.json").read_text())
     assert doc["all_pass"] is False
-    assert any(entry["k_fdm"] is None for entry in doc["modes"])
+    assert not any(entry["pass_oracle"] for entry in doc["modes"])
 
 
 def test_compare_not_converged_exit(tmp_path):

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from helmbound import Rectangle, fdm_eigen, make_domain, oracle, richardson_eigen
 from helmbound.errors import GridTooCoarse, IterationStalled
-from helmbound.oracle import _laplacian, build_fdm_problem, field_parity
+from helmbound.oracle import _extension, _laplacian, build_fdm_problem
 
 RECT_SEEDS = [2.0116, 2.9638, 3.3836, 4.0232]  # 2 x 2.5 rectangle, 4 lowest
 LABELS = ("even,1", "even,2", "odd,1", "odd,2")
@@ -44,7 +45,7 @@ def test_rectangle_seed_values():
 
 def test_rectangle_parities():
     results, _ = richardson_eigen(Rectangle(2.0, 2.5), 1.0 / 64.0, 4)
-    assert [parity for _, parity in results] == ["even", "even", "odd", "odd"]
+    assert [parity for _, parity in results[:4]] == ["even", "even", "odd", "odd"]
 
 
 def test_composite_fundamental(domain):
@@ -56,10 +57,9 @@ def test_composite_fundamental(domain):
 
 def test_composite_parity_classes(domain):
     _, modes = fdm_eigen(domain, 1.0 / 64.0, 5)
-    problem = build_fdm_problem(domain, 1.0 / 64.0)
-    parities = [field_parity(problem, field) for _, field in modes]
+    parities = [parity for _, parity, _ in modes]
     assert parities[:3] == ["even", "even", "odd"]
-    assert set(parities[3:]) == {"even", "odd"}  # near-degenerate pair
+    assert set(parities[3:5]) == {"even", "odd"}  # near-degenerate pair
 
 
 def test_grid_checks(domain):
@@ -111,12 +111,12 @@ def test_cut_cell_stencil_exact_for_quadratics():
 def test_composite_observed_order(domain):
     # second order on the arc: errors at h = 1/16, 1/32, 1/64 against the
     # (1/64, 1/128) Richardson value fall by four per halving
-    results, raw = richardson_eigen(domain, 1.0 / 64.0, 8)
+    results, raw = richardson_eigen(domain, 1.0 / 64.0, 2)
     ref = _labels(results)
     ladder = []
     for h in (1.0 / 16.0, 1.0 / 32.0):
-        problem, modes = fdm_eigen(domain, h, 8)
-        ladder.append(_labels((k, field_parity(problem, field)) for k, field in modes))
+        _, modes = fdm_eigen(domain, h, 2)
+        ladder.append(_labels((k, parity) for k, parity, _ in modes))
     ladder.append(_labels((k1, parity) for (_, parity), (k1, _) in zip(results, raw)))
     for label in LABELS:
         errors = [abs(ks[label] - ref[label]) for ks in ladder]
@@ -127,8 +127,8 @@ def test_composite_observed_order(domain):
 def test_non_tiling_depth_matches_finer_pair():
     # h = 1/64 does not tile 1 + b = 2.5078125; the grid hangs from y = 0 instead
     dom = make_domain(1.0, 1.5078125)
-    coarse = _labels(richardson_eigen(dom, 1.0 / 64.0, 6)[0])
-    fine = _labels(richardson_eigen(dom, 1.0 / 128.0, 6)[0])
+    coarse = _labels(richardson_eigen(dom, 1.0 / 64.0, 2)[0])
+    fine = _labels(richardson_eigen(dom, 1.0 / 128.0, 2)[0])
     for label in LABELS:
         assert abs(coarse[label] - fine[label]) < 1e-5, (label, coarse[label], fine[label])
 
@@ -148,6 +148,47 @@ def test_richardson_pairs_by_parity_and_rank(domain, monkeypatch):
 
     monkeypatch.setattr(oracle, "fdm_eigen", coarse_swapped)
     assert richardson_eigen(domain, 1.0 / 32.0, 6) == plain
+
+
+@pytest.mark.parametrize(
+    "shape, h",
+    [
+        (make_domain(1.0, 1.5078125), 0.03),
+        (Rectangle(0.9, 0.7), 1.0 / 16.0),  # walls off the grid lines
+    ],
+)
+def test_mirror_blocks_are_exact(shape, h):
+    # A E_p = E_p B_p: each block carries its parity's part of the spectrum
+    problem = build_fdm_problem(shape, h)
+    A = _laplacian(shape, problem)
+    sizes = 0
+    for parity in ("even", "odd"):
+        E, rows = _extension(problem, parity)
+        B = A[rows] @ E
+        assert abs(A @ E - E @ B).max() <= 1e-12 * abs(A).max(), parity
+        sizes += rows.size
+    assert sizes == problem.n_unknowns
+
+
+def test_blocks_reproduce_full_spectrum(domain):
+    h = 1.0 / 32.0
+    _, modes = fdm_eigen(domain, h, 8)
+    problem = build_fdm_problem(domain, h)
+    A = _laplacian(domain, problem).tocsc()
+    lam = spla.eigs(A, k=8, sigma=0.0, which="LM", v0=np.ones(A.shape[0]))[0]
+    full = np.sort(np.sqrt(lam.real))
+    blocks = np.array([k for k, _, _ in modes[:8]])
+    assert np.max(np.abs(blocks - full) / full) < 1e-10
+
+
+def test_fields_are_exactly_even_or_odd(domain):
+    problem, modes = fdm_eigen(domain, 1.0 / 32.0, 4)
+    centre = problem.xs.size // 2
+    for _, parity, field in modes:
+        sign = 1.0 if parity == "even" else -1.0
+        assert np.array_equal(field[::-1, :], sign * field), parity
+        if parity == "odd":
+            assert not field[centre, :].any()
 
 
 def test_complex_spectrum_stalls(monkeypatch):
@@ -179,8 +220,8 @@ def test_mask_matches_domain(domain):
 def test_deterministic(domain):
     _, m1 = fdm_eigen(domain, 1.0 / 32.0, 3)
     _, m2 = fdm_eigen(domain, 1.0 / 32.0, 3)
-    for (k1, f1), (k2, f2) in zip(m1, m2):
-        assert k1 == k2
+    for (k1, p1, f1), (k2, p2, f2) in zip(m1, m2):
+        assert k1 == k2 and p1 == p2
         assert np.array_equal(f1, f2)
 
 
