@@ -4,8 +4,8 @@ Both methods reduce the membrane eigenproblem to one generalized matrix
 pencil (Lambda, Delta) over the semicircle trial family, at a fixed
 operator parameter kappa.  They share one variational principle and differ
 only in the interface operator: DtN uses the Dirichlet-to-Neumann map B,
-NtD its reciprocal R = B^-1.  With S = <phi_m|Lap phi_n> (``stiffness``),
-G = <phi_m|phi_n> (``gram``) and C = (phi_m|grad_perp phi_n) (the cross
+NtD its reciprocal R = B^-1.  With S = <phi_m|Lap phi_n>,
+G = <phi_m|phi_n> and C = (phi_m|grad_perp phi_n) (the cross
 term), and ' denoting d/dkappa, the pencil is
 
     Lambda = -S + X + W^T sigma W - (kappa/2) W^T sigma' W
@@ -33,15 +33,14 @@ augmented Gram A = G + T w T^T + D w D^T bounds Delta up to a kappa-dependent
 constant, so a direction that is null for A is null for both methods'
 metrics.  The context keeps the orthonormal eigenvectors Y of A (M x r,
 ``coords``) whose eigenvalue exceeds COMPRESS_FLOOR times the largest, and
-stores S, G, C, P and Q in Y coordinates only; in family coordinates P and
-Q are the weighted Steklov traces applied to T and D, which it holds.
+every other table in Y coordinates only: S, G, C, P, Q, Y^T T and Y^T D.
 ``assemble`` returns the pencil Y^T (Lambda, Delta) Y at kappa, so the
 fixed-point iteration only refreshes the diagonal symbols and two
-N x r x r products, and the solver works on r x r matrices.  Since
-Y is orthonormal, the reduced pencil is the family pencil restricted to the
-kept subspace, with its scale and rounding level; the family vector of a
-reduced vector a is gamma1 = Y a.  Everything downstream of the solve
-(gamma2, sampling, the functional) reads the family tables.
+N x r x r products, and the solver works on r x r matrices.  Since Y is
+orthonormal, the reduced pencil is the family pencil restricted to the kept
+subspace, with its scale and rounding level.  Downstream of the solve,
+gamma2, the functional and the interface jumps read the reduced vector a;
+only field sampling maps it to the family vector gamma1 = Y a.
 
 All arithmetic is real; complex enters only through the mixing parameter of
 the discontinuous functional.
@@ -107,9 +106,11 @@ class MatrixPair:
 
 @dataclass(frozen=True)
 class TrialPair:
-    """Trial function: gamma1 over the semicircle family, gamma2 over Steklov modes."""
+    """Trial function: gamma1 = Y a over the semicircle family, gamma2 over Steklov modes.
 
-    gamma1: np.ndarray
+    A family vector g1 enters as a = Y^T g1, exact only for g1 in span(Y)."""
+
+    a: np.ndarray
     gamma2: np.ndarray
     kappa: float
 
@@ -118,11 +119,10 @@ class TrialPair:
 class AssemblyContext:
     """kappa-independent tables for one (spec, domain, quadrature, N).
 
-    The family tables (one row or column per member) serve the functional,
-    gamma2 and sampling; gamma2 projects the trace tables onto
-    ``steklov_traces`` itself, so the family projections P and Q are not
-    kept.  ``assemble`` reads only the compressed basis ``coords`` and the
-    ``red_*`` tables in its coordinates.
+    Every table is in the coordinates of the compressed basis Y
+    (``coords``): a family vector g1 enters as a = Y^T g1, which is exact
+    only for g1 in span(Y).  r is the compressed dimension, N the number of
+    Steklov modes and Ks the number of interface nodes.
     """
 
     spec: BasisSpec
@@ -130,17 +130,15 @@ class AssemblyContext:
     quad: QuadratureConfig
     n_modes: int
     surface_rule: QuadratureRule1D
-    stiffness: np.ndarray = field(repr=False)  # <phi_m | Lap phi_n>
-    gram: np.ndarray = field(repr=False)  # <phi_m | phi_n>
-    traces: np.ndarray = field(repr=False)  # (M, Ks) values on the interface
-    dtraces: np.ndarray = field(repr=False)  # (M, Ks) normal derivatives
-    steklov_traces: np.ndarray = field(repr=False)  # (N, Ks)
+    steklov_traces: np.ndarray = field(repr=False)  # (N, Ks) psi_n at the interface nodes
     coords: np.ndarray = field(repr=False)  # Y (M, r), orthonormal eigenvectors of A
-    red_stiffness: np.ndarray = field(repr=False)  # Y^T S Y
-    red_gram: np.ndarray = field(repr=False)  # Y^T G Y
-    red_cross: np.ndarray = field(repr=False)  # Y^T C Y
-    red_proj_values: np.ndarray = field(repr=False)  # P Y = (psi w T^T) Y
-    red_proj_derivs: np.ndarray = field(repr=False)  # Q Y = (psi w D^T) Y
+    stiffness: np.ndarray = field(repr=False)  # (r, r) Y^T S Y, S = <phi_m | Lap phi_n>
+    gram: np.ndarray = field(repr=False)  # (r, r) Y^T G Y, G = <phi_m | phi_n>
+    cross: np.ndarray = field(repr=False)  # (r, r) Y^T C Y
+    traces: np.ndarray = field(repr=False)  # (r, Ks) Y^T T, values on the interface
+    dtraces: np.ndarray = field(repr=False)  # (r, Ks) Y^T D, normal derivatives
+    proj_values: np.ndarray = field(repr=False)  # (N, r) P Y = (psi w T^T) Y
+    proj_derivs: np.ndarray = field(repr=False)  # (N, r) Q Y = (psi w D^T) Y
 
 
 def build_context(
@@ -165,19 +163,17 @@ def build_context(
         quad=quad,
         n_modes=n_modes,
         surface_rule=surf,
-        stiffness=stiffness,
-        gram=gram,
-        traces=T,
-        dtraces=D,
         steklov_traces=psi,
         coords=Y,
-        red_stiffness=Y.T @ stiffness @ Y,
-        red_gram=Y.T @ gram @ Y,
-        red_cross=(Y.T @ Tw) @ (D.T @ Y),
+        stiffness=Y.T @ stiffness @ Y,
+        gram=Y.T @ gram @ Y,
+        cross=(Y.T @ Tw) @ (D.T @ Y),
+        traces=Y.T @ T,
+        dtraces=Y.T @ D,
         # (psi w T^T) Y, not (psi w)(Y^T T)^T: the latter rounds differently
         # and moves the NtD k at 15x15 by up to 2e-10
-        red_proj_values=(psi * ws) @ T.T @ Y,
-        red_proj_derivs=(psi * ws) @ D.T @ Y,
+        proj_values=(psi * ws) @ T.T @ Y,
+        proj_derivs=(psi * ws) @ D.T @ Y,
     )
 
 
@@ -191,7 +187,7 @@ def _defect(A: np.ndarray) -> float:
 def assemble(method: Method, kappa: float, context: AssemblyContext) -> MatrixPair:
     """Matrix pair of either method at kappa, in the context's coordinates Y.
 
-    Reads only the r x r and N x r ``red_*`` tables of the context.
+    Reads only the r x r and N x r tables of the context.
 
     Raises NearDirichletResonance on a pole of some b_n, and for NtD
     NearNeumannResonance if some b_n ~ 0.
@@ -199,14 +195,14 @@ def assemble(method: Method, kappa: float, context: AssemblyContext) -> MatrixPa
     bn, dbn = steklov_table(kappa, context.n_modes, context.domain)
     # the method's (W, sigma, sigma', X); see the module docstring
     if method is Method.DTN:
-        W, sigma, dsigma, X = context.red_proj_values, -bn, -dbn, context.red_cross
+        W, sigma, dsigma, X = context.proj_values, -bn, -dbn, context.cross
     else:
         _guard_neumann(bn, kappa)
-        W, sigma, dsigma, X = context.red_proj_derivs, 1.0 / bn, -dbn / bn**2, -context.red_cross.T
-    lam = -context.red_stiffness + X + W.T @ (sigma[:, None] * W)
+        W, sigma, dsigma, X = context.proj_derivs, 1.0 / bn, -dbn / bn**2, -context.cross.T
+    lam = -context.stiffness + X + W.T @ (sigma[:, None] * W)
     dop = W.T @ (dsigma[:, None] * W)
     lam -= 0.5 * kappa * dop
-    delta = context.red_gram - dop / (2.0 * kappa)
+    delta = context.gram - dop / (2.0 * kappa)
     lambda_defect, delta_defect = _defect(lam), _defect(delta)
     return MatrixPair(
         lam=0.5 * (lam + lam.T),
@@ -218,7 +214,7 @@ def assemble(method: Method, kappa: float, context: AssemblyContext) -> MatrixPa
 
 def _surface_fields(ctx: AssemblyContext, trial: TrialPair):
     """Values/normal derivatives of both trial parts at the interface nodes."""
-    g1 = np.asarray(trial.gamma1, dtype=float)
+    a = np.asarray(trial.a, dtype=float)
     g2 = np.asarray(trial.gamma2, dtype=float)
     n2 = g2.size
     if n2 > ctx.n_modes:
@@ -227,11 +223,11 @@ def _surface_fields(ctx: AssemblyContext, trial: TrialPair):
         )
     bn, dbn = steklov_table(trial.kappa, n2, ctx.domain) if n2 else (np.empty(0), np.empty(0))
     psi = ctx.steklov_traces[:n2]
-    v1 = g1 @ ctx.traces
-    d1 = g1 @ ctx.dtraces
+    v1 = a @ ctx.traces
+    d1 = a @ ctx.dtraces
     v2 = g2 @ psi
     d2 = (bn * g2) @ psi
-    return g1, g2, bn, dbn, v1, d1, v2, d2
+    return a, g2, bn, dbn, v1, d1, v2, d2
 
 
 def evaluate_discontinuous_functional(
@@ -242,21 +238,21 @@ def evaluate_discontinuous_functional(
     """General discontinuous functional at a complex mixing parameter.
 
     The two interface terms weight the value/derivative mismatches with the
-    mixing constant ``a`` and its reality partner 1 - a*; for real trial
+    mixing constant m and its reality partner 1 - m*; for real trial
     fields the imaginary part cancels identically, so any residual imag is
     floating-point noise.
 
-    Semicircle volume products come from the cached quadrature matrices,
-    rectangle ones from the closed identities for a Helmholtz solution:
+    Semicircle volume products come from the context's compressed stiffness
+    and Gram, read at the trial's reduced vector a; rectangle ones from the closed identities for a Helmholtz solution:
     <psi|psi> = sum c_n^2 b_n'/(2 kappa) and <psi|Lap psi> = -kappa^2 <psi|psi>.
     """
-    g1, g2, bn, dbn, v1, d1, v2, d2 = _surface_fields(context, trial)
-    if not (np.any(g1) or np.any(g2)):
+    a, g2, bn, dbn, v1, d1, v2, d2 = _surface_fields(context, trial)
+    if not (np.any(a) or np.any(g2)):
         raise ZeroTrial("both trial coefficient vectors vanish")
     kappa = trial.kappa
     norm2_ii = float(np.dot(g2 * g2, dbn)) / (2.0 * kappa)
-    lap = float(g1 @ context.stiffness @ g1) - kappa**2 * norm2_ii
-    norm2 = float(g1 @ context.gram @ g1) + norm2_ii
+    lap = float(a @ context.stiffness @ a) - kappa**2 * norm2_ii
+    norm2 = float(a @ context.gram @ a) + norm2_ii
     ws = context.surface_rule.weights
     vmm = v1 - v2
     dmm = d1 - d2
@@ -264,6 +260,6 @@ def evaluate_discontinuous_functional(
     G2 = float(np.dot(ws, d2 * vmm))
     H1 = float(np.dot(ws, v1 * dmm))
     H2 = float(np.dot(ws, v2 * dmm))
-    a = complex(mixing)
-    num = -lap - (np.conj(a) * G1 + (1.0 - np.conj(a)) * G2) + ((1.0 - a) * H1 + a * H2)
+    m = complex(mixing)
+    num = -lap - (np.conj(m) * G1 + (1.0 - np.conj(m)) * G2) + ((1.0 - m) * H1 + m * H2)
     return num / norm2

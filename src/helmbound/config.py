@@ -18,11 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import Method, QuadratureConfig
+from .assembly import DEFAULT_STEKLOV_MODES, Method, QuadratureConfig
 from .basis import BasisSpec, Parity
 from .errors import HelmboundError
 from .geometry import CompositeDomain
 from .reconstruct import GridSpec
+from .solver import DEFAULT_K_TOL, DEFAULT_MAX_ITER
 
 
 class ConfigError(HelmboundError):
@@ -48,11 +49,11 @@ class RunConfig:
     geometry: CompositeDomain = CompositeDomain(1.0, 1.5)
     basis: BasisSpec = BasisSpec(Parity.EVEN)
     method: Method = Method.DTN
-    steklov_truncation: int = 200
+    steklov_truncation: int = DEFAULT_STEKLOV_MODES
     quadrature: QuadratureConfig = QuadratureConfig()
     kappa0: float = 2.0116
-    tol: float = 5e-5
-    max_iter: int = 20
+    tol: float = DEFAULT_K_TOL
+    max_iter: int = DEFAULT_MAX_ITER
     grid: GridSpec = GridSpec()
     output_dir: str = "helmbound-out"
     oracle: OracleConfig = OracleConfig()

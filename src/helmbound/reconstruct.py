@@ -1,7 +1,8 @@
 """Full-domain eigenfunction reconstruction, sampling and export.
 
-A converged solve yields coefficients gamma1 over the semicircle family; the
-rectangle part is expanded over the Steklov modes with coefficients fixed by
+A converged solve yields a vector a in the context's compressed coordinates
+Y, and coefficients gamma1 = Y a over the semicircle family; the rectangle
+part is expanded over the Steklov modes with coefficients fixed by
 the method's matching rule:
 
     DtN:  c_n = (psi_n | trace of Psi_I)            (value matching)
@@ -20,7 +21,7 @@ import numpy as np
 from . import assembly as _assembly
 from .basis import BasisSpec, Parity, family_factors, member_index
 from .errors import IoFailure
-from .geometry import CompositeDomain, cartesian_to_polar
+from .geometry import INTERFACE_TOL, CompositeDomain, cartesian_to_polar
 from .steklov import _guard_neumann, steklov_profile, steklov_table, steklov_trace
 
 
@@ -34,7 +35,6 @@ class ModeEstimate:
     """
 
     k_estimate: float
-    method: "_assembly.Method"
     gamma1: np.ndarray
     gamma2: np.ndarray
     spec: BasisSpec
@@ -67,24 +67,23 @@ class FieldGrid:
 
 def gamma2_coefficients(
     method: "_assembly.Method",
-    gamma1: np.ndarray,
+    a: np.ndarray,
     kappa: float,
     context: "_assembly.AssemblyContext",
 ) -> np.ndarray:
     """Rectangle-side Steklov coefficients for a given semicircle solution.
 
-    Projects the trial's interface value (DtN) or normal derivative (NtD),
-    read from the context's trace tables, onto its n_modes Steklov traces
-    with the interface rule: c_n = (psi_n | Psi_I) for DtN and
-    (psi_n | grad_perp Psi_I) / b_n for NtD.
+    ``a`` holds the solution's coordinates in the context's compressed basis
+    Y.  The context's projections P Y and Q Y of the interface value and
+    normal derivative onto its n_modes Steklov traces give
+    c_n = (psi_n | Psi_I) for DtN and (psi_n | grad_perp Psi_I) / b_n for NtD.
     """
-    gamma1 = np.asarray(gamma1, dtype=float)
-    psi_w = context.steklov_traces * context.surface_rule.weights
+    a = np.asarray(a, dtype=float)
     if method is _assembly.Method.DTN:
-        return psi_w @ (gamma1 @ context.traces)
+        return context.proj_values @ a
     bn, _ = steklov_table(kappa, context.n_modes, context.domain)
     _guard_neumann(bn, kappa)
-    return (psi_w @ (gamma1 @ context.dtraces)) / bn
+    return (context.proj_derivs @ a) / bn
 
 
 # Semicircle points evaluated per block: bounds the (n_max + m_max) x CHUNK
@@ -113,9 +112,9 @@ def _semicircle_field(spec: BasisSpec, domain: CompositeDomain, gamma1, x, y):
 def sample_field(estimate: ModeEstimate, grid: GridSpec = GridSpec()) -> FieldGrid:
     """Sample normalized |Psi|^2 on a grid covering the estimate's [-a, a] x [-b, a].
 
-    Semicircle cells take |sum gamma1 phi|^2, rectangle cells
-    |sum c_n psi_n(k)|^2 at the estimate's k, interface cells the
-    semicircle-side trace, outside cells 0.  The semicircle sum runs over blocks of CHUNK points
+    Semicircle cells, the interface row (|y| <= INTERFACE_TOL) included,
+    take |sum gamma1 phi|^2, rectangle cells |sum c_n psi_n(k)|^2 at the
+    estimate's k, outside cells 0.  The semicircle sum runs over blocks of CHUNK points
     through the separable factors of ``family_factors``; the rectangle
     block is one product (X^T c) Y of the Steklov traces X (modes x columns)
     and the y-profiles Y (modes x rows), over the modes with c_n != 0.
@@ -127,13 +126,12 @@ def sample_field(estimate: ModeEstimate, grid: GridSpec = GridSpec()) -> FieldGr
     values = np.zeros((grid.nx, grid.ny))
 
     X, Y = np.meshgrid(xs, ys, indexing="ij")
-    semi = (Y > 0) & (X * X + Y * Y < a * a)
+    semi = (Y > -INTERFACE_TOL) & (X * X + Y * Y < a * a)
     if np.any(semi):
         field = _semicircle_field(estimate.spec, domain, estimate.gamma1, X[semi], Y[semi])
         values[semi] = field**2
 
-    rect_rows = ys < 0
-    inter_rows = np.abs(ys) <= 1e-12
+    rect_rows = ys < -INTERFACE_TOL
     y_rect = ys[rect_rows]
     in_x = np.abs(xs) < a
     if np.any(rect_rows):
@@ -142,12 +140,6 @@ def sample_field(estimate: ModeEstimate, grid: GridSpec = GridSpec()) -> FieldGr
         traces = steklov_trace(n[:, None], domain, xs[in_x][None, :])
         block = (traces.T * c[n - 1]) @ steklov_profile(estimate.k_estimate, n, domain, y_rect)
         values[np.ix_(in_x, rect_rows)] = block**2
-    if np.any(inter_rows):
-        trace = _semicircle_field(
-            estimate.spec, domain, estimate.gamma1, xs[in_x], np.zeros(in_x.sum())
-        )
-        for j in np.nonzero(inter_rows)[0]:
-            values[in_x, j] = trace**2
 
     dx = xs[1] - xs[0] if grid.nx > 1 else 2 * a
     dy = ys[1] - ys[0] if grid.ny > 1 else a + b
@@ -214,14 +206,15 @@ def interface_mismatch(
     """L2 norms of the value and normal-derivative jumps across the interface.
 
     Both sides are evaluated at the context's interface nodes from its trace
-    tables; the context must be built for the estimate's trial family and
-    domain, or ValueError is raised.
+    tables, at a = Y^T gamma1; the context must be built for the estimate's
+    trial family and domain, or ValueError is raised.
     DtN solutions have (by construction) only the Steklov-truncation tail in
     the value jump; NtD solutions the analogue in the derivative jump.
     """
     if (context.spec, context.domain) != (estimate.spec, estimate.domain):
         raise ValueError("context was built for another trial family or domain")
-    trial = _assembly.TrialPair(estimate.gamma1, estimate.gamma2, estimate.kappa)
+    a = context.coords.T @ estimate.gamma1
+    trial = _assembly.TrialPair(a, estimate.gamma2, estimate.kappa)
     *_, v1, d1, v2, d2 = _assembly._surface_fields(context, trial)
     ws = context.surface_rule.weights
     norm = np.sqrt(float(np.dot(ws, v1 * v1))) or 1.0

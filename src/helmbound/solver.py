@@ -2,7 +2,7 @@
 
 The solve runs on the pencil in the context's compressed coordinates
 (``assembly`` module docstring), so each iteration works on r x r
-matrices; the tracked vector a maps back to the family vector gamma1 = Y a.
+matrices; gamma2 reads the tracked vector a, sampling gamma1 = Y a.
 
 The compression drops only directions that are null for the whole family,
 not for the method's metric: the reduced Delta keeps the spread of the full
@@ -160,12 +160,10 @@ def iterate_mode(
     if not trace.converged:
         raise NotConverged(trace)
     kappa_final, f_final, vec = result
-    gamma1 = ctx.coords @ vec
-    gamma2 = gamma2_coefficients(method, gamma1, kappa_final, ctx)
+    gamma2 = gamma2_coefficients(method, vec, kappa_final, ctx)
     estimate = ModeEstimate(
         k_estimate=float(np.sqrt(f_final)),
-        method=method,
-        gamma1=gamma1,
+        gamma1=ctx.coords @ vec,
         gamma2=gamma2,
         spec=ctx.spec,
         domain=ctx.domain,

@@ -7,10 +7,14 @@ from helmbound import (
     Parity,
     QuadratureConfig,
     build_context,
+    interface_rule,
     iterate_mode,
     make_domain,
     mode_seeds,
+    semicircle_rule,
+    steklov_trace,
 )
+from helmbound.basis import basis_tables
 
 A, B = 1.0, 1.5
 
@@ -38,6 +42,50 @@ def context_for(domain, quad):
         return cache[key]
 
     return get
+
+
+@pytest.fixture(scope="session")
+def family_tables():
+    """Factory for the family-coordinate tables (G, S, T, D, psi, w) of a context.
+
+    An independent reference for the context's compressed tables, built from
+    its spec, domain, quadrature and Steklov truncation: G = <phi_m|phi_n>,
+    S = <phi_m|Lap phi_n> (M x M), the interface values T and normal
+    derivatives D (M x Ks), the Steklov traces psi (N x Ks) and the interface
+    weights w.
+    """
+    cache = {}
+
+    def get(ctx):
+        key = (ctx.spec, ctx.domain, ctx.quad, ctx.n_modes)
+        if key not in cache:
+            quad = ctx.quad
+            surf = interface_rule(ctx.domain, quad.n_s)
+            vol = semicircle_rule(ctx.domain, quad.n_r, quad.n_phi)
+            G, S, T, D = basis_tables(ctx.spec, ctx.domain, vol, surf)
+            n = np.arange(1, ctx.n_modes + 1)
+            psi = steklov_trace(n[:, None], ctx.domain, surf.nodes[None, :])
+            cache[key] = G, S, T, D, psi, surf.weights
+        return cache[key]
+
+    return get
+
+
+@pytest.fixture(scope="session")
+def zero_trace_coords():
+    """Draws a random reduced vector a whose interface value a @ Y^T T vanishes.
+
+    a lies in the left null space of the context's compressed traces: the
+    left singular vectors whose singular value is at most 1e-13 times the
+    largest.
+    """
+
+    def draw(ctx, rng):
+        U, s, _ = np.linalg.svd(ctx.traces)
+        null = U[:, np.count_nonzero(s > 1e-13 * s[0]):]
+        return null @ rng.normal(size=null.shape[1])
+
+    return draw
 
 
 @pytest.fixture(scope="session")

@@ -163,23 +163,18 @@ def _natural_mixing(method):
     return 0.0 if method is Method.DTN else 1.0
 
 
-def test_criterion_5_functional_suite(domain, quad, context_for, tight_solutions, rng):
+def test_criterion_5_functional_suite(domain, quad, context_for, zero_trace_coords, tight_solutions, rng):
     ctx = context_for(Parity.EVEN, 15)
 
     # reality for 20 random complex mixings
-    trial = TrialPair(gamma1=rng.normal(size=ctx.spec.size),
+    trial = TrialPair(a=rng.normal(size=ctx.coords.shape[1]),
                       gamma2=rng.normal(size=60), kappa=2.0116)
     for _ in range(20):
         mixing = complex(rng.normal(), rng.normal())
         assert abs(evaluate_discontinuous_functional(trial, mixing, ctx).imag) < 1e-12
 
     # mixing independence for an exactly matched (zero interface trace) trial
-    g1 = np.zeros(ctx.spec.size)
-    for mu in range(2, ctx.spec.size + 1):
-        m = (mu - 2) % ctx.spec.m_max + 1  # even: mu = 1 + (n-1) m_max + m
-        if m % 2 == 1:
-            g1[mu - 1] = rng.normal()
-    matched = TrialPair(gamma1=g1, gamma2=np.zeros(10), kappa=2.0116)
+    matched = TrialPair(a=zero_trace_coords(ctx, rng), gamma2=np.zeros(10), kappa=2.0116)
     base = evaluate_discontinuous_functional(matched, 0.0, ctx).real
     for _ in range(20):
         mixing = complex(rng.normal(), rng.normal())
@@ -189,8 +184,8 @@ def test_criterion_5_functional_suite(domain, quad, context_for, tight_solutions
         parity = Parity(label.split(",")[0])
         sol_ctx = context_for(parity, 15)
         mixing = _natural_mixing(method)
-        trial0 = TrialPair(gamma1=estimate.gamma1, gamma2=estimate.gamma2,
-                           kappa=estimate.kappa)
+        a0 = sol_ctx.coords.T @ estimate.gamma1
+        trial0 = TrialPair(a=a0, gamma2=estimate.gamma2, kappa=estimate.kappa)
         f0 = evaluate_discontinuous_functional(trial0, mixing, sol_ctx).real
         f_tilde = estimate.k_estimate**2
 
@@ -201,15 +196,15 @@ def test_criterion_5_functional_suite(domain, quad, context_for, tight_solutions
         eps = np.array([1e-2, 1e-3, 1e-4])
         orders = []
         for _ in range(3):
-            d1 = rng.normal(size=estimate.gamma1.size)
+            d1 = rng.normal(size=a0.size)
             d2 = rng.normal(size=estimate.gamma2.size)
-            d1 *= np.linalg.norm(estimate.gamma1) / np.linalg.norm(d1)
+            d1 *= np.linalg.norm(a0) / np.linalg.norm(d1)
             d2 *= np.linalg.norm(estimate.gamma2) / np.linalg.norm(d2)
             deltas = []
             for e in eps:
-                trial_e = TrialPair(gamma1=estimate.gamma1 + e * d1,
-                                    gamma2=estimate.gamma2 + e * d2,
-                                    kappa=estimate.kappa)
+                trial_e = TrialPair(a=a0 + e * d1,
+                                gamma2=estimate.gamma2 + e * d2,
+                                kappa=estimate.kappa)
                 fe = evaluate_discontinuous_functional(trial_e, mixing, sol_ctx).real
                 deltas.append(abs(fe - f0))
             slope = np.polyfit(np.log(eps), np.log(deltas), 1)[0]

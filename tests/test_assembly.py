@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
@@ -23,20 +25,20 @@ KAPPA = 2.0116
 SIZES = [(3, 3), (5, 5), (15, 15)]
 
 
-def _family_pencil(method, kappa, ctx):
+def _family_pencil(method, kappa, ctx, tables):
     """(Lambda, Delta) over the whole family, unsymmetrized, written out from
-    the context's family tables (the formula in the assembly docstring)."""
+    the family tables (the formula in the assembly docstring)."""
+    G, S, T, D, psi, ws = tables
     bn, dbn = steklov_table(kappa, ctx.n_modes, ctx.domain)
-    ws = ctx.surface_rule.weights
-    cross = (ctx.traces * ws) @ ctx.dtraces.T
-    psi_w = ctx.steklov_traces * ws
+    cross = (T * ws) @ D.T
+    psi_w = psi * ws
     if method is Method.DTN:
-        W, sigma, dsigma, X = psi_w @ ctx.traces.T, -bn, -dbn, cross
+        W, sigma, dsigma, X = psi_w @ T.T, -bn, -dbn, cross
     else:
-        W, sigma, dsigma, X = psi_w @ ctx.dtraces.T, 1.0 / bn, -dbn / bn**2, -cross.T
+        W, sigma, dsigma, X = psi_w @ D.T, 1.0 / bn, -dbn / bn**2, -cross.T
     dop = W.T @ (dsigma[:, None] * W)
-    lam = -ctx.stiffness + X + W.T @ (sigma[:, None] * W) - 0.5 * kappa * dop
-    return lam, ctx.gram - dop / (2.0 * kappa)
+    lam = -S + X + W.T @ (sigma[:, None] * W) - 0.5 * kappa * dop
+    return lam, G - dop / (2.0 * kappa)
 
 
 def _pairs(domain, quad, size):
@@ -74,29 +76,29 @@ def test_resonance_propagates(domain, quad):
         assemble(Method.DTN, 5.0 * np.pi / 6.0, build_context(spec, domain, quad))
 
 
-def test_delta11_volume_part(domain, context_for):
+def test_delta11_volume_part(domain, context_for, family_tables):
     # <r-a | r-a> over the semicircle = pi * int_0^1 (r-1)^2 r dr = pi/12
-    ctx = context_for(Parity.EVEN, 15)
-    assert ctx.gram[0, 0] == pytest.approx(np.pi / 12.0, abs=1e-13)
+    G = family_tables(context_for(Parity.EVEN, 15))[0]
+    assert G[0, 0] == pytest.approx(np.pi / 12.0, abs=1e-13)
 
 
 @pytest.mark.parametrize("size", [5, 15])
 @pytest.mark.parametrize("parity", list(Parity))
-def test_assemble_is_compressed_family_pencil(context_for, size, parity):
+def test_assemble_is_compressed_family_pencil(context_for, family_tables, size, parity):
     ctx = context_for(parity, size)
     Y = ctx.coords
     for method in Method:
         pair = assemble(method, KAPPA, ctx)
-        lam, delta = _family_pencil(method, KAPPA, ctx)
+        lam, delta = _family_pencil(method, KAPPA, ctx, family_tables(ctx))
         for got, full in ((pair.lam, lam), (pair.delta, delta)):
             want = Y.T @ (0.5 * (full + full.T)) @ Y
             assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want)), method
 
 
-def _augmented_gram(ctx):
+def _augmented_gram(tables):
     """A = G + T w T^T + D w D^T, the matrix whose eigenvectors the context keeps."""
-    ws = ctx.surface_rule.weights
-    return ctx.gram + (ctx.traces * ws) @ ctx.traces.T + (ctx.dtraces * ws) @ ctx.dtraces.T
+    G, _, T, D, _, ws = tables
+    return G + (T * ws) @ T.T + (D * ws) @ D.T
 
 
 def _floor_count_and_band(lam):
@@ -110,14 +112,15 @@ def _floor_count_and_band(lam):
 
 @pytest.mark.parametrize("size", [5, 15])
 @pytest.mark.parametrize("parity", list(Parity))
-def test_compressed_basis_is_orthonormal_eigenbasis_of_augmented_gram(context_for, size, parity):
+def test_compressed_basis_is_orthonormal_eigenbasis_of_augmented_gram(context_for, family_tables,
+                                                                     size, parity):
     # Y holds the eigenvectors of A above COMPRESS_FLOOR * lambda_max, and
     # the complement it drops is null for A at roundoff level.  The count is
     # compared with eigvalsh's, a second rounding of the same spectrum, up
     # to the eigenvalues near the floor
     ctx = context_for(parity, size)
     Y = ctx.coords
-    A = _augmented_gram(ctx)
+    A = _augmented_gram(family_tables(ctx))
     lam = np.linalg.eigvalsh(A)
     r = Y.shape[1]
     count, band = _floor_count_and_band(lam)
@@ -130,7 +133,7 @@ def test_compressed_basis_is_orthonormal_eigenbasis_of_augmented_gram(context_fo
     assert np.linalg.norm(drop @ A @ drop, 2) < 1e-14 * lam[-1]
 
 
-def test_compressed_dimensions_at_reference_depth(context_for):
+def test_compressed_dimensions_at_reference_depth(context_for, family_tables):
     # the r of each family that the README and the COMPRESS_FLOOR comment
     # quote, at b = 1.5, up to the eigenvalues of A near the floor: which of
     # those fall above it depends on the rounding (the BLAS thread count),
@@ -140,8 +143,26 @@ def test_compressed_dimensions_at_reference_depth(context_for):
     for (parity, size), (family, r) in quoted.items():
         ctx = context_for(Parity(parity), size)
         assert ctx.spec.size == family
-        _, band = _floor_count_and_band(np.linalg.eigvalsh(_augmented_gram(ctx)))
+        _, band = _floor_count_and_band(np.linalg.eigvalsh(_augmented_gram(family_tables(ctx))))
         assert abs(ctx.coords.shape[1] - r) <= band, (parity, size)
+
+
+def _array_fields(ctx):
+    fields = {f.name: getattr(ctx, f.name) for f in dataclasses.fields(ctx)}
+    return {name: v for name, v in fields.items() if isinstance(v, np.ndarray)}
+
+
+def test_context_keeps_no_family_table(context_for):
+    # every table is in the compressed coordinates: at 15x15 (M = 226,
+    # r = 111) only Y itself has a dimension of size M.  The 30x30 context
+    # holds 6.55 MB of arrays (22.05 MB with the family tables)
+    ctx = context_for(Parity.EVEN, 15)
+    M = ctx.spec.size
+    assert ctx.coords.shape[0] == M > ctx.coords.shape[1]
+    arrays = _array_fields(ctx)
+    assert "stiffness" in arrays and "traces" in arrays
+    assert [name for name, v in arrays.items() if M in v.shape] == ["coords"]
+    assert sum(v.nbytes for v in _array_fields(context_for(Parity.EVEN, 30)).values()) < 7e6
 
 
 def test_compress_floor_moves_no_k(domain, context_for, monkeypatch):
@@ -160,11 +181,11 @@ def test_compress_floor_moves_no_k(domain, context_for, monkeypatch):
             assert abs(k[0] - k[1]) < 5e-8, (label, method)
 
 
-def test_delta11_full_entry_against_independent_quadrature(domain, quad):
+def test_delta11_full_entry_against_independent_quadrature(domain, quad, family_tables):
     # adaptive-quadrature oracle for Delta_11 = pi/12 + (1/2k) sum b_n' (psi_n||x|-a)^2,
     # an entry of the family pencil
-    spec = BasisSpec(parity=Parity.EVEN, n_max=3, m_max=3)
-    _, delta = _family_pencil(Method.DTN, KAPPA, build_context(spec, domain, quad))
+    ctx = build_context(BasisSpec(parity=Parity.EVEN, n_max=3, m_max=3), domain, quad)
+    _, delta = _family_pencil(Method.DTN, KAPPA, ctx, family_tables(ctx))
     n_modes = 200
     _, dbn = steklov_table(KAPPA, n_modes, domain)
     surface = 0.0
@@ -176,7 +197,7 @@ def test_delta11_full_entry_against_independent_quadrature(domain, quad):
     assert delta[0, 0] == pytest.approx(expected, rel=1e-8)
 
 
-def test_truncation_stability(domain):
+def test_truncation_stability(domain, family_tables):
     # family pencil entries: Delta is stable at 1e-10 under N doubling;
     # Lambda's DtN tail decays only like N^-2 (kinked basis traces),
     # measured ~5e-6 at N=200
@@ -185,49 +206,38 @@ def test_truncation_stability(domain):
     ctx200 = build_context(spec, domain, quad, n_modes=200)
     ctx400 = build_context(spec, domain, quad, n_modes=400)
     for method in Method:
-        lam200, delta200 = _family_pencil(method, KAPPA, ctx200)
-        lam400, delta400 = _family_pencil(method, KAPPA, ctx400)
+        lam200, delta200 = _family_pencil(method, KAPPA, ctx200, family_tables(ctx200))
+        lam400, delta400 = _family_pencil(method, KAPPA, ctx400, family_tables(ctx400))
         assert np.max(np.abs(delta200 - delta400)) < 1e-10
         assert np.max(np.abs(lam200 - lam400)) < 2e-5
 
 
-def test_quadrature_stability(domain):
+def test_quadrature_stability(domain, family_tables):
     # family pencil entry drift under 50% richer quadrature, relative to the
     # matrix scale (the two contexts' compressed bases differ)
     spec = BasisSpec(parity=Parity.EVEN, n_max=15, m_max=15)
     ctx1 = build_context(spec, domain, QuadratureConfig(64, 64, 128))
     ctx2 = build_context(spec, domain, QuadratureConfig(96, 96, 192))
     for method in Method:
-        lam1, delta1 = _family_pencil(method, KAPPA, ctx1)
-        lam2, delta2 = _family_pencil(method, KAPPA, ctx2)
+        lam1, delta1 = _family_pencil(method, KAPPA, ctx1, family_tables(ctx1))
+        lam2, delta2 = _family_pencil(method, KAPPA, ctx2, family_tables(ctx2))
         assert np.max(np.abs(lam1 - lam2)) < 1e-10 * max(1.0, np.max(np.abs(lam1)))
         assert np.max(np.abs(delta1 - delta2)) < 1e-10 * max(1.0, np.max(np.abs(delta1)))
 
 
-def _zero_trace_trial(ctx, rng):
-    """Even members with odd m have identically zero interface traces."""
-    g1 = np.zeros(ctx.spec.size)
-    for mu in range(2, ctx.spec.size + 1):
-        m = (mu - 2) % ctx.spec.m_max + 1  # even: mu = 1 + (n-1) m_max + m
-        if m % 2 == 1:
-            g1[mu - 1] = rng.normal()
-    return TrialPair(gamma1=g1, gamma2=np.zeros(8), kappa=KAPPA)
-
-
 def test_functional_reality(domain, context_for, rng):
     ctx = context_for(Parity.EVEN, 5)
-    g1 = rng.normal(size=ctx.spec.size)
-    g2 = rng.normal(size=40)
-    trial = TrialPair(gamma1=g1, gamma2=g2, kappa=KAPPA)
+    trial = TrialPair(a=rng.normal(size=ctx.coords.shape[1]), gamma2=rng.normal(size=40), kappa=KAPPA)
     for _ in range(20):
         mixing = complex(rng.normal(), rng.normal())
         value = evaluate_discontinuous_functional(trial, mixing, ctx)
         assert abs(value.imag) < 1e-12
 
 
-def test_functional_mixing_independence_for_matched_trial(domain, context_for, rng):
+def test_functional_mixing_independence_for_matched_trial(domain, context_for, zero_trace_coords, rng):
+    # zero interface value and gamma2 = 0: every interface term vanishes
     ctx = context_for(Parity.EVEN, 5)
-    trial = _zero_trace_trial(ctx, rng)
+    trial = TrialPair(a=zero_trace_coords(ctx, rng), gamma2=np.zeros(8), kappa=KAPPA)
     base = evaluate_discontinuous_functional(trial, 0.0, ctx).real
     for _ in range(10):
         mixing = complex(rng.normal(), rng.normal())
@@ -237,7 +247,7 @@ def test_functional_mixing_independence_for_matched_trial(domain, context_for, r
 
 def test_functional_zero_trial(domain, context_for):
     ctx = context_for(Parity.EVEN, 5)
-    trial = TrialPair(gamma1=np.zeros(ctx.spec.size), gamma2=np.zeros(10), kappa=KAPPA)
+    trial = TrialPair(a=np.zeros(ctx.coords.shape[1]), gamma2=np.zeros(10), kappa=KAPPA)
     with pytest.raises(ZeroTrial):
         evaluate_discontinuous_functional(trial, 0.3, ctx)
 
@@ -245,7 +255,7 @@ def test_functional_zero_trial(domain, context_for):
 def test_functional_rejects_gamma2_beyond_context(domain, context_for, rng):
     ctx = context_for(Parity.EVEN, 5)
     n2 = ctx.n_modes + 1
-    trial = TrialPair(gamma1=rng.normal(size=ctx.spec.size), gamma2=rng.normal(size=n2), kappa=KAPPA)
+    trial = TrialPair(a=rng.normal(size=ctx.coords.shape[1]), gamma2=rng.normal(size=n2), kappa=KAPPA)
     with pytest.raises(ValueError, match=f"{n2} coefficients .* {ctx.n_modes} Steklov modes"):
         evaluate_discontinuous_functional(trial, 0.3, ctx)
 
@@ -258,29 +268,28 @@ def fn_ctx(domain):
     return build_context(spec, domain, QuadratureConfig(48, 48, 256))
 
 
-def _matched_trial(method, ctx, domain, rng):
-    """A trial gamma1 = Y z in the compressed span, its gamma2 matched; returns (trial, z)."""
+def _matched_trial(method, ctx, rng):
+    """A trial at a random reduced vector a, its gamma2 matched; returns (trial, a)."""
     from helmbound import gamma2_coefficients
 
-    z = rng.normal(size=ctx.coords.shape[1])
-    g1 = ctx.coords @ z
-    g2 = gamma2_coefficients(method, g1, KAPPA, ctx)
-    return TrialPair(gamma1=g1, gamma2=g2, kappa=KAPPA), z
+    a = rng.normal(size=ctx.coords.shape[1])
+    g2 = gamma2_coefficients(method, a, KAPPA, ctx)
+    return TrialPair(a=a, gamma2=g2, kappa=KAPPA), a
 
 
 def test_functional_matches_rayleigh_quotient(domain, fn_ctx, rng):
     # for a value-matched trial at mixing 0 the functional equals the
     # assembled DtN Rayleigh quotient of the trial's reduced coordinates
-    trial, z = _matched_trial(Method.DTN, fn_ctx, domain, rng)
+    trial, a = _matched_trial(Method.DTN, fn_ctx, rng)
     pair = assemble(Method.DTN, KAPPA, fn_ctx)
-    rq = float(z @ pair.lam @ z) / float(z @ pair.delta @ z)
+    rq = float(a @ pair.lam @ a) / float(a @ pair.delta @ a)
     general = evaluate_discontinuous_functional(trial, 0.0, fn_ctx).real
     assert general == pytest.approx(rq, rel=1e-10)
 
 
 def test_functional_matches_ntd_rayleigh_quotient(domain, fn_ctx, rng):
-    trial, z = _matched_trial(Method.NTD, fn_ctx, domain, rng)
+    trial, a = _matched_trial(Method.NTD, fn_ctx, rng)
     pair = assemble(Method.NTD, KAPPA, fn_ctx)
-    rq = float(z @ pair.lam @ z) / float(z @ pair.delta @ z)
+    rq = float(a @ pair.lam @ a) / float(a @ pair.delta @ a)
     general = evaluate_discontinuous_functional(trial, 1.0, fn_ctx).real
     assert general == pytest.approx(rq, rel=1e-10)

@@ -177,14 +177,13 @@ def test_normal_trace_origin_limit(domain):
     assert interface_tables(ODD, domain, [0.0])[1][0, 0] == 0.0
 
 
-def test_green_identity(context_for):
+def test_green_identity(context_for, family_tables):
     # <u|Lap v> - <Lap u|v> = (u|grad_perp v) - (grad_perp u|v): grad_perp is
     # the outward normal derivative of the semicircle on the interface, and
     # the arc contributions vanish
     for parity in Parity:
-        ctx = context_for(parity, 5)
-        S = ctx.stiffness
-        C = (ctx.traces * ctx.surface_rule.weights) @ ctx.dtraces.T  # (phi_mu | grad_perp phi_nu)
+        _, S, T, D, _, ws = family_tables(context_for(parity, 5))
+        C = (T * ws) @ D.T  # (phi_mu | grad_perp phi_nu)
         assert np.max(np.abs((S - S.T) - (C - C.T))) < 1e-8
 
 

@@ -23,20 +23,22 @@ from helmbound.reconstruct import interface_mismatch, read_grid_csv
 PROJECTED_MODES = (1, 2, 7, 20, 50)
 
 
-def _adaptive_projection(ctx, g1, table):
-    """(psi_n | g1 @ rows) for n in PROJECTED_MODES by adaptive quadrature.
+def _adaptive_projection(ctx, a, table):
+    """(psi_n | (Y a) @ rows) for n in PROJECTED_MODES by adaptive quadrature.
 
     The rows are interface_tables' traces (table 0) or normal-derivative
-    traces (table 1).  Each half of the interface is integrated on its own:
-    the traces carry |x| and sign(x) factors that kink or jump at x = 0.
+    traces (table 1), and Y a is the family vector of the reduced vector a.
+    Each half of the interface is integrated on its own: the traces carry
+    |x| and sign(x) factors that kink or jump at x = 0.
     """
-    a = ctx.domain.a
+    radius = ctx.domain.a
+    g1 = ctx.coords @ a
     field = lambda x: float(g1 @ interface_tables(ctx.spec, ctx.domain, [x])[table][:, 0])
     out = []
     for n in PROJECTED_MODES:
         integrand = lambda x: steklov_trace(n, ctx.domain, x) * field(x)
         halves = (quad(integrand, lo, hi, epsabs=1e-13, epsrel=1e-12, limit=200)[0]
-                  for lo, hi in ((-a, 0.0), (0.0, a)))
+                  for lo, hi in ((-radius, 0.0), (0.0, radius)))
         out.append(sum(halves))
     return np.array(out)
 
@@ -44,32 +46,27 @@ def _adaptive_projection(ctx, g1, table):
 def test_gamma2_matches_surface_projection(domain, context_for, rng):
     # the DtN coefficients are the interface projection of the trace
     ctx = context_for(Parity.EVEN, 5)
-    g1 = rng.normal(size=ctx.spec.size)
-    c = gamma2_coefficients(Method.DTN, g1, 2.0116, ctx)
+    a = rng.normal(size=ctx.coords.shape[1])
+    c = gamma2_coefficients(Method.DTN, a, 2.0116, ctx)
     got = c[np.array(PROJECTED_MODES) - 1]
-    want = _adaptive_projection(ctx, g1, 0)
+    want = _adaptive_projection(ctx, a, 0)
     assert got == pytest.approx(want, rel=1e-13, abs=1e-14)
 
 
-def test_gamma2_zero_trace_gives_zero(domain, context_for, rng):
+def test_gamma2_zero_trace_gives_zero(domain, context_for, zero_trace_coords, rng):
     ctx = context_for(Parity.EVEN, 5)
-    g1 = np.zeros(ctx.spec.size)
-    for mu in range(2, ctx.spec.size + 1):
-        m = (mu - 2) % ctx.spec.m_max + 1  # even: mu = 1 + (n-1) m_max + m
-        if m % 2 == 1:  # identically zero interface trace
-            g1[mu - 1] = rng.normal()
-    c = gamma2_coefficients(Method.DTN, g1, 2.0116, ctx)
+    c = gamma2_coefficients(Method.DTN, zero_trace_coords(ctx, rng), 2.0116, ctx)
     assert np.max(np.abs(c)) < 1e-14
 
 
 def test_ntd_gamma2_respects_operator(domain, context_for, rng):
     # NtD coefficients times b_n reproduce the normal-derivative projection
     ctx = context_for(Parity.ODD, 5)
-    g1 = rng.normal(size=ctx.spec.size)
-    c = gamma2_coefficients(Method.NTD, g1, 3.4507, ctx)
+    a = rng.normal(size=ctx.coords.shape[1])
+    c = gamma2_coefficients(Method.NTD, a, 3.4507, ctx)
     bn, _ = steklov_table(3.4507, ctx.n_modes, domain)
     got = (bn * c)[np.array(PROJECTED_MODES) - 1]
-    want = _adaptive_projection(ctx, g1, 1)
+    want = _adaptive_projection(ctx, a, 1)
     assert got == pytest.approx(want, rel=1e-13, abs=1e-13)
 
 
