@@ -1,6 +1,9 @@
 """Bound states of the 2-D Helmholtz equation on a semicircle+rectangle
 domain, computed by Dirichlet-to-Neumann / Neumann-to-Dirichlet interface
-embedding with an independent finite-difference cross-check."""
+embedding with an independent finite-difference cross-check.
+
+The cross-check lives in ``helmbound.oracle`` and is not re-exported here:
+it is the one module that imports scipy, so importing the package does not."""
 
 from .assembly import (
     AssemblyContext,
@@ -23,7 +26,6 @@ from .geometry import (
     make_domain,
     semicircle_rule,
 )
-from .oracle import Rectangle, fdm_eigen, richardson_eigen
 from .reconstruct import (
     FieldGrid,
     GridSpec,

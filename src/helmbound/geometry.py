@@ -16,6 +16,7 @@ positive for x < 0:  x = -r sin(phi),  y = r cos(phi),  phi in [-pi/2, pi/2].
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +56,14 @@ class QuadratureRule1D:
         return float(np.dot(self.weights, values))
 
 
+@functools.lru_cache(maxsize=16)
+def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """``leggauss(order)`` on (-1, 1), computed once per order and returned read-only."""
+    x, w = leggauss(order)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def gauss_legendre(order: int, lo: float, hi: float) -> QuadratureRule1D:
     """Gauss-Legendre rule with ``order`` nodes on (lo, hi).
 
@@ -64,7 +73,7 @@ def gauss_legendre(order: int, lo: float, hi: float) -> QuadratureRule1D:
         raise ValueError(f"order must be >= 1, got {order}")
     if not lo < hi:
         raise InvalidInterval(f"need lo < hi, got ({lo}, {hi})")
-    x, w = leggauss(order)
+    x, w = _leggauss(order)
     half = 0.5 * (hi - lo)
     return QuadratureRule1D(
         nodes=half * x + 0.5 * (hi + lo),

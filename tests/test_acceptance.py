@@ -14,7 +14,6 @@ from helmbound import (
     Method,
     Parity,
     QuadratureConfig,
-    Rectangle,
     TrialPair,
     assemble,
     build_context,
@@ -22,7 +21,6 @@ from helmbound import (
     export_grid,
     interface_rule,
     mode_seeds,
-    richardson_eigen,
     sample_field,
     solve_generalized,
     steklov_profile,
@@ -30,6 +28,7 @@ from helmbound import (
     steklov_trace,
 )
 from helmbound.errors import NearDirichletResonance
+from helmbound.oracle import Rectangle, richardson_eigen
 from helmbound.reconstruct import read_grid_csv
 
 # Reference values, four decimals.

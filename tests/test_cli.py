@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +13,7 @@ from helmbound.cli import main
 from helmbound.config import ConfigError, RunConfig, mode_seeds, parse_mode_label
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = README.parent / "src"
 
 
 def _write_config(tmp_path, **overrides):
@@ -280,3 +284,32 @@ def test_compare_failed_check_exit(tmp_path):
 def test_compare_not_converged_exit(tmp_path):
     cfg_path = _write_config(tmp_path, max_iter=1, oracle={"h": 1.0 / 32.0, "num_modes": 6})
     assert main(["--config", str(cfg_path), "compare"]) == 2
+
+
+# Run in a fresh interpreter: this process has scipy.sparse loaded already,
+# by the pytest warning filter on its SparseEfficiencyWarning.
+COLD_START = """
+import contextlib, io, json, sys
+from helmbound.cli import main
+
+config, rcs = sys.argv[1], {}
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["solve"], ["sweep-basis", "--sizes", "3x3"], ["field", "--mode", "even,1"]):
+        rcs[argv[0]] = main(["--config", config, *argv])
+    scipy = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+    rcs["oracle"] = main(["--config", config, "oracle"])
+print(json.dumps({"rcs": rcs, "scipy": scipy}))
+"""
+
+
+def test_embedding_subcommands_start_without_scipy(tmp_path):
+    cfg_path = _write_config(tmp_path, grid={"nx": 21, "ny": 36},
+                             oracle={"h": 1.0 / 32.0, "num_modes": 2})
+    path = os.pathsep.join([str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])
+    proc = subprocess.run([sys.executable, "-c", COLD_START, str(cfg_path)], cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["rcs"] == {"solve": 0, "sweep-basis": 0, "field": 0, "oracle": 0}
+    assert doc["scipy"] == []  # solve, sweep-basis and field never load the oracle

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
 from helmbound import (
     cartesian_to_polar,
     gauss_legendre,
+    geometry,
     interface_rule,
     make_domain,
     semicircle_rule,
@@ -45,6 +47,38 @@ def test_gauss_legendre_quartic_exact():
 def test_gauss_legendre_bad_interval():
     with pytest.raises(InvalidInterval):
         gauss_legendre(4, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("order", [1, 64, 128])
+@pytest.mark.parametrize("lo,hi", [(-1.0, 0.0), (-0.5 * np.pi, 0.5 * np.pi)])
+def test_gauss_legendre_matches_leggauss_bitwise(order, lo, hi):
+    x, w = leggauss(order)
+    half = 0.5 * (hi - lo)
+    for _ in range(2):  # the first call may fill the cache, the second reads it
+        rule = gauss_legendre(order, lo, hi)
+        np.testing.assert_array_equal(rule.nodes, half * x + 0.5 * (hi + lo))
+        np.testing.assert_array_equal(rule.weights, half * w)
+
+
+@pytest.mark.parametrize("order", [1, 64, 128])
+def test_gauss_legendre_rules_do_not_share_arrays(order):
+    first = gauss_legendre(order, -1.0, 1.0)
+    first.nodes[:] = 7.0
+    first.weights[:] = -1.0
+    x, w = leggauss(order)
+    second = gauss_legendre(order, -1.0, 1.0)
+    np.testing.assert_array_equal(second.nodes, x)
+    np.testing.assert_array_equal(second.weights, w)
+
+
+def test_cached_legendre_arrays_are_read_only():
+    gauss_legendre(64, 0.0, 1.0)
+    x, w = geometry._leggauss(64)
+    assert not x.flags.writeable and not w.flags.writeable
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+    with pytest.raises(ValueError):
+        w *= 2.0
 
 
 def _semicircle_integral(domain, n, f):

@@ -3,9 +3,10 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from helmbound import Rectangle, fdm_eigen, make_domain, oracle, richardson_eigen
+from helmbound import make_domain, oracle
 from helmbound.errors import GridTooCoarse, IterationStalled
-from helmbound.oracle import _extension, _laplacian, build_fdm_problem
+from helmbound.oracle import (Rectangle, _extension, _laplacian, build_fdm_problem, fdm_eigen,
+                               richardson_eigen)
 
 RECT_SEEDS = [2.0116, 2.9638, 3.3836, 4.0232]  # 2 x 2.5 rectangle, 4 lowest
 LABELS = ("even,1", "even,2", "odd,1", "odd,2")
