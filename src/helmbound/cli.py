@@ -4,7 +4,9 @@ Subcommands: solve | sweep-basis | field | oracle | compare, each driven by
 a JSON config (--config; defaults reproduce the reference setup).
 
 Exit codes: 0 success, 1 invalid configuration or arguments, or an output
-file that cannot be written, 2 iteration did not converge, 3 operator
+file that cannot be written, 2 iteration did not converge (the fixed-point
+iteration, or the finite-difference eigensolve of ``oracle`` or
+``compare``), 3 operator
 resonance (the offending mode index is reported), 4 a cross-check failed
 (``compare`` wrote a report with all_pass false).
 
@@ -24,8 +26,8 @@ from pathlib import Path
 from .assembly import AssemblyContext, Method, build_context
 from .basis import Parity
 from .config import MODE_LABELS, ConfigError, RunConfig, mode_seeds, parse_mode_label
-from .errors import (GridTooCoarse, IoFailure, NearDirichletResonance, NearNeumannResonance,
-                     NotConverged)
+from .errors import (GridTooCoarse, IoFailure, IterationStalled, NearDirichletResonance,
+                     NearNeumannResonance, NotConverged)
 from .reconstruct import export_grid, sample_field
 from .solver import iterate_mode
 
@@ -275,7 +277,7 @@ def main(argv=None) -> int:
     except (ConfigError, GridTooCoarse, IoFailure) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except NotConverged as exc:
+    except (NotConverged, IterationStalled) as exc:
         print(f"not converged: {exc}", file=sys.stderr)
         return EXIT_NOT_CONVERGED
     except (NearDirichletResonance, NearNeumannResonance) as exc:

@@ -15,6 +15,16 @@ A E_p = E_p B_p with B_p = (A E_p) on the half rows, and each eigenvector v
 of B_p gives the exactly even or odd mode E_p v.  A's spectrum is the union
 of the two blocks', and each block is solved for num_modes of its parity.
 
+Each block is solved by shift-invert Arnoldi around a shift sigma, with one
+sparse LU of B_p - sigma I.  The coarse grid of a Richardson pair starts
+from sigma = 0 and an all-ones vector.  The fine grid starts from the
+coarse solve: its Arnoldi start vector is the sum of the parity's coarse
+fields interpolated onto the fine grid, and sigma is 0.9 times the lowest
+coarse eigenvalue of that parity.  The O(h^2) change between the grids is
+far under 10 %, so every eigenvalue of the fine block lies above sigma and
+the eigenvalues nearest sigma are still the lowest.  The start changes how
+many solves Arnoldi needs, not the eigenvalues it converges to.
+
 Deliberately unrelated to the embedding pipeline: different discretization,
 different eigensolver (sparse shift-invert Arnoldi), no shared code paths.
 """
@@ -166,23 +176,67 @@ def _extension(problem: FdmProblem, parity: str):
     return sp.csc_matrix((vals, (np.r_[rows, mirror], cols)), shape=(ii.size, rows.size)), rows
 
 
-def _block_modes(problem: FdmProblem, A: sp.csr_matrix, parity: str, num_modes: int):
+def _coarse_start(problem: FdmProblem, start, parity: str, rows: np.ndarray):
+    """(v0, sigma) of one block from a coarser solve of the shape (see the module docstring).
+
+    The coarse fields are interpolated bilinearly onto this grid: both grids
+    hang from the x-symmetry axis and y = 0.
+    """
+    coarse, modes = start
+    ks, fields = zip(*((k, field) for k, p, field in modes if p == parity))
+    total = np.sum(fields, axis=0)
+    along_x = np.array([np.interp(problem.xs, coarse.xs, column) for column in total.T])
+    fine = np.array([np.interp(problem.ys, coarse.ys, row) for row in along_x.T])
+    return fine[problem.mask][rows], 0.9 * min(ks) ** 2
+
+
+def _block_modes(problem: FdmProblem, A: sp.csr_matrix, parity: str, num_modes: int, start=None):
     """The num_modes lowest (k, parity, field) of one parity's block B = (A E)[rows].
 
-    Its LU is freed on return, before the next block is factored."""
+    A coarse start (problem, modes) gives v0, the shift and a basis of
+    2 num_modes + 2 Arnoldi vectors; without one, shift 0, v0 = ones and
+    ARPACK's default basis.  The block's LU is freed on return, before the
+    next block is factored."""
     E, rows = _extension(problem, parity)
     B = (A[rows] @ E).tocsc()
+    n = B.shape[0]
+    v0, sigma, ncv = np.ones(n), 0.0, None
+    if start is not None:
+        v0, sigma = _coarse_start(problem, start, parity, rows)
+        ncv = min(n - 1, 2 * num_modes + 2)
     # The sparsity pattern is symmetric: ordering on B + B^T roughly halves the
     # LU fill of eigs' default (COLAMD), and with it the shift-invert solves.
-    lu = spla.splu(B, permc_spec="MMD_AT_PLUS_A")
+    # Smaller supernodes than SuperLU's default factor these blocks faster at
+    # the same fill (925,079 L and 925,079 U nonzeros on the b = 1.5, h = 1/128
+    # even block).  Scan on the six h = 1/128 blocks at b = 1.2, 1.5, 1.8
+    # (1 BLAS thread, 9 interleaved repeats; per-block medians over the default
+    # of 121-178 ms per factorization and 3.6-5.3 ms per solve):
+    #   relax, panel_size   factor      solve
+    #   1, 2                0.68-0.73   0.97-1.21
+    #   2, 2                0.64-0.81   0.98-1.11
+    #   3, 2                0.67-0.73   1.01-1.07
+    #   1, 4                0.72-0.83   0.95-1.21
+    #   3, 4                0.72-0.84   1.04-1.20
+    #   4, 4                0.70-0.80   1.03-1.20
+    #   6, 4                0.69-0.76   0.99-1.15
+    #   3, 8                0.78-1.01   0.99-1.17
+    #   6, 8                0.73-0.89   0.95-1.12
+    # A fine block needs about 15 solves per factorization, so the factor time
+    # decides; richardson_eigen at h = 1/64, 2 modes, over the same three
+    # depths took 1.77-1.82 s (medians of 8) with any of (2, 2), (3, 2),
+    # (3, 4), (4, 4), against 2.27 s at the default.
+    lu = spla.splu(B - sigma * sp.identity(n, format="csc"), permc_spec="MMD_AT_PLUS_A",
+                   relax=3, panel_size=4)
     inverse = spla.LinearOperator(B.shape, matvec=lu.solve, dtype=float)
-    v0 = np.ones(B.shape[0])
     try:
-        lam, vecs = spla.eigs(B, k=num_modes, sigma=0.0, which="LM", v0=v0, OPinv=inverse)
+        lam, vecs = spla.eigs(B, k=num_modes, sigma=sigma, which="LM", v0=v0, ncv=ncv,
+                              OPinv=inverse)
     except spla.ArpackNoConvergence as exc:
         raise IterationStalled(f"eigensolve stalled: {exc}") from exc
-    if np.max(np.abs(lam.imag)) > IMAG_TOL * np.max(np.abs(lam)):
-        raise IterationStalled(f"eigensolve returned complex eigenvalues {lam}")
+    imag = np.max(np.abs(lam.imag)) / np.max(np.abs(lam))
+    if imag > IMAG_TOL:
+        raise IterationStalled(f"eigensolve returned complex eigenvalues ({parity} block, "
+                               f"largest |Im lambda| / |lambda|max = {imag:.2e})")
     modes = []
     for j in np.argsort(lam.real):
         vec = vecs[:, j]
@@ -193,18 +247,23 @@ def _block_modes(problem: FdmProblem, A: sp.csr_matrix, parity: str, num_modes: 
     return modes
 
 
-def fdm_eigen(shape, h: float, num_modes: int):
+def fdm_eigen(shape, h: float, num_modes: int, start=None):
     """num_modes smallest eigenpairs of -Lap_h per parity; returns (problem, modes).
 
     modes is [(k, parity, field), ...], ascending in k.  Fields come back on
     the full grid (zeros outside the mask), exactly even or odd in x, with
-    their largest-magnitude half-grid entry positive.  Deterministic: the
-    Arnoldi start vector is fixed.  Raises IterationStalled when ARPACK does
-    not converge or returns eigenvalues that are not real.
+    their largest-magnitude half-grid entry positive.  start, the (problem,
+    modes) of a coarser fdm_eigen of the same shape, seeds each block's
+    Arnoldi start vector and shift (see _coarse_start); without it the
+    shift is 0 and the start vector all ones.  Deterministic: the Arnoldi
+    start vector is fixed by the coarse solve, or all ones without one.
+    Raises IterationStalled when ARPACK does not converge or returns
+    eigenvalues that are not real.
     """
     problem = build_fdm_problem(shape, h)
     A = _laplacian(shape, problem)
-    modes = _block_modes(problem, A, "even", num_modes) + _block_modes(problem, A, "odd", num_modes)
+    modes = (_block_modes(problem, A, "even", num_modes, start)
+             + _block_modes(problem, A, "odd", num_modes, start))
     return problem, sorted(modes, key=lambda mode: mode[0])
 
 
@@ -214,11 +273,14 @@ def richardson_eigen(shape, h: float, num_modes: int):
     The scheme is O(h^2), so lam = (4 lam_{h/2} - lam_h) / 3.  Modes pair
     by (parity, rank): the r-th mode of a parity on the coarse grid meets
     the r-th of that parity on the fine grid, so a near-degenerate pair that
-    swaps order between the grids is never mixed.  Returns a list of
+    swaps order between the grids is never mixed.  The fine solve starts
+    from the coarse one (fdm_eigen's start): same eigenvalues, fewer
+    shift-invert solves.  Returns a list of
     (k_extrapolated, parity), ascending in k, plus the matching raw
     (k_h, k_{h/2}) list.
     """
-    coarse, fine = (fdm_eigen(shape, grid_h, num_modes)[1] for grid_h in (h, h / 2.0))
+    start = fdm_eigen(shape, h, num_modes)
+    coarse, fine = start[1], fdm_eigen(shape, h / 2.0, num_modes, start=start)[1]
     paired = []
     for parity in ("even", "odd"):
         ks = [[k for k, p, _ in modes if p == parity] for modes in (coarse, fine)]

@@ -232,6 +232,19 @@ def test_oracle_lists_lowest_modes(tmp_path, num_modes):
     assert ks == pytest.approx([k for k, _ in ORACLE_H32[:num_modes]], abs=1e-9)
 
 
+# The default oracle (h = 1/64, b = 1.5), 8 lowest modes, to 9 decimals.
+ORACLE_DEFAULT = [(2.061071395, "even"), (3.073017257, "even"), (3.450614741, "odd"),
+                  (4.212014852, "even"), (4.218866332, "odd"), (4.942694665, "even"),
+                  (5.195170838, "odd"), (5.361703101, "even")]
+
+
+def test_oracle_default_values(tmp_path):
+    cfg_path = _write_config(tmp_path)
+    assert main(["--config", str(cfg_path), "oracle"]) == 0
+    doc = json.loads((tmp_path / "out" / "oracle.json").read_text())
+    assert [(mode["k"], mode["parity"]) for mode in doc["modes"]] == ORACLE_DEFAULT
+
+
 def test_compare_all_pass(tmp_path):
     cfg_path = _write_config(tmp_path, oracle={"h": 1.0 / 64.0, "num_modes": 8})
     assert main(["--config", str(cfg_path), "compare"]) == 0
@@ -240,6 +253,9 @@ def test_compare_all_pass(tmp_path):
     assert len(doc["modes"]) == 4
     for entry in doc["modes"]:
         assert entry["pass_mutual"] and entry["pass_oracle"]
+    k_fdm = {entry["mode"]: entry["k_fdm"] for entry in doc["modes"]}
+    assert k_fdm == {"even,1": 2.061071395, "even,2": 3.073017257,
+                     "odd,1": 3.450614741, "odd,2": 4.218866332}
 
 
 def _count_contexts(monkeypatch):
@@ -284,6 +300,23 @@ def test_compare_failed_check_exit(tmp_path):
 def test_compare_not_converged_exit(tmp_path):
     cfg_path = _write_config(tmp_path, max_iter=1, oracle={"h": 1.0 / 32.0, "num_modes": 6})
     assert main(["--config", str(cfg_path), "compare"]) == 2
+
+
+def test_oracle_stalled_eigensolve_exit(tmp_path, monkeypatch, capsys):
+    from helmbound import oracle
+
+    unpatched = oracle.spla.eigs
+
+    def tilted(*args, **kwargs):
+        lam, vecs = unpatched(*args, **kwargs)
+        return lam + 1e-6j * np.abs(lam).max(), vecs
+
+    monkeypatch.setattr(oracle.spla, "eigs", tilted)
+    cfg_path = _write_config(tmp_path, oracle={"h": 1.0 / 16.0, "num_modes": 2})
+    assert main(["--config", str(cfg_path), "oracle"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("not converged: eigensolve returned complex eigenvalues")
+    assert err.count("\n") == 1
 
 
 # Run in a fresh interpreter: this process has scipy.sparse loaded already,

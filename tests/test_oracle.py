@@ -141,14 +141,57 @@ def test_richardson_pairs_by_parity_and_rank(domain, monkeypatch):
     assert {parity for _, parity in plain[0][3:5]} == {"even", "odd"}
     unpatched = oracle.fdm_eigen
 
-    def coarse_swapped(shape, h, num_modes):
-        problem, modes = unpatched(shape, h, num_modes)
+    def coarse_swapped(shape, h, num_modes, start=None):
+        problem, modes = unpatched(shape, h, num_modes, start=start)
         if h == 1.0 / 32.0:
             modes[3], modes[4] = modes[4], modes[3]
         return problem, modes
 
     monkeypatch.setattr(oracle, "fdm_eigen", coarse_swapped)
     assert richardson_eigen(domain, 1.0 / 32.0, 6) == plain
+
+
+@pytest.mark.parametrize(
+    "shape, h, num_modes",
+    [
+        *((make_domain(1.0, b), 1.0 / 32.0, n) for b in (1.5, 1.84375, 2.25) for n in (2, 8)),
+        (Rectangle(0.9, 0.7), 1.0 / 16.0, 4),  # walls off the grid lines
+        (Rectangle(1.0, 1.0), 1.0 / 16.0, 4),  # even,3 and even,4 exactly degenerate
+    ],
+)
+def test_seeded_fine_solve_matches_unseeded(shape, h, num_modes):
+    # the coarse start changes where Arnoldi begins, not what it converges to
+    start = fdm_eigen(shape, h, num_modes)
+    _, seeded = fdm_eigen(shape, h / 2.0, num_modes, start=start)
+    _, plain = fdm_eigen(shape, h / 2.0, num_modes)
+    # by label: the square's k = sqrt(5) pi is an even and an odd mode, in either order
+    seeded, plain = (_labels((k, p) for k, p, _ in modes) for modes in (seeded, plain))
+    assert seeded.keys() == plain.keys()
+    assert max(abs(seeded[label] - plain[label]) for label in plain) < 1e-12
+
+
+def test_seeded_fine_solve_needs_fewer_inverse_applications(domain, monkeypatch):
+    unpatched = oracle.spla.splu
+    solves = []
+
+    class Counted:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, rhs):
+            solves[-1] += 1
+            return self.lu.solve(rhs)
+
+    def counted(*args, **kwargs):
+        solves.append(0)
+        return Counted(unpatched(*args, **kwargs))
+
+    monkeypatch.setattr(oracle.spla, "splu", counted)
+    start = fdm_eigen(domain, 1.0 / 64.0, 2)
+    fdm_eigen(domain, 1.0 / 128.0, 2)
+    fdm_eigen(domain, 1.0 / 128.0, 2, start=start)
+    plain, seeded = sum(solves[2:4]), sum(solves[4:6])  # one LU per parity block
+    assert len(solves) == 6 and seeded < plain, solves
 
 
 @pytest.mark.parametrize(
