@@ -24,16 +24,37 @@ from ``steklov_table``; NtD additionally refuses a kappa where some b_n ~ 0
 (``NearNeumannResonance``).
 
 Everything kappa-independent is cached in an AssemblyContext, which also
-compresses the strongly redundant family once.  S and G come from
-``basis_tables`` as Kronecker products of 1-D radial and angular matrices:
-each member and the volume rule are separable in (r, phi), so no table over
-the 2-D volume nodes is formed.  With the interface values
-T and normal derivatives D of the members and the interface weights w, the
-augmented Gram A = G + T w T^T + D w D^T bounds Delta up to a kappa-dependent
-constant, so a direction that is null for A is null for both methods'
-metrics.  The context keeps the orthonormal eigenvectors Y of A (M x r,
-``coords``) whose eigenvalue exceeds COMPRESS_FLOOR times the largest, and
-every other table in Y coordinates only: S, G, C, P, Q, Y^T T and Y^T D.
+compresses the strongly redundant family once, without forming any table
+over all M members.  Each member and the volume rule are separable in
+(r, phi), so ``basis_tables`` returns 1-D radial and angular tables only;
+G, S, T and D are their Kronecker or member-wise products.  With the
+orthonormal eigenvectors u_r,i and u_a,j of the product-member blocks of
+the 1-D Grams (R|R)_r and (A|A)_phi, u_r,i x u_a,j is an eigenvector of G's
+product-member block with eigenvalue lambda_r,i lambda_a,j.  The context
+keeps the pairs (i, j) whose product exceeds COMPRESS_FLOOR times the
+largest, plus the even family's linear member as one more coordinate; these
+columns form the orthonormal compressed basis Y (M x r).  Y is never
+formed: every table is an entry-wise product of eigenvector-transformed 1-D
+tables at the kept pairs, e.g. Y^T G Y = (U_r^T RR U_r)[i, i'] (U_a^T AA U_a)[j, j'],
+and gamma1 = Y a and a = Y^T g1 are two small products on the factor grid
+(``family_vector``, ``reduced_vector``).
+
+The selection reads G alone.  A dropped direction is a product f(r) g(phi)
+of a radial and an angular combination whose semicircle norm squared is at
+most COMPRESS_FLOOR times the largest.  f and g are finite sums of sines and
+cosines, whose values and derivatives on the interface an inverse inequality
+bounds by their norm times a power of the family size, so the interface
+terms that both methods' metrics add through W are small on the dropped
+span too, though not at roundoff: at b = 1.5 the augmented Gram
+A = G + T w T^T + D w D^T on the dropped complement stays below 1e-7 of A's
+largest eigenvalue at 15x15 (2e-7 at 30x30).  What that costs in k is
+measured against the uncompressed family (COMPRESS_FLOOR comment).
+
+Every table depends on the semicircle alone (a = ``domain.a``): the depth b
+enters only through ``steklov_table`` in ``assemble``.  A context built at
+one depth therefore serves any other after ``dataclasses.replace`` of its
+``domain``, with bit-identical tables.
+
 ``assemble`` returns the pencil Y^T (Lambda, Delta) Y at kappa, so the
 fixed-point iteration only refreshes the diagonal symbols and two
 N x r x r products, and the solver works on r x r matrices.  Since Y is
@@ -53,21 +74,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import BasisSpec, basis_tables
+from .basis import BasisSpec, Parity, basis_tables, member_index
 from .errors import ZeroTrial
 from .geometry import CompositeDomain, QuadratureRule1D, interface_rule, semicircle_rule
 from .steklov import _guard_neumann, steklov_table, steklov_trace
 
 DEFAULT_STEKLOV_MODES = 200
-# Eigenvalues of A below this fraction of the largest are dropped.  At
-# b = 1.5 it keeps r = 111/108 of 226/225 directions (15x15, even/odd) and
-# 287/281 of 901/900 (30x30) on 1 and 2 OpenBLAS threads.  It sits inside
-# the roundoff cloud of A's spectrum, so r can move by a few directions with
-# the rounding.  Measured on the eight Table 2 solves per size (tol 1e-8),
-# 1 / 2 threads: 1e-16 keeps 121/117-118 and 319-320/309-310 and moves k by
-# at most 6.3e-9 / 7.0e-9 at 15x15 and 2.0e-8 / 9.8e-9 at 30x30; 1e-14 keeps
-# 108/102 and 282/272-273 and moves 30x30 k by up to 1.7e-6.
-COMPRESS_FLOOR = 1e-15
+# Pairs whose Gram eigenvalue lambda_r,i lambda_a,j is at most this fraction
+# of the largest are dropped.  At b = 1.5 it keeps r = 122/115 of 226/225
+# directions (15x15, even/odd) and 314/306 of 901/900 (30x30), the same on 1
+# and 2 BLAS threads.  Against the uncompressed family (Y = I), the eight
+# Table 2 k at tol 1e-8 move by at most 2.2e-8 (15x15) and 7.7e-9 (30x30).
+# 1e-15 keeps 125/118 and 332/326 directions and moves them by 1.6e-8 and
+# 4.1e-9, at the cost of larger solves; 1e-13 moves them by 8.2e-7 and
+# 1.8e-7; at 1e-11 a 30x30 solve no longer converges.
+COMPRESS_FLOOR = 1e-14
 
 
 class Method(enum.Enum):
@@ -119,10 +140,13 @@ class TrialPair:
 class AssemblyContext:
     """kappa-independent tables for one (spec, domain, quadrature, N).
 
-    Every table is in the coordinates of the compressed basis Y
-    (``coords``): a family vector g1 enters as a = Y^T g1, which is exact
-    only for g1 in span(Y).  r is the compressed dimension, N the number of
-    Steklov modes and Ks the number of interface nodes.
+    Every table is in the coordinates of the compressed basis Y (module
+    docstring), held in factored form: column k of Y is
+    radial_basis[:, i_k] x angular_basis[:, j_k] on the factor grid of
+    ``family_factors``, read at ``member_index``, with (i_k, j_k) =
+    ``pairs[:, k]``.  A family vector g1 enters as a = Y^T g1, which is
+    exact only for g1 in span(Y).  r is the compressed dimension, N the
+    number of Steklov modes and Ks the number of interface nodes.
     """
 
     spec: BasisSpec
@@ -131,7 +155,9 @@ class AssemblyContext:
     n_modes: int
     surface_rule: QuadratureRule1D
     steklov_traces: np.ndarray = field(repr=False)  # (N, Ks) psi_n at the interface nodes
-    coords: np.ndarray = field(repr=False)  # Y (M, r), orthonormal eigenvectors of A
+    radial_basis: np.ndarray = field(repr=False)  # U_r, eigenvectors of (R|R)_r's product block
+    angular_basis: np.ndarray = field(repr=False)  # U_a, eigenvectors of (A|A)_phi's product block
+    pairs: np.ndarray = field(repr=False)  # (2, r) factor indices (i, j) of Y's columns
     stiffness: np.ndarray = field(repr=False)  # (r, r) Y^T S Y, S = <phi_m | Lap phi_n>
     gram: np.ndarray = field(repr=False)  # (r, r) Y^T G Y, G = <phi_m | phi_n>
     cross: np.ndarray = field(repr=False)  # (r, r) Y^T C Y
@@ -139,6 +165,32 @@ class AssemblyContext:
     dtraces: np.ndarray = field(repr=False)  # (r, Ks) Y^T D, normal derivatives
     proj_values: np.ndarray = field(repr=False)  # (N, r) P Y = (psi w T^T) Y
     proj_derivs: np.ndarray = field(repr=False)  # (N, r) Q Y = (psi w D^T) Y
+
+    @property
+    def trial_dim(self) -> int:
+        """r, the number of compressed coordinates."""
+        return self.pairs.shape[1]
+
+    def family_vector(self, a) -> np.ndarray:
+        """gamma1 = Y a: U_r (a on the kept pairs) U_a^T, read at the members."""
+        grid = np.zeros((self.radial_basis.shape[1], self.angular_basis.shape[1]))
+        grid[tuple(self.pairs)] = a
+        return (self.radial_basis @ grid @ self.angular_basis.T).flat[member_index(self.spec)]
+
+    def reduced_vector(self, g1) -> np.ndarray:
+        """a = Y^T g1: U_r^T (g1 on the factor grid) U_a, read at the kept pairs."""
+        grid = np.zeros((self.radial_basis.shape[0], self.angular_basis.shape[0]))
+        grid.flat[member_index(self.spec)] = g1
+        return (self.radial_basis.T @ grid @ self.angular_basis)[tuple(self.pairs)]
+
+
+def _product_eigenbasis(gram: np.ndarray, lead: int):
+    """Eigenvalues of a 1-D Gram's product-member block (rows ``lead`` on) and
+    its orthonormal eigenvectors, bordered by the identity on the lead rows."""
+    lam, U = np.linalg.eigh(gram[lead:, lead:])
+    V = np.eye(gram.shape[0])
+    V[lead:, lead:] = U
+    return lam, V
 
 
 def build_context(
@@ -150,13 +202,25 @@ def build_context(
     """Precompute every kappa-independent ingredient, the compression included."""
     vol = semicircle_rule(domain, quad.n_r, quad.n_phi)
     surf = interface_rule(domain, quad.n_s)
-    gram, stiffness, T, D = basis_tables(spec, domain, vol, surf)
+    RR, RP, RQ, AA, AAnu, R, A, DR, DA = basis_tables(spec, domain, vol, surf)
+    lead = int(spec.parity is Parity.EVEN)  # even: row 0 of each 1-D table is the linear member's
+    lam_r, Ur = _product_eigenbasis(RR, lead)
+    lam_a, Ua = _product_eigenbasis(AA, lead)
+    prod = np.multiply.outer(lam_r, lam_a)
+    kept = np.nonzero(prod > COMPRESS_FLOOR * prod.max())
+    ii, jj = (np.concatenate([np.zeros(lead, dtype=int), k + lead]) for k in kept)
+    radial_pairs, angular_pairs = np.ix_(ii, ii), np.ix_(jj, jj)
+
+    def volume(radial, angular):  # Y^T (radial x angular)[members] Y
+        return (Ur.T @ radial @ Ur)[radial_pairs] * (Ua.T @ angular @ Ua)[angular_pairs]
+
+    def interface(radial, angular):  # Y^T of the member rows radial[i] angular[j]
+        return (Ur.T @ radial)[ii] * (Ua.T @ angular)[jj]
+
     ws = surf.weights
-    Tw, Dw = T * ws, D * ws
     n = np.arange(1, n_modes + 1)
     psi = steklov_trace(n[:, None], domain, surf.nodes[None, :])
-    lam, U = np.linalg.eigh(gram + Tw @ T.T + Dw @ D.T)
-    Y = U[:, lam > COMPRESS_FLOOR * lam[-1]]  # a copy: U is freed on return
+    traces, dtraces = interface(R, A), interface(DR, DA)
     return AssemblyContext(
         spec=spec,
         domain=domain,
@@ -164,16 +228,16 @@ def build_context(
         n_modes=n_modes,
         surface_rule=surf,
         steklov_traces=psi,
-        coords=Y,
-        stiffness=Y.T @ stiffness @ Y,
-        gram=Y.T @ gram @ Y,
-        cross=(Y.T @ Tw) @ (D.T @ Y),
-        traces=Y.T @ T,
-        dtraces=Y.T @ D,
-        # (psi w T^T) Y, not (psi w)(Y^T T)^T: the latter rounds differently
-        # and moves the NtD k at 15x15 by up to 2e-10
-        proj_values=(psi * ws) @ T.T @ Y,
-        proj_derivs=(psi * ws) @ D.T @ Y,
+        radial_basis=Ur,
+        angular_basis=Ua,
+        pairs=np.array([ii, jj]),
+        stiffness=volume(RP, AA) - volume(RQ, AAnu),
+        gram=volume(RR, AA),
+        cross=(traces * ws) @ dtraces.T,
+        traces=traces,
+        dtraces=dtraces,
+        proj_values=(psi * ws) @ traces.T,
+        proj_derivs=(psi * ws) @ dtraces.T,
     )
 
 

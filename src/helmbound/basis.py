@@ -137,30 +137,29 @@ def laplacian_factors(spec: BasisSpec, domain: CompositeDomain, r):
     return P, Q, _angular_frequencies(spec)
 
 
-def interface_tables(spec: BasisSpec, domain: CompositeDomain, x):
-    """Traces and normal-derivative traces of the whole family at interface points x.
+def interface_factors(spec: BasisSpec, domain: CompositeDomain, x):
+    """Separable factors of the family's interface traces at points x.
 
-    Returns (T, D), each of shape (M, P).  On y = 0, r = |x| and
-    phi = -sign(x) pi/2, so T is the family's value there (``family_factors``);
-    D is the closed form of the module docstring, whose radial factor
-    sin(n alpha (|x| - a)) the even linear member lacks (its D is 0, since
-    its angular factor is constant).  The odd normal-derivative rows take the
-    value 0 at x = 0 through sign(0) = 0.
+    Returns (R, A, DR, DA), one column per point.  On y = 0, r = |x| and
+    phi = -sign(x) pi/2, so the trace of the member R[i] A[j] of
+    ``family_factors`` is R[i] A[j] with R and A evaluated there, and its
+    normal-derivative trace is DR[i] DA[j], the closed form of the
+    module docstring: DR = sin(n alpha (|x| - a)), which the even linear
+    member lacks (its row is 0, since its angular factor is constant), and
+    DA = -nu sin(nu pi/2) (even) or -nu cos(nu pi/2) sign(x) (odd).  The odd
+    normal-derivative rows take the value 0 at x = 0 through sign(0) = 0.
     """
     xs = np.asarray(x, dtype=float)
     absx = np.abs(xs)
     R, A = family_factors(spec, domain, absx, -np.sign(xs) * (np.pi / 2.0))
     nu = _angular_frequencies(spec)[:, None]
-    rad = np.sin(_radial_phase(spec, domain, absx)[1])
+    DR = np.sin(_radial_phase(spec, domain, absx)[1])
     if spec.parity is Parity.EVEN:
-        rad = np.vstack([np.zeros_like(xs), rad])
-        ang = -nu * np.sin(nu * np.pi / 2.0)
+        DR = np.vstack([np.zeros_like(xs), DR])
+        DA = -nu * np.sin(nu * np.pi / 2.0) * np.ones_like(xs)
     else:
-        ang = (-nu * np.cos(nu * np.pi / 2.0)) * np.sign(xs)
-    members = member_index(spec)
-    T = (R[:, None] * A).reshape(-1, xs.size)[members]
-    D = (ang * rad[:, None]).reshape(-1, xs.size)[members]
-    return T, D
+        DA = (-nu * np.cos(nu * np.pi / 2.0)) * np.sign(xs)
+    return R, A, DR, DA
 
 
 def basis_tables(
@@ -169,19 +168,23 @@ def basis_tables(
     volume_rule: tuple[QuadratureRule1D, QuadratureRule1D],
     surface_rule: QuadratureRule1D,
 ):
-    """Volume matrices and interface tables of the whole family.
+    """1-D radial and angular tables of the whole family's volume and interface products.
 
-    Returns (G, S, T, D): the Gram matrix <phi_mu|phi_nu> and the stiffness
-    <phi_mu|Lap phi_nu> over the semicircle, each (M, M), and the
-    ``interface_tables`` at the surface nodes.  The volume rule
-    (``semicircle_rule``) and every member are separable in (r, phi), so
-    with the 1-D products (X|Y)_r = (X w_r) Y^T (w_r carries r) and
-    (X|Y)_phi = (X w_phi) Y^T, in the factors of ``family_factors`` and
-    ``laplacian_factors``, both are Kronecker products,
+    Returns (RR, RP, RQ, AA, AAnu, R, A, DR, DA): the 1-D products
+    (X|Y)_r = (X w_r) Y^T (w_r carries r) and (X|Y)_phi = (X w_phi) Y^T of
+    the factors of ``family_factors`` and ``laplacian_factors``,
 
-        G = (R|R)_r x (A|A)_phi,   S = (R|P)_r x (A|A)_phi - (R|Q)_r x ((A|A)_phi diag(nu^2)),
+        RR = (R|R)_r, RP = (R|P)_r, RQ = (R|Q)_r, AA = (A|A)_phi, AAnu = (A|A)_phi diag(nu^2),
 
-    restricted to the members' rows and columns (``member_index``).
+    and the ``interface_factors`` at the surface nodes.  The volume rule
+    (``semicircle_rule``) and every member are separable in (r, phi), so the
+    Gram <phi_mu|phi_nu> and the stiffness <phi_mu|Lap phi_nu> are Kronecker
+    products restricted to the members' rows and columns (``member_index``),
+
+        G = RR x AA,   S = RP x AA - RQ x AAnu,
+
+    and the interface values and normal derivatives of the member R[i] A[j]
+    are R[i] A[j] and DR[i] DA[j].  No table over all members is formed.
     """
     radial, angular = volume_rule
     R, A = family_factors(spec, domain, radial.nodes, angular.nodes)
@@ -190,8 +193,4 @@ def basis_tables(
     # symmetric and the same on any number of BLAS threads
     RR, RP, RQ = (np.einsum("ik,jk,k->ij", R, X, radial.weights) for X in (R, P, Q))
     AA = np.einsum("ik,jk,k->ij", A, A, angular.weights)
-    members = np.ix_(member_index(spec), member_index(spec))
-    G = np.kron(RR, AA)[members]
-    S = (np.kron(RP, AA) - np.kron(RQ, AA * nu**2))[members]
-    T, D = interface_tables(spec, domain, surface_rule.nodes)
-    return G, S, T, D
+    return (RR, RP, RQ, AA, AA * nu**2, *interface_factors(spec, domain, surface_rule.nodes))

@@ -79,7 +79,7 @@ def cmd_solve(cfg: RunConfig, args) -> int:
         "parity": parity,
         "kappa0": cfg.kappa0,
         "basis_size": cfg.basis.size,
-        "trial_dim": ctx.coords.shape[1],
+        "trial_dim": ctx.trial_dim,
     }
     path = out / f"solve_{method}_{parity}.json"
     try:

@@ -44,8 +44,12 @@ MIN_POINTS_ACROSS = 10
 # A node closer to a wall than this fraction of h counts as a wall node, so
 # rounding in the node coordinates never makes a vanishing stencil arm.
 WALL_MARGIN = 1e-9
-# The cut-cell operator is not symmetric; its spectrum is real, so an
-# imaginary part above this fraction of the largest |lambda| is a failed solve.
+# The cut-cell operator is not symmetric, and its spectrum is real only low
+# down: at b = 1.5, dense eigvals of the mirror blocks give complex pairs from
+# rank 102 of the even block at h = 0.1, rank 254 of the odd block at h = 1/16
+# and rank 139 of the even block at h = 1/32.  The few lowest modes read
+# here are real, so an imaginary part above this fraction of the largest
+# |lambda| is a failed solve (or a num_modes that reaches the complex pairs).
 IMAG_TOL = 1e-8
 
 

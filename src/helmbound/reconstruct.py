@@ -213,7 +213,7 @@ def interface_mismatch(
     """
     if (context.spec, context.domain) != (estimate.spec, estimate.domain):
         raise ValueError("context was built for another trial family or domain")
-    a = context.coords.T @ estimate.gamma1
+    a = context.reduced_vector(estimate.gamma1)
     trial = _assembly.TrialPair(a, estimate.gamma2, estimate.kappa)
     *_, v1, d1, v2, d2 = _assembly._surface_fields(context, trial)
     ws = context.surface_rule.weights

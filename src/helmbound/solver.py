@@ -4,13 +4,13 @@ The solve runs on the pencil in the context's compressed coordinates
 (``assembly`` module docstring), so each iteration works on r x r
 matrices; gamma2 reads the tracked vector a, sampling gamma1 = Y a.
 
-The compression drops only directions that are null for the whole family,
-not for the method's metric: the reduced Delta keeps the spread of the full
-one (at b = 1.5 its smallest eigenvalues sit at roundoff, between -1e-16
-and 1e-14 of the largest), so a plain Cholesky reduction still fails.  The
-solve instead filters the reduced metric: eigendecompose Delta, keep
-directions with sigma > filter_tol * sigma_max, whiten, and solve the
-standard symmetric problem in the kept subspace.  Returned eigenpairs are
+The compression drops the directions that are negligible for the family's
+Gram, not for the method's metric: the reduced Delta still spans the whole
+float64 range (at b = 1.5 its smallest eigenvalues lie between -2e-16 and
+1e-14 of the largest, and 9 to 61 of them below 1e-13), so a plain Cholesky
+reduction still fails.  The solve instead filters the reduced metric:
+eigendecompose Delta, keep directions with sigma > filter_tol * sigma_max,
+whiten, and solve the standard symmetric problem in the kept subspace.  Returned eigenpairs are
 exact pairs of the filtered pencil; the physically tracked low modes carry
 pencil residuals at the 1e-10 level, while Ritz values far outside the
 physical window (e.g. the large negative ones of the NtD pencil) are
@@ -163,7 +163,7 @@ def iterate_mode(
     gamma2 = gamma2_coefficients(method, vec, kappa_final, ctx)
     estimate = ModeEstimate(
         k_estimate=float(np.sqrt(f_final)),
-        gamma1=ctx.coords @ vec,
+        gamma1=ctx.family_vector(vec),
         gamma2=gamma2,
         spec=ctx.spec,
         domain=ctx.domain,

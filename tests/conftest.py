@@ -14,7 +14,7 @@ from helmbound import (
     semicircle_rule,
     steklov_trace,
 )
-from helmbound.basis import basis_tables
+from helmbound.basis import basis_tables, interface_factors, member_index
 
 A, B = 1.0, 1.5
 
@@ -44,15 +44,50 @@ def context_for(domain, quad):
     return get
 
 
+def _member_rows(spec, radial, angular):
+    """Rows radial[i] * angular[j] of the members, in index order (member_index)."""
+    return (radial[:, None] * angular).reshape(-1, radial.shape[-1])[member_index(spec)]
+
+
 @pytest.fixture(scope="session")
-def family_tables():
+def interface_tables():
+    """(T, D), the whole family's interface values and normal derivatives at
+    points x, each (M, P): the member products of ``interface_factors``."""
+
+    def get(spec, domain, x):
+        R, A, DR, DA = interface_factors(spec, domain, x)
+        return _member_rows(spec, R, A), _member_rows(spec, DR, DA)
+
+    return get
+
+
+@pytest.fixture(scope="session")
+def kron_tables():
+    """(G, S, T, D) over the whole family from the 1-D tables of ``basis_tables``.
+
+    G = <phi_m|phi_n> and S = <phi_m|Lap phi_n> (M x M) are the Kronecker
+    products of the basis_tables docstring restricted to the members, and
+    the interface values T and normal derivatives D (M x Ks) the member
+    products of the interface factors.
+    """
+
+    def get(spec, domain, volume_rule, surface_rule):
+        RR, RP, RQ, AA, AAnu, R, A, DR, DA = basis_tables(spec, domain, volume_rule, surface_rule)
+        members = np.ix_(member_index(spec), member_index(spec))
+        G = np.kron(RR, AA)[members]
+        S = (np.kron(RP, AA) - np.kron(RQ, AAnu))[members]
+        return G, S, _member_rows(spec, R, A), _member_rows(spec, DR, DA)
+
+    return get
+
+
+@pytest.fixture(scope="session")
+def family_tables(kron_tables):
     """Factory for the family-coordinate tables (G, S, T, D, psi, w) of a context.
 
     An independent reference for the context's compressed tables, built from
-    its spec, domain, quadrature and Steklov truncation: G = <phi_m|phi_n>,
-    S = <phi_m|Lap phi_n> (M x M), the interface values T and normal
-    derivatives D (M x Ks), the Steklov traces psi (N x Ks) and the interface
-    weights w.
+    its spec, domain, quadrature and Steklov truncation: ``kron_tables``, the
+    Steklov traces psi (N x Ks) and the interface weights w.
     """
     cache = {}
 
@@ -62,11 +97,27 @@ def family_tables():
             quad = ctx.quad
             surf = interface_rule(ctx.domain, quad.n_s)
             vol = semicircle_rule(ctx.domain, quad.n_r, quad.n_phi)
-            G, S, T, D = basis_tables(ctx.spec, ctx.domain, vol, surf)
             n = np.arange(1, ctx.n_modes + 1)
             psi = steklov_trace(n[:, None], ctx.domain, surf.nodes[None, :])
-            cache[key] = G, S, T, D, psi, surf.weights
+            cache[key] = (*kron_tables(ctx.spec, ctx.domain, vol, surf), psi, surf.weights)
         return cache[key]
+
+    return get
+
+
+@pytest.fixture(scope="session")
+def dense_coords():
+    """The compressed basis Y (M x r) of a context as a dense matrix.
+
+    Column k is the Kronecker product of the context's radial and angular
+    eigenvectors at pairs[:, k], read at the members.
+    """
+
+    def get(ctx):
+        i, j = ctx.pairs
+        cols = i * ctx.angular_basis.shape[1] + j
+        full = np.kron(ctx.radial_basis, ctx.angular_basis)
+        return full[np.ix_(member_index(ctx.spec), cols)]
 
     return get
 

@@ -166,7 +166,7 @@ def test_criterion_5_functional_suite(domain, quad, context_for, zero_trace_coor
     ctx = context_for(Parity.EVEN, 15)
 
     # reality for 20 random complex mixings
-    trial = TrialPair(a=rng.normal(size=ctx.coords.shape[1]),
+    trial = TrialPair(a=rng.normal(size=ctx.trial_dim),
                       gamma2=rng.normal(size=60), kappa=2.0116)
     for _ in range(20):
         mixing = complex(rng.normal(), rng.normal())
@@ -183,7 +183,7 @@ def test_criterion_5_functional_suite(domain, quad, context_for, zero_trace_coor
         parity = Parity(label.split(",")[0])
         sol_ctx = context_for(parity, 15)
         mixing = _natural_mixing(method)
-        a0 = sol_ctx.coords.T @ estimate.gamma1
+        a0 = sol_ctx.reduced_vector(estimate.gamma1)
         trial0 = TrialPair(a=a0, gamma2=estimate.gamma2, kappa=estimate.kappa)
         f0 = evaluate_discontinuous_functional(trial0, mixing, sol_ctx).real
         f_tilde = estimate.k_estimate**2

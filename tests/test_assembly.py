@@ -14,11 +14,13 @@ from helmbound import (
     build_context,
     evaluate_discontinuous_functional,
     iterate_mode,
+    make_domain,
     mode_seeds,
     steklov_table,
 )
 from helmbound import assembly
 from helmbound.assembly import COMPRESS_FLOOR
+from helmbound.basis import member_index
 from helmbound.errors import NearDirichletResonance, ZeroTrial
 
 KAPPA = 2.0116
@@ -84,9 +86,9 @@ def test_delta11_volume_part(domain, context_for, family_tables):
 
 @pytest.mark.parametrize("size", [5, 15])
 @pytest.mark.parametrize("parity", list(Parity))
-def test_assemble_is_compressed_family_pencil(context_for, family_tables, size, parity):
+def test_assemble_is_compressed_family_pencil(context_for, family_tables, dense_coords, size, parity):
     ctx = context_for(parity, size)
-    Y = ctx.coords
+    Y = dense_coords(ctx)
     for method in Method:
         pair = assemble(method, KAPPA, ctx)
         lam, delta = _family_pencil(method, KAPPA, ctx, family_tables(ctx))
@@ -95,56 +97,41 @@ def test_assemble_is_compressed_family_pencil(context_for, family_tables, size, 
             assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want)), method
 
 
-def _augmented_gram(tables):
-    """A = G + T w T^T + D w D^T, the matrix whose eigenvectors the context keeps."""
-    G, _, T, D, _, ws = tables
-    return G + (T * ws) @ T.T + (D * ws) @ D.T
-
-
-def _floor_count_and_band(lam):
-    """How many eigenvalues exceed COMPRESS_FLOOR * lambda_max, and how many lie
-    in (F/2, 2F] lambda_max: the roundoff cloud in which the floor sits, where
-    a second rounding of the spectrum can move a direction across it."""
-    rel = lam / lam[-1]
-    band = (rel > 0.5 * COMPRESS_FLOOR) & (rel <= 2.0 * COMPRESS_FLOOR)
-    return np.count_nonzero(rel > COMPRESS_FLOOR), np.count_nonzero(band)
-
-
 @pytest.mark.parametrize("size", [5, 15])
 @pytest.mark.parametrize("parity", list(Parity))
-def test_compressed_basis_is_orthonormal_eigenbasis_of_augmented_gram(context_for, family_tables,
-                                                                     size, parity):
-    # Y holds the eigenvectors of A above COMPRESS_FLOOR * lambda_max, and
-    # the complement it drops is null for A at roundoff level.  The count is
-    # compared with eigvalsh's, a second rounding of the same spectrum, up
-    # to the eigenvalues near the floor
+def test_compressed_basis_is_orthonormal_and_diagonalizes_gram(context_for, family_tables, dense_coords,
+                                                              size, parity):
+    # Y's product columns are eigenvectors of G, so the compressed Gram is
+    # diagonal off the even linear member's row and column, and the
+    # complement Y drops is null for G below COMPRESS_FLOOR up to the
+    # rounding of G's entries.  Its interface traces are small, not null:
+    # the augmented Gram A = G + T w T^T + D w D^T on it stays below 1e-7 of
+    # A's largest eigenvalue (3.5e-8 measured at 15x15; the assembly docstring)
     ctx = context_for(parity, size)
-    Y = ctx.coords
-    A = _augmented_gram(family_tables(ctx))
-    lam = np.linalg.eigvalsh(A)
-    r = Y.shape[1]
-    count, band = _floor_count_and_band(lam)
-    assert abs(r - count) <= band
-    assert np.max(np.abs(Y.T @ Y - np.eye(r))) < 1e-10
-    AY = Y.T @ A @ Y
-    assert np.max(np.abs(AY - np.diag(np.diag(AY)))) < 1e-10 * lam[-1]
-    assert np.allclose(np.diag(AY), lam[-r:], rtol=0.0, atol=1e-10 * lam[-1])
+    G, _, T, D, _, ws = family_tables(ctx)
+    Y = dense_coords(ctx)
+    r = ctx.trial_dim
+    g_max = np.linalg.norm(G, 2)
+    assert np.max(np.abs(Y.T @ Y - np.eye(r))) < 1e-13
+    assert np.max(np.abs(ctx.gram - Y.T @ G @ Y)) < 1e-14 * g_max
+    lead = int(parity is Parity.EVEN)
+    block = ctx.gram[lead:, lead:]
+    assert np.max(np.abs(block - np.diag(np.diag(block)))) < 1e-14 * g_max
     drop = np.eye(ctx.spec.size) - Y @ Y.T
-    assert np.linalg.norm(drop @ A @ drop, 2) < 1e-14 * lam[-1]
+    assert np.linalg.norm(drop @ G @ drop, 2) < (COMPRESS_FLOOR + 16 * np.finfo(float).eps) * g_max
+    A = G + (T * ws) @ T.T + (D * ws) @ D.T
+    assert np.linalg.norm(drop @ A @ drop, 2) < 1e-7 * np.linalg.eigvalsh(A)[-1]
 
 
-def test_compressed_dimensions_at_reference_depth(context_for, family_tables):
+def test_compressed_dimensions_at_reference_depth(context_for):
     # the r of each family that the README and the COMPRESS_FLOOR comment
-    # quote, at b = 1.5, up to the eigenvalues of A near the floor: which of
-    # those fall above it depends on the rounding (the BLAS thread count),
-    # and test_compress_floor_moves_no_k bounds what that does to k
-    quoted = {("even", 15): (226, 111), ("odd", 15): (225, 108),
-              ("even", 30): (901, 287), ("odd", 30): (900, 281)}
+    # quote, at b = 1.5.  The selection reads the eigenvalues of two 1-D
+    # Grams of at most 31 x 31, the same on 1 and 2 BLAS threads
+    quoted = {("even", 15): (226, 122), ("odd", 15): (225, 115),
+              ("even", 30): (901, 314), ("odd", 30): (900, 306)}
     for (parity, size), (family, r) in quoted.items():
         ctx = context_for(Parity(parity), size)
-        assert ctx.spec.size == family
-        _, band = _floor_count_and_band(np.linalg.eigvalsh(_augmented_gram(family_tables(ctx))))
-        assert abs(ctx.coords.shape[1] - r) <= band, (parity, size)
+        assert (ctx.spec.size, ctx.trial_dim) == (family, r), (parity, size)
 
 
 def _array_fields(ctx):
@@ -153,32 +140,97 @@ def _array_fields(ctx):
 
 
 def test_context_keeps_no_family_table(context_for):
-    # every table is in the compressed coordinates: at 15x15 (M = 226,
-    # r = 111) only Y itself has a dimension of size M.  The 30x30 context
-    # holds 6.55 MB of arrays (22.05 MB with the family tables)
+    # every table is in the compressed coordinates and Y is kept as its 1-D
+    # factors, so at 15x15 (M = 226, r = 122) no array has a dimension of
+    # size M.  The 30x30 context holds 5.09 MB of arrays
     ctx = context_for(Parity.EVEN, 15)
     M = ctx.spec.size
-    assert ctx.coords.shape[0] == M > ctx.coords.shape[1]
+    assert M > ctx.trial_dim
     arrays = _array_fields(ctx)
     assert "stiffness" in arrays and "traces" in arrays
-    assert [name for name, v in arrays.items() if M in v.shape] == ["coords"]
+    assert [name for name, v in arrays.items() if M in v.shape] == []
     assert sum(v.nbytes for v in _array_fields(context_for(Parity.EVEN, 30)).values()) < 7e6
 
 
-def test_compress_floor_moves_no_k(domain, context_for, monkeypatch):
-    # a floor a decade lower keeps about ten more directions per family at
-    # 15x15 and moves none of the eight Table 2 k by more than 7e-9 (tol
-    # 1e-8, 1 and 2 BLAS threads), so any r in the band above gives the same k
+@pytest.mark.parametrize("parity", list(Parity))
+def test_factored_maps_match_dense_coords(context_for, dense_coords, parity, rng):
+    # gamma1 = Y a and a = Y^T g1 through the 1-D factors against a dense Y
+    ctx = context_for(parity, 15)
+    Y = dense_coords(ctx)
+    a = rng.normal(size=ctx.trial_dim)
+    g1 = rng.normal(size=ctx.spec.size)
+    assert np.max(np.abs(ctx.family_vector(a) - Y @ a)) < 1e-13
+    assert np.max(np.abs(ctx.reduced_vector(g1) - Y.T @ g1)) < 1e-13
+
+
+@pytest.mark.parametrize("b", [1.0078125, 1.8515625, 2.25])
+@pytest.mark.parametrize("parity", list(Parity))
+def test_context_tables_independent_of_depth(domain, quad, context_for, parity, b):
+    # the depth enters only through steklov_table in assemble (the assembly
+    # docstring): a context moved to another depth is a fresh build there
+    moved = dataclasses.replace(context_for(parity, 5), domain=make_domain(domain.a, b))
+    fresh = build_context(moved.spec, moved.domain, quad)
+    for f in dataclasses.fields(fresh):
+        got, want = getattr(moved, f.name), getattr(fresh, f.name)
+        if isinstance(want, np.ndarray):
+            assert np.array_equal(got, want), f.name
+        elif f.name == "surface_rule":
+            assert np.array_equal(got.nodes, want.nodes) and np.array_equal(got.weights, want.weights)
+        else:
+            assert got == want, f.name
+
+
+def _uncompressed(ctx, tables):
+    """The context's family with Y = I: identity factors, every member a pair,
+    and the tables of the family pencil (``family_tables``)."""
+    G, S, T, D, psi, ws = tables
+    na = ctx.angular_basis.shape[0]
+    return dataclasses.replace(
+        ctx,
+        radial_basis=np.eye(ctx.radial_basis.shape[0]),
+        angular_basis=np.eye(na),
+        pairs=np.array(np.divmod(member_index(ctx.spec), na)),
+        stiffness=S,
+        gram=G,
+        cross=(T * ws) @ D.T,
+        traces=T,
+        dtraces=D,
+        proj_values=(psi * ws) @ T.T,
+        proj_derivs=(psi * ws) @ D.T,
+    )
+
+
+def test_compression_matches_uncompressed_family(domain, context_for, family_tables, converged):
+    # the eight Table 2 k at tol 1e-8 against the solve over the whole
+    # family (Y = I); measured at most 2.2e-8 apart at 15x15 and 7.7e-9 at
+    # 30x30, on 1 and 2 BLAS threads
+    seeds = mode_seeds(domain)
+    full = {parity: _uncompressed(context_for(parity), family_tables(context_for(parity)))
+            for parity in Parity}
+    for label, seed in seeds.items():
+        parity = Parity(label.split(",")[0])
+        for method in Method:
+            k = converged(method, label, tol=1e-8)[0].k_estimate
+            k_full = iterate_mode(method, seed, full[parity].spec, domain, tol=1e-8,
+                                  context=full[parity])[0].k_estimate
+            assert abs(k - k_full) < 5e-8, (label, method)
+
+
+def test_compress_floor_moves_no_k(domain, context_for, converged, monkeypatch):
+    # a floor a decade lower keeps 3 more directions per family at 15x15 and
+    # moves none of the eight Table 2 k by more than 1.4e-8 (tol 1e-8; 7.6e-9
+    # on 1 BLAS thread), so the r of a nearby floor gives the same k
     seeds = mode_seeds(domain)
     monkeypatch.setattr(assembly, "COMPRESS_FLOOR", COMPRESS_FLOOR / 10)
     lower = {parity: build_context(context_for(parity).spec, domain) for parity in Parity}
     for label, seed in seeds.items():
         parity = Parity(label.split(",")[0])
-        assert lower[parity].coords.shape[1] > context_for(parity).coords.shape[1]
+        assert lower[parity].trial_dim > context_for(parity).trial_dim
         for method in Method:
-            k = [iterate_mode(method, seed, ctx.spec, domain, tol=1e-8, context=ctx)[0].k_estimate
-                 for ctx in (context_for(parity), lower[parity])]
-            assert abs(k[0] - k[1]) < 5e-8, (label, method)
+            k = converged(method, label, tol=1e-8)[0].k_estimate
+            k_lower = iterate_mode(method, seed, lower[parity].spec, domain, tol=1e-8,
+                                   context=lower[parity])[0].k_estimate
+            assert abs(k - k_lower) < 5e-8, (label, method)
 
 
 def test_delta11_full_entry_against_independent_quadrature(domain, quad, family_tables):
@@ -227,7 +279,7 @@ def test_quadrature_stability(domain, family_tables):
 
 def test_functional_reality(domain, context_for, rng):
     ctx = context_for(Parity.EVEN, 5)
-    trial = TrialPair(a=rng.normal(size=ctx.coords.shape[1]), gamma2=rng.normal(size=40), kappa=KAPPA)
+    trial = TrialPair(a=rng.normal(size=ctx.trial_dim), gamma2=rng.normal(size=40), kappa=KAPPA)
     for _ in range(20):
         mixing = complex(rng.normal(), rng.normal())
         value = evaluate_discontinuous_functional(trial, mixing, ctx)
@@ -247,7 +299,7 @@ def test_functional_mixing_independence_for_matched_trial(domain, context_for, z
 
 def test_functional_zero_trial(domain, context_for):
     ctx = context_for(Parity.EVEN, 5)
-    trial = TrialPair(a=np.zeros(ctx.coords.shape[1]), gamma2=np.zeros(10), kappa=KAPPA)
+    trial = TrialPair(a=np.zeros(ctx.trial_dim), gamma2=np.zeros(10), kappa=KAPPA)
     with pytest.raises(ZeroTrial):
         evaluate_discontinuous_functional(trial, 0.3, ctx)
 
@@ -255,7 +307,7 @@ def test_functional_zero_trial(domain, context_for):
 def test_functional_rejects_gamma2_beyond_context(domain, context_for, rng):
     ctx = context_for(Parity.EVEN, 5)
     n2 = ctx.n_modes + 1
-    trial = TrialPair(a=rng.normal(size=ctx.coords.shape[1]), gamma2=rng.normal(size=n2), kappa=KAPPA)
+    trial = TrialPair(a=rng.normal(size=ctx.trial_dim), gamma2=rng.normal(size=n2), kappa=KAPPA)
     with pytest.raises(ValueError, match=f"{n2} coefficients .* {ctx.n_modes} Steklov modes"):
         evaluate_discontinuous_functional(trial, 0.3, ctx)
 
@@ -272,7 +324,7 @@ def _matched_trial(method, ctx, rng):
     """A trial at a random reduced vector a, its gamma2 matched; returns (trial, a)."""
     from helmbound import gamma2_coefficients
 
-    a = rng.normal(size=ctx.coords.shape[1])
+    a = rng.normal(size=ctx.trial_dim)
     g2 = gamma2_coefficients(method, a, KAPPA, ctx)
     return TrialPair(a=a, gamma2=g2, kappa=KAPPA), a
 

@@ -8,13 +8,7 @@ from helmbound import (
     interface_rule,
     semicircle_rule,
 )
-from helmbound.basis import (
-    basis_tables,
-    family_factors,
-    interface_tables,
-    laplacian_factors,
-    member_index,
-)
+from helmbound.basis import family_factors, laplacian_factors, member_index
 
 EVEN = BasisSpec(parity=Parity.EVEN, n_max=3, m_max=3)
 ODD = BasisSpec(parity=Parity.ODD, n_max=3, m_max=3)
@@ -126,12 +120,12 @@ def test_laplacian_against_symbolic(domain):
     assert got == pytest.approx([want], abs=1e-10)
 
 
-def test_trace_linear_member(domain):
+def test_trace_linear_member(domain, interface_tables):
     xs = np.linspace(-0.9, 0.9, 9)
     assert interface_tables(EVEN, domain, xs)[0][0] == pytest.approx(np.abs(xs) - 1.0)
 
 
-def test_trace_even_odd_m_vanishes(domain):
+def test_trace_even_odd_m_vanishes(domain, interface_tables):
     # beta = 1 and odd m: cos(m pi / 2) = 0 kills the whole trace
     xs = np.linspace(-0.9, 0.9, 9)
     T, _ = interface_tables(EVEN, domain, xs)
@@ -141,17 +135,17 @@ def test_trace_even_odd_m_vanishes(domain):
             assert np.max(np.abs(T[mu - 1])) < 1e-15
 
 
-def test_trace_odd_member_value(domain):
+def test_trace_odd_member_value(domain, interface_tables):
     assert interface_tables(ODD, domain, [0.5])[0][0] == pytest.approx([0.239712769302], abs=1e-10)
 
 
-def test_normal_trace_linear_member(domain):
+def test_normal_trace_linear_member(domain, interface_tables):
     xs = np.linspace(-0.9, 0.9, 9)
     assert np.all(interface_tables(EVEN, domain, xs)[1][0] == 0.0)
 
 
 @pytest.mark.parametrize("spec,mu", [(EVEN, 3), (EVEN, 8), (ODD, 1), (ODD, 5)])
-def test_normal_trace_against_finite_difference(domain, spec, mu):
+def test_normal_trace_against_finite_difference(domain, spec, mu, interface_tables):
     # one-sided into the semicircle with Richardson: O(h^2) estimate of -d/dy
     h = 1e-4
     x = np.array([-0.62, 0.15, 0.4])
@@ -162,7 +156,7 @@ def test_normal_trace_against_finite_difference(domain, spec, mu):
     assert interface_tables(spec, domain, x)[1][mu - 1] == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
 
-def test_normal_trace_parity(domain):
+def test_normal_trace_parity(domain, interface_tables):
     xs = np.linspace(0.05, 0.95, 7)
     for spec, sign in ((EVEN, 1.0), (ODD, -1.0)):
         _, left = interface_tables(spec, domain, -xs)
@@ -171,7 +165,7 @@ def test_normal_trace_parity(domain):
         assert left == pytest.approx(sign * right, abs=1e-15)
 
 
-def test_normal_trace_origin_limit(domain):
+def test_normal_trace_origin_limit(domain, interface_tables):
     # analytic finite limit; the odd family takes the symmetric value 0
     assert np.isfinite(interface_tables(EVEN, domain, [0.0])[1][1, 0])
     assert interface_tables(ODD, domain, [0.0])[1][0, 0] == 0.0
@@ -212,9 +206,10 @@ def _closed_forms(spec, domain, r, phi, xs):
     return [np.array(table) for table in zip(*rows)]
 
 
-def test_tables_match_pointwise_evaluation(domain):
-    # G and S against a brute-force sum over the nodes of the 2-D tensor
-    # rule, of the closed forms evaluated member by member
+def test_tables_match_pointwise_evaluation(domain, kron_tables):
+    # the Kronecker products of basis_tables' 1-D tables against a
+    # brute-force sum over the nodes of the 2-D tensor rule, of the closed
+    # forms evaluated member by member
     radial, angular = semicircle_rule(domain, 8, 8)
     surf = interface_rule(domain, 8)
     r, phi = (grid.ravel() for grid in np.meshgrid(radial.nodes, angular.nodes, indexing="ij"))
@@ -223,7 +218,7 @@ def test_tables_match_pointwise_evaluation(domain):
              BasisSpec(parity=Parity.EVEN, alpha=0.9, beta=1.7, n_max=3, m_max=4),
              BasisSpec(parity=Parity.ODD, alpha=0.9, beta=1.7, n_max=4, m_max=2))
     for spec in specs:
-        G, S, T, D = basis_tables(spec, domain, (radial, angular), surf)
+        G, S, T, D = kron_tables(spec, domain, (radial, angular), surf)
         V, L, T_ref, D_ref = _closed_forms(spec, domain, r, phi, surf.nodes)
         G_ref, S_ref = (V * w) @ V.T, (V * w) @ L.T
         for got, ref in ((G, G_ref), (S, S_ref), (T, T_ref), (D, D_ref)):

@@ -105,7 +105,7 @@ def test_solve_reproduces_table_value(tmp_path, capsys, context_for):
     assert doc["converged"] is True
     assert doc["converged_k"] == pytest.approx(2.0611, abs=5e-4)
     assert doc["basis_size"] == 226
-    assert doc["trial_dim"] == context_for(Parity.EVEN, 15).coords.shape[1]
+    assert doc["trial_dim"] == context_for(Parity.EVEN, 15).trial_dim
     assert doc["iterations"][0] == pytest.approx(2.0633, abs=5e-4)
 
 

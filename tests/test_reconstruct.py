@@ -15,7 +15,6 @@ from helmbound import (
     steklov_table,
     steklov_trace,
 )
-from helmbound.basis import interface_tables
 from helmbound.errors import IoFailure
 from helmbound.reconstruct import interface_mismatch, read_grid_csv
 
@@ -23,17 +22,16 @@ from helmbound.reconstruct import interface_mismatch, read_grid_csv
 PROJECTED_MODES = (1, 2, 7, 20, 50)
 
 
-def _adaptive_projection(ctx, a, table):
-    """(psi_n | (Y a) @ rows) for n in PROJECTED_MODES by adaptive quadrature.
+def _adaptive_projection(ctx, g1, rows):
+    """(psi_n | g1 @ rows(x)) for n in PROJECTED_MODES by adaptive quadrature.
 
-    The rows are interface_tables' traces (table 0) or normal-derivative
-    traces (table 1), and Y a is the family vector of the reduced vector a.
+    rows(x) gives the family's interface traces or normal-derivative traces
+    at the points x, one column per point, and g1 is a family vector.
     Each half of the interface is integrated on its own: the traces carry
     |x| and sign(x) factors that kink or jump at x = 0.
     """
     radius = ctx.domain.a
-    g1 = ctx.coords @ a
-    field = lambda x: float(g1 @ interface_tables(ctx.spec, ctx.domain, [x])[table][:, 0])
+    field = lambda x: float(g1 @ rows([x])[:, 0])
     out = []
     for n in PROJECTED_MODES:
         integrand = lambda x: steklov_trace(n, ctx.domain, x) * field(x)
@@ -43,13 +41,14 @@ def _adaptive_projection(ctx, a, table):
     return np.array(out)
 
 
-def test_gamma2_matches_surface_projection(domain, context_for, rng):
-    # the DtN coefficients are the interface projection of the trace
+def test_gamma2_matches_surface_projection(domain, context_for, dense_coords, interface_tables, rng):
+    # the DtN coefficients are the interface projection of the trace of Y a
     ctx = context_for(Parity.EVEN, 5)
-    a = rng.normal(size=ctx.coords.shape[1])
+    a = rng.normal(size=ctx.trial_dim)
     c = gamma2_coefficients(Method.DTN, a, 2.0116, ctx)
     got = c[np.array(PROJECTED_MODES) - 1]
-    want = _adaptive_projection(ctx, a, 0)
+    want = _adaptive_projection(ctx, dense_coords(ctx) @ a,
+                                lambda x: interface_tables(ctx.spec, ctx.domain, x)[0])
     assert got == pytest.approx(want, rel=1e-13, abs=1e-14)
 
 
@@ -59,14 +58,15 @@ def test_gamma2_zero_trace_gives_zero(domain, context_for, zero_trace_coords, rn
     assert np.max(np.abs(c)) < 1e-14
 
 
-def test_ntd_gamma2_respects_operator(domain, context_for, rng):
+def test_ntd_gamma2_respects_operator(domain, context_for, dense_coords, interface_tables, rng):
     # NtD coefficients times b_n reproduce the normal-derivative projection
     ctx = context_for(Parity.ODD, 5)
-    a = rng.normal(size=ctx.coords.shape[1])
+    a = rng.normal(size=ctx.trial_dim)
     c = gamma2_coefficients(Method.NTD, a, 3.4507, ctx)
     bn, _ = steklov_table(3.4507, ctx.n_modes, domain)
     got = (bn * c)[np.array(PROJECTED_MODES) - 1]
-    want = _adaptive_projection(ctx, a, 1)
+    want = _adaptive_projection(ctx, dense_coords(ctx) @ a,
+                                lambda x: interface_tables(ctx.spec, ctx.domain, x)[1])
     assert got == pytest.approx(want, rel=1e-13, abs=1e-13)
 
 

@@ -127,10 +127,12 @@ def test_cross_method_agreement(converged):
 
 def test_filter_sensitivity(domain, context_for):
     # a decade either side of the default filter_tol = 1e-13 moves converged
-    # k by at most 3.3e-7 (DtN) and 3.9e-5 (NtD), measured with tol = 1e-8
-    # at 15x15 (1 and 2 BLAS threads) and 30x30 (1 thread); the NtD odd,1
-    # solve at filter_tol = 1e-14 takes 10 iterations on 1 BLAS thread and
-    # 15 on 2, against max_iter = 20: its step sits at the tolerance
+    # k by at most 9.6e-7 (DtN) and 3.9e-5 (NtD), measured with tol = 1e-8
+    # at 15x15 on 1 and 2 BLAS threads.  The NtD odd,1 solve at
+    # filter_tol = 1e-14 converges in 6 iterations on 2 threads, but on 1
+    # thread its steps stay near 1e-7 and it ends in NotConverged after
+    # max_iter = 20: the metric directions kept that close to roundoff make
+    # k jitter by that much from one iteration to the next
     seeds = mode_seeds(domain)
     bounds = {Method.DTN: 1e-6, Method.NTD: 1e-4}
     for label in ("even,1", "even,2", "odd,1", "odd,2"):

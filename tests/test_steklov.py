@@ -166,5 +166,5 @@ def test_neumann_resonance_guard():
         assemble(Method.NTD, kap, ctx)
     assert info.value.n == 1
     with pytest.raises(NearNeumannResonance) as info:
-        gamma2_coefficients(Method.NTD, np.ones(ctx.coords.shape[1]), kap, ctx)
+        gamma2_coefficients(Method.NTD, np.ones(ctx.trial_dim), kap, ctx)
     assert info.value.n == 1
