@@ -84,10 +84,10 @@ DEFAULT_STEKLOV_MODES = 200
 # of the largest are dropped.  At b = 1.5 it keeps r = 122/115 of 226/225
 # directions (15x15, even/odd) and 314/306 of 901/900 (30x30), the same on 1
 # and 2 BLAS threads.  Against the uncompressed family (Y = I), the eight
-# Table 2 k at tol 1e-8 move by at most 2.2e-8 (15x15) and 7.7e-9 (30x30).
+# Table 2 k at tol 1e-8 move by at most 2.1e-8 (15x15) and 6.8e-9 (30x30).
 # 1e-15 keeps 125/118 and 332/326 directions and moves them by 1.6e-8 and
-# 4.1e-9, at the cost of larger solves; 1e-13 moves them by 8.2e-7 and
-# 1.8e-7; at 1e-11 a 30x30 solve no longer converges.
+# 5.5e-10, at the cost of larger solves; 1e-13 moves them by 8.2e-7 and
+# 1.8e-7, and 1e-11 by 1.3e-4 at 30x30.
 COMPRESS_FLOOR = 1e-14
 
 

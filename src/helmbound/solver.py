@@ -6,16 +6,30 @@ matrices; gamma2 reads the tracked vector a, sampling gamma1 = Y a.
 
 The compression drops the directions that are negligible for the family's
 Gram, not for the method's metric: the reduced Delta still spans the whole
-float64 range (at b = 1.5 its smallest eigenvalues lie between -2e-16 and
-1e-14 of the largest, and 9 to 61 of them below 1e-13), so a plain Cholesky
-reduction still fails.  The solve instead filters the reduced metric:
-eigendecompose Delta, keep directions with sigma > filter_tol * sigma_max,
-whiten, and solve the standard symmetric problem in the kept subspace.  Returned eigenpairs are
-exact pairs of the filtered pencil; the physically tracked low modes carry
-pencil residuals at the 1e-10 level, while Ritz values far outside the
-physical window (e.g. the large negative ones of the NtD pencil) are
-meaningful only as subspace artifacts and are never selected by the
-tracking rule.
+float64 range (at b = 1.5 its smallest eigenvalues lie between 9e-19 and
+9e-15 of the largest, and 9 to 62 of them below 1e-13, at 15x15 and
+30x30), so a plain Cholesky reduction is not an option.  The solve instead
+filters the reduced metric: eigendecompose Delta, keep directions with
+sigma > filter_tol * sigma_max, whiten, and solve the standard symmetric
+problem in the kept subspace.
+
+One eigh fixes the eigenvalues of Delta only to about eps * sigma_max, so
+near the cut it cannot tell apart directions a few dozen eps * sigma_max
+apart: at b = 1.5 the dropped span at filter_tol 1e-14 is off by 1e-2 to
+1e-1 in angle.  The kept span then moves with the rounding of every kappa,
+and the fixed point jitters by 1e-7 to 1e-6 (15x15 NtD odd,1).  So the
+directions below sqrt(eps) * sigma_max are solved a second time, by eigh of
+the metric restricted to their span, U_b^T Delta U_b.  That span is fixed to
+about eps / sqrt(eps) against the rest, and the restricted metric has norm
+sqrt(eps) * sigma_max, so the second eigh resolves the bottom to about
+eps^1.5 * sigma_max: the dropped span at 1e-14 comes out within 1e-10 to
+1e-7 in angle of the one from an SVD of Delta's Cholesky factor.
+
+Returned eigenpairs are exact pairs of the filtered pencil; the physically
+tracked low modes carry pencil residuals at the 1e-10 level, while Ritz
+values far outside the physical window (e.g. the large negative ones of the
+NtD pencil) are meaningful only as subspace artifacts and are never selected
+by the tracking rule.
 
 The fixed-point loop sets kappa to the square root of the tracked eigenvalue
 until successive estimates of k agree within the tolerance.
@@ -44,6 +58,9 @@ from .reconstruct import ModeEstimate, gamma2_coefficients
 DEFAULT_FILTER_TOL = 1e-13
 DEFAULT_K_TOL = 5e-5
 DEFAULT_MAX_ITER = 20
+# metric eigenvalues below this fraction of the largest are solved a second
+# time, restricted to their span (module docstring)
+REFINE_BELOW = np.sqrt(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -81,12 +98,19 @@ class IterationTrace:
 def solve_generalized(pair: MatrixPair, filter_tol: float = DEFAULT_FILTER_TOL) -> EigenSolution:
     """Solve Lambda x = F Delta x with metric filtering.
 
+    The metric's eigenvalues below REFINE_BELOW * sigma_max come from a
+    second eigh on their span, so the filter cut reads resolved values.
+
     Sign convention: each eigenvector's largest-magnitude component is made
     positive, so repeated solves are bit-reproducible.
     """
     sigma, U = np.linalg.eigh(pair.delta)
     if sigma[-1] <= 0:
         raise MetricNotPositiveDefinite("metric has no positive direction")
+    low = int(np.sum(sigma < REFINE_BELOW * sigma[-1]))
+    Ub = U[:, :low]
+    sigma[:low], W = np.linalg.eigh(Ub.T @ pair.delta @ Ub)
+    U[:, :low] = Ub @ W
     keep = sigma > filter_tol * sigma[-1]
     if not np.any(keep):
         raise MetricNotPositiveDefinite("metric filtering removed every direction")

@@ -202,7 +202,7 @@ def _uncompressed(ctx, tables):
 
 def test_compression_matches_uncompressed_family(domain, context_for, family_tables, converged):
     # the eight Table 2 k at tol 1e-8 against the solve over the whole
-    # family (Y = I); measured at most 2.2e-8 apart at 15x15 and 7.7e-9 at
+    # family (Y = I); measured at most 2.1e-8 apart at 15x15 and 6.8e-9 at
     # 30x30, on 1 and 2 BLAS threads
     seeds = mode_seeds(domain)
     full = {parity: _uncompressed(context_for(parity), family_tables(context_for(parity)))
@@ -218,8 +218,8 @@ def test_compression_matches_uncompressed_family(domain, context_for, family_tab
 
 def test_compress_floor_moves_no_k(domain, context_for, converged, monkeypatch):
     # a floor a decade lower keeps 3 more directions per family at 15x15 and
-    # moves none of the eight Table 2 k by more than 1.4e-8 (tol 1e-8; 7.6e-9
-    # on 1 BLAS thread), so the r of a nearby floor gives the same k
+    # moves none of the eight Table 2 k by more than 1.5e-8 (tol 1e-8, on 1
+    # and 2 BLAS threads), so the r of a nearby floor gives the same k
     seeds = mode_seeds(domain)
     monkeypatch.setattr(assembly, "COMPRESS_FLOOR", COMPRESS_FLOOR / 10)
     lower = {parity: build_context(context_for(parity).spec, domain) for parity in Parity}

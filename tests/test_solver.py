@@ -127,12 +127,9 @@ def test_cross_method_agreement(converged):
 
 def test_filter_sensitivity(domain, context_for):
     # a decade either side of the default filter_tol = 1e-13 moves converged
-    # k by at most 9.6e-7 (DtN) and 3.9e-5 (NtD), measured with tol = 1e-8
-    # at 15x15 on 1 and 2 BLAS threads.  The NtD odd,1 solve at
-    # filter_tol = 1e-14 converges in 6 iterations on 2 threads, but on 1
-    # thread its steps stay near 1e-7 and it ends in NotConverged after
-    # max_iter = 20: the metric directions kept that close to roundoff make
-    # k jitter by that much from one iteration to the next
+    # k by at most 9.6e-7 (DtN even,2 at 1e-14) and 3.9e-5 (NtD odd,2 at
+    # 1e-14), measured with tol = 1e-8 at 15x15; the shifts and the 4 to 6
+    # iterations of every solve are the same on 1 and 2 BLAS threads
     seeds = mode_seeds(domain)
     bounds = {Method.DTN: 1e-6, Method.NTD: 1e-4}
     for label in ("even,1", "even,2", "odd,1", "odd,2"):
@@ -173,6 +170,22 @@ def test_tracked_residual_and_orthonormality(context_for):
             block = sol.vectors[:, lo:hi]
             gram = block.T @ pair.delta @ block
             assert np.max(np.abs(gram - np.eye(hi - lo))) < 2e-10
+
+
+def test_filtered_solve_ignores_row_order(context_for, rng):
+    # an exact reordering of the pencil changes only the rounding, so the
+    # tracked k must not move with it, even at a cut that falls inside a
+    # cluster of metric eigenvalues (NtD odd,1 at filter_tol 1e-14, where
+    # one eigh of Delta spread k by 8.6e-7; measured 4.1e-12)
+    ctx = context_for(Parity.ODD, 15)
+    kappa = 3.4506149
+    pair = assemble(Method.NTD, kappa, ctx)
+    ks = []
+    for _ in range(8):
+        order = np.ix_(*2 * [rng.permutation(ctx.trial_dim)])
+        sol = solve_generalized(_pair(pair.lam[order], pair.delta[order]), filter_tol=1e-14)
+        ks.append(np.sqrt(sol.values[select_mode(kappa**2, sol)]))
+    assert np.ptp(ks) < 1e-9
 
 
 def test_solve_deterministic(context_for):
