@@ -25,14 +25,19 @@ sqrt(eps) * sigma_max, so the second eigh resolves the bottom to about
 eps^1.5 * sigma_max: the dropped span at 1e-14 comes out within 1e-10 to
 1e-7 in angle of the one from an SVD of Delta's Cholesky factor.
 
-Returned eigenpairs are exact pairs of the filtered pencil; the physically
-tracked low modes carry pencil residuals at the 1e-10 level, while Ritz
-values far outside the physical window (e.g. the large negative ones of the
-NtD pencil) are meaningful only as subspace artifacts and are never selected
-by the tracking rule.
+Returned eigenvalues are those of the filtered pencil, from ``eigvalsh`` of
+the whitened kept block H = X^T Lambda X; no eigenvector is computed with
+them, since each iteration of the fixed point reads only the tracked value.
+``EigenSolution.vector(i)`` computes the one eigenvector the converged
+iteration needs, by inverse iteration on H, and maps it through X.  The
+physically tracked low modes carry pencil residuals at the 1e-10 level,
+while Ritz values far outside the physical window (e.g. the large negative
+ones of the NtD pencil) are meaningful only as subspace artifacts and are
+never selected by the tracking rule.
 
 The fixed-point loop sets kappa to the square root of the tracked eigenvalue
-until successive estimates of k agree within the tolerance.
+until successive estimates of k agree within the tolerance; the tracked
+eigenvector is computed once, at convergence.
 """
 
 from __future__ import annotations
@@ -61,20 +66,40 @@ DEFAULT_MAX_ITER = 20
 # metric eigenvalues below this fraction of the largest are solved a second
 # time, restricted to their span (module docstring)
 REFINE_BELOW = np.sqrt(np.finfo(float).eps)
+# EigenSolution.vector takes two inverse-iteration steps from all-ones, with
+# the shift this fraction of ||H|| above the eigenvalue: a few ulps of the
+# largest, so H - s I is never exactly singular
+INVERSE_SHIFT = 4 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
 class EigenSolution:
-    """Ascending eigenvalues and metric-orthonormal eigenvectors.
+    """Ascending eigenvalues of the filtered pencil, and what their vectors need.
 
-    ``vectors[:, i]`` belongs to ``values[i]``; ``kept`` is the dimension of
-    the filtered subspace actually solved (<= the pencil's size, which for
-    an assembled pair is the context's trial dimension r).
+    ``kept`` is the dimension of the filtered subspace actually solved (<= the
+    pencil's size, which for an assembled pair is the context's trial
+    dimension r); ``whitening`` is X (X^T Delta X = I) and ``block`` is
+    H = X^T Lambda X, whose eigenvalues are ``values``.  ``vector(i)`` returns
+    the metric-normalised eigenvector of ``values[i]``.
     """
 
     values: np.ndarray
-    vectors: np.ndarray
     kept: int
+    whitening: np.ndarray = field(repr=False)
+    block: np.ndarray = field(repr=False)
+
+    def vector(self, i: int) -> np.ndarray:
+        """Eigenvector x of ``values[i]`` with x^T Delta x = 1, by inverse
+        iteration on H (INVERSE_SHIFT).  Its largest-magnitude component is
+        made positive, so repeated solves are bit-reproducible."""
+        shift = self.values[i] + INVERSE_SHIFT * np.max(np.abs(self.values))
+        M = self.block - shift * np.eye(self.kept)
+        z = np.ones(self.kept)
+        for _ in range(2):
+            z = np.linalg.solve(M, z)
+            z /= np.linalg.norm(z)
+        x = self.whitening @ z
+        return x if x[np.argmax(np.abs(x))] >= 0 else -x
 
 
 @dataclass
@@ -100,9 +125,8 @@ def solve_generalized(pair: MatrixPair, filter_tol: float = DEFAULT_FILTER_TOL) 
 
     The metric's eigenvalues below REFINE_BELOW * sigma_max come from a
     second eigh on their span, so the filter cut reads resolved values.
-
-    Sign convention: each eigenvector's largest-magnitude component is made
-    positive, so repeated solves are bit-reproducible.
+    Only eigenvalues are computed; ``vector(i)`` of the result gives one
+    eigenvector on demand.
     """
     sigma, U = np.linalg.eigh(pair.delta)
     if sigma[-1] <= 0:
@@ -115,11 +139,8 @@ def solve_generalized(pair: MatrixPair, filter_tol: float = DEFAULT_FILTER_TOL) 
     if not np.any(keep):
         raise MetricNotPositiveDefinite("metric filtering removed every direction")
     X = U[:, keep] / np.sqrt(sigma[keep])
-    values, Z = np.linalg.eigh(X.T @ pair.lam @ X)
-    vectors = X @ Z
-    flip = np.sign(vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])])
-    flip[flip == 0] = 1.0
-    return EigenSolution(values=values, vectors=vectors * flip, kept=int(keep.sum()))
+    H = X.T @ pair.lam @ X
+    return EigenSolution(values=np.linalg.eigvalsh(H), kept=X.shape[1], whitening=X, block=H)
 
 
 def select_mode(previous_k_squared: float, solution: EigenSolution) -> int:
@@ -166,31 +187,27 @@ def iterate_mode(
     trace = IterationTrace()
     kappa = float(kappa0)
     target = kappa0**2
-    result = None
     for _ in range(max_iter):
         pair = assemble(method, kappa, context=ctx)
         solution = solve_generalized(pair, filter_tol)
         idx = select_mode(target, solution)
-        f_val = solution.values[idx]
-        k = float(np.sqrt(f_val))
+        target = solution.values[idx]
+        k = float(np.sqrt(target))
         trace.kappas.append(kappa)
         trace.estimates.append(k)
-        target = f_val
-        result = (kappa, f_val, solution.vectors[:, idx])
         if trace.last_step() < tol:
             trace.converged = True
             break
         kappa = k
     if not trace.converged:
         raise NotConverged(trace)
-    kappa_final, f_final, vec = result
-    gamma2 = gamma2_coefficients(method, vec, kappa_final, ctx)
+    vec = solution.vector(idx)
     estimate = ModeEstimate(
-        k_estimate=float(np.sqrt(f_final)),
+        k_estimate=k,
         gamma1=ctx.family_vector(vec),
-        gamma2=gamma2,
+        gamma2=gamma2_coefficients(method, vec, kappa, ctx),
         spec=ctx.spec,
         domain=ctx.domain,
-        kappa=kappa_final,
+        kappa=kappa,
     )
     return estimate, trace

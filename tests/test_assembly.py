@@ -62,6 +62,19 @@ def test_symmetry_defects(domain, quad, size):
         assert np.array_equal(pair.delta, pair.delta.T)
 
 
+def test_defect_equals_magnitude_ratio(domain, quad, monkeypatch):
+    # _defect reads the largest entry of A - A^T over max(A.max(), -A.min());
+    # on every matrix assemble passes it, both methods and parities, that is
+    # max |A - A^T| / max |A| bit for bit
+    seen, defect = [], assembly._defect
+    monkeypatch.setattr(assembly, "_defect", lambda A: seen.append(A.copy()) or defect(A))
+    _pairs(domain, quad, (15, 15))
+    assert len(seen) == 8
+    for A in seen:
+        assert defect(A) == float(np.max(np.abs(A - A.T)) / np.max(np.abs(A)))
+    assert any(defect(A) > 0 for A in seen)
+
+
 @pytest.mark.parametrize("size", SIZES)
 def test_delta_positive_definite(domain, quad, size):
     # PD analytically; numerically the lowest eigenvalues sit at roundoff,

@@ -26,10 +26,21 @@ def _pair(lam, delta):
     )
 
 
+def _vectors(sol, indices):
+    return np.column_stack([sol.vector(i) for i in indices])
+
+
+def _diagonal_solution(values):
+    values = np.array(values)
+    return EigenSolution(values=values, kept=values.size, whitening=np.eye(values.size),
+                         block=np.diag(values))
+
+
 def test_identity_metric():
     sol = solve_generalized(_pair(np.diag([2.0, 3.0]), np.eye(2)))
     assert sol.values == pytest.approx([2.0, 3.0], abs=1e-14)
-    assert np.abs(sol.vectors) == pytest.approx(np.eye(2), abs=1e-14)
+    # both values are exact eigenvalues of H = diag(2, 3)
+    assert np.abs(_vectors(sol, range(2))) == pytest.approx(np.eye(2), abs=1e-14)
 
 
 def test_coupled_two_by_two():
@@ -45,7 +56,8 @@ def test_diagonal_generalized():
 def test_metric_orthonormality_trivial():
     pair = _pair([[2.0, 1.0], [1.0, 2.0]], np.diag([2.0, 1.0]))
     sol = solve_generalized(pair)
-    gram = sol.vectors.T @ pair.delta @ sol.vectors
+    vectors = _vectors(sol, range(2))
+    gram = vectors.T @ pair.delta @ vectors
     assert gram == pytest.approx(np.eye(2), abs=1e-13)
 
 
@@ -55,20 +67,20 @@ def test_metric_not_positive_definite():
 
 
 def test_select_mode_nearest():
-    sol = EigenSolution(values=np.array([4.24, 9.4, 16.1]), vectors=np.eye(3), kept=3)
+    sol = _diagonal_solution([4.24, 9.4, 16.1])
     assert select_mode(2.0116**2, sol) == 0
 
 
 def test_select_mode_exact_and_tie():
-    sol = EigenSolution(values=np.array([1.0, 3.0, 5.0]), vectors=np.eye(3), kept=3)
+    sol = _diagonal_solution([1.0, 3.0, 5.0])
     assert select_mode(3.0, sol) == 1
     assert select_mode(2.0, sol) == 0  # equidistant from 1 and 3: smaller index
 
 
 def test_select_mode_skips_nonpositive():
-    sol = EigenSolution(values=np.array([-5.0, -0.1, 2.0]), vectors=np.eye(3), kept=3)
+    sol = _diagonal_solution([-5.0, -0.1, 2.0])
     assert select_mode(0.05, sol) == 2
-    sol = EigenSolution(values=np.array([-5.0, -0.1]), vectors=np.eye(2), kept=2)
+    sol = _diagonal_solution([-5.0, -0.1])
     with pytest.raises(NoPositiveEigenvalue):
         select_mode(4.0, sol)
 
@@ -163,11 +175,11 @@ def test_tracked_residual_and_orthonormality(context_for):
             pair = assemble(method, np.sqrt(target), ctx)
             sol = solve_generalized(pair)
             jt = int(np.argmin(np.abs(sol.values - target)))
-            vec = sol.vectors[:, jt]
+            vec = sol.vector(jt)
             res = np.linalg.norm(pair.lam @ vec - sol.values[jt] * (pair.delta @ vec))
             assert res <= 1e-10 * np.linalg.norm(pair.lam, "fro")
             lo, hi = max(0, jt - 2), min(sol.values.size, jt + 3)
-            block = sol.vectors[:, lo:hi]
+            block = _vectors(sol, range(lo, hi))
             gram = block.T @ pair.delta @ block
             assert np.max(np.abs(gram - np.eye(hi - lo))) < 2e-10
 
@@ -194,4 +206,30 @@ def test_solve_deterministic(context_for):
     s1 = solve_generalized(pair)
     s2 = solve_generalized(pair)
     assert np.array_equal(s1.values, s2.values)
-    assert np.array_equal(s1.vectors, s2.vectors)
+    for i in range(s1.kept):
+        assert np.array_equal(s1.vector(i), s2.vector(i))
+
+
+def test_iterate_matches_full_eigh_loop(domain, context_for):
+    # the fixed point reads eigvalsh values and one inverse-iteration vector;
+    # a loop that takes eigh of the same whitened block H must take as many
+    # iterations to the same k
+    seeds = mode_seeds(domain)
+    for label, seed in seeds.items():
+        ctx = context_for(Parity(label.split(",")[0]), 15)
+        for method in (Method.DTN, Method.NTD):
+            estimate, trace = iterate_mode(method, seed, ctx.spec, domain, tol=1e-8, context=ctx)
+            kappa, target, ks = seed, seed**2, []
+            while len(ks) < 2 or abs(ks[-1] - ks[-2]) >= 1e-8:
+                assert len(ks) < 20, (method, label)
+                sol = solve_generalized(assemble(method, kappa, ctx))
+                values, Z = np.linalg.eigh(sol.block)
+                j = int(np.argmin(np.where(values > 0, np.abs(values - target), np.inf)))
+                target = values[j]
+                kappa = np.sqrt(target)
+                ks.append(kappa)
+            assert trace.iterations == len(ks), (method, label)
+            assert abs(estimate.k_estimate - ks[-1]) < 1e-10, (method, label)
+            # the converged vector is eigh's up to sign (measured: within 5e-11)
+            vec, ref = sol.vector(j), sol.whitening @ Z[:, j]
+            assert np.linalg.norm(vec - np.sign(vec @ ref) * ref) < 1e-9 * np.linalg.norm(ref)
