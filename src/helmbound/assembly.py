@@ -36,8 +36,7 @@ largest, plus the even family's linear member as one more coordinate; these
 columns form the orthonormal compressed basis Y (M x r).  Y is never
 formed: every table is an entry-wise product of eigenvector-transformed 1-D
 tables at the kept pairs, e.g. Y^T G Y = (U_r^T RR U_r)[i, i'] (U_a^T AA U_a)[j, j'],
-and gamma1 = Y a and a = Y^T g1 are two small products on the factor grid
-(``family_vector``, ``reduced_vector``).
+and gamma1 = Y a is two small products on the factor grid (``family_vector``).
 
 The selection reads G alone.  A dropped direction is a product f(r) g(phi)
 of a radial and an angular combination whose semicircle norm squared is at
@@ -75,7 +74,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import BasisSpec, Parity, basis_tables, member_index
-from .errors import ZeroTrial
+from .errors import MetricNotPositiveDefinite, ZeroTrial
 from .geometry import CompositeDomain, QuadratureRule1D, interface_rule, semicircle_rule
 from .steklov import _guard_neumann, steklov_table, steklov_trace
 
@@ -127,9 +126,7 @@ class MatrixPair:
 
 @dataclass(frozen=True)
 class TrialPair:
-    """Trial function: gamma1 = Y a over the semicircle family, gamma2 over Steklov modes.
-
-    A family vector g1 enters as a = Y^T g1, exact only for g1 in span(Y)."""
+    """Trial function: gamma1 = Y a over the semicircle family, gamma2 over Steklov modes."""
 
     a: np.ndarray
     gamma2: np.ndarray
@@ -144,9 +141,8 @@ class AssemblyContext:
     docstring), held in factored form: column k of Y is
     radial_basis[:, i_k] x angular_basis[:, j_k] on the factor grid of
     ``family_factors``, read at ``member_index``, with (i_k, j_k) =
-    ``pairs[:, k]``.  A family vector g1 enters as a = Y^T g1, which is
-    exact only for g1 in span(Y).  r is the compressed dimension, N the
-    number of Steklov modes and Ks the number of interface nodes.
+    ``pairs[:, k]``.  r is the compressed dimension, N the number of
+    Steklov modes and Ks the number of interface nodes.
     """
 
     spec: BasisSpec
@@ -177,12 +173,6 @@ class AssemblyContext:
         grid[tuple(self.pairs)] = a
         return (self.radial_basis @ grid @ self.angular_basis.T).flat[member_index(self.spec)]
 
-    def reduced_vector(self, g1) -> np.ndarray:
-        """a = Y^T g1: U_r^T (g1 on the factor grid) U_a, read at the kept pairs."""
-        grid = np.zeros((self.radial_basis.shape[0], self.angular_basis.shape[0]))
-        grid.flat[member_index(self.spec)] = g1
-        return (self.radial_basis.T @ grid @ self.angular_basis)[tuple(self.pairs)]
-
 
 def _product_eigenbasis(gram: np.ndarray, lead: int):
     """Eigenvalues of a 1-D Gram's product-member block (rows ``lead`` on) and
@@ -199,7 +189,12 @@ def build_context(
     quad: QuadratureConfig = QuadratureConfig(),
     n_modes: int = DEFAULT_STEKLOV_MODES,
 ) -> AssemblyContext:
-    """Precompute every kappa-independent ingredient, the compression included."""
+    """Precompute every kappa-independent ingredient, the compression included.
+
+    Raises MetricNotPositiveDefinite when the compression keeps no
+    direction, i.e. the volume rule sees no member of the family (the odd
+    family on a one-node angular rule): the pencil would have no rows.
+    """
     vol = semicircle_rule(domain, quad.n_r, quad.n_phi)
     surf = interface_rule(domain, quad.n_s)
     RR, RP, RQ, AA, AAnu, R, A, DR, DA = basis_tables(spec, domain, vol, surf)
@@ -209,6 +204,11 @@ def build_context(
     prod = np.multiply.outer(lam_r, lam_a)
     kept = np.nonzero(prod > COMPRESS_FLOOR * prod.max())
     ii, jj = (np.concatenate([np.zeros(lead, dtype=int), k + lead]) for k in kept)
+    if ii.size == 0:
+        raise MetricNotPositiveDefinite(
+            f"the {spec.parity.value} {spec.n_max}x{spec.m_max} family has no direction of "
+            f"positive norm on the {quad.n_r}x{quad.n_phi} volume rule"
+        )
     radial_pairs, angular_pairs = np.ix_(ii, ii), np.ix_(jj, jj)
 
     def volume(radial, angular):  # Y^T (radial x angular)[members] Y

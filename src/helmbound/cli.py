@@ -3,12 +3,12 @@
 Subcommands: solve | sweep-basis | field | oracle | compare, each driven by
 a JSON config (--config; defaults reproduce the reference setup).
 
-Exit codes: 0 success, 1 invalid configuration or arguments, or an output
-file that cannot be written, 2 iteration did not converge (the fixed-point
-iteration, or the finite-difference eigensolve of ``oracle`` or
-``compare``), 3 operator
-resonance (the offending mode index is reported), 4 a cross-check failed
-(``compare`` wrote a report with all_pass false).
+Exit codes: 0 success, 1 invalid configuration or arguments (a basis and
+quadrature that leave the metric no positive direction included), or an
+output file that cannot be written, 2 iteration did not converge (the
+fixed-point iteration, or the finite-difference eigensolve of ``oracle`` or
+``compare``), 3 operator resonance (the offending mode index is reported),
+4 a cross-check failed (``compare`` wrote a report with all_pass false).
 
 Only ``oracle`` and ``compare`` import the finite-difference oracle, and with
 it scipy; the other subcommands start without loading either.
@@ -26,8 +26,8 @@ from pathlib import Path
 from .assembly import AssemblyContext, Method, build_context
 from .basis import Parity
 from .config import MODE_LABELS, ConfigError, RunConfig, mode_seeds, parse_mode_label
-from .errors import (GridTooCoarse, IoFailure, IterationStalled, NearDirichletResonance,
-                     NearNeumannResonance, NotConverged)
+from .errors import (GridTooCoarse, IoFailure, IterationStalled, MetricNotPositiveDefinite,
+                     NearDirichletResonance, NearNeumannResonance, NotConverged)
 from .reconstruct import export_grid, sample_field
 from .solver import iterate_mode
 
@@ -64,11 +64,6 @@ def _contexts(cfg: RunConfig, parities, **size) -> dict[Parity, AssemblyContext]
     }
 
 
-def _run_one(cfg: RunConfig, method: Method, context: AssemblyContext, kappa0: float):
-    return iterate_mode(method, kappa0, context.spec, context.domain, tol=cfg.tol,
-                        max_iter=cfg.max_iter, context=context)
-
-
 def cmd_solve(cfg: RunConfig, args) -> int:
     t0 = time.perf_counter()
     out = _outdir(cfg)
@@ -83,7 +78,8 @@ def cmd_solve(cfg: RunConfig, args) -> int:
     }
     path = out / f"solve_{method}_{parity}.json"
     try:
-        estimate, trace = _run_one(cfg, cfg.method, ctx, cfg.kappa0)
+        estimate, trace = iterate_mode(cfg.method, cfg.kappa0, ctx, tol=cfg.tol,
+                                       max_iter=cfg.max_iter)
     except NotConverged as exc:
         doc.update(
             iterations=[round(k, 12) for k in exc.trace.estimates],
@@ -127,7 +123,8 @@ def cmd_sweep_basis(cfg: RunConfig, args) -> int:
             for label in MODE_LABELS:
                 ctx = contexts[Parity(parse_mode_label(label)[0])]
                 try:
-                    estimate, _trace = _run_one(cfg, method, ctx, seeds[label])
+                    estimate, _trace = iterate_mode(method, seeds[label], ctx, tol=cfg.tol,
+                                                    max_iter=cfg.max_iter)
                     rows.append(
                         f"{n_max},{m_max},{method.value},\"{label}\",{estimate.k_estimate:.6f},"
                     )
@@ -152,17 +149,21 @@ def cmd_field(cfg: RunConfig, args) -> int:
     for i, (label, parity) in enumerate(zip(labels, parities)):
         if parity not in contexts:
             contexts.update(_contexts(cfg, [parity]))
-        estimate, _trace = _run_one(cfg, cfg.method, contexts[parity], seeds[label])
+        estimate, _trace = iterate_mode(cfg.method, seeds[label], contexts[parity], tol=cfg.tol,
+                                        max_iter=cfg.max_iter)
+        # After a parity's last label, neither the dict nor the estimate keeps
+        # its context through the export and the next build: a fresh
+        # `field --mode even,1 --mode odd,1` (15x15, 401x701 grid, 1 BLAS
+        # thread) peaks at 48.2-48.3 MB, at 48.8 MB with the estimate kept
+        # through the export, and at 49.7 MB with the context kept in the dict
         if parity not in parities[i + 1:]:
-            # a context held through the next build and export raised the
-            # peak RSS of a fresh `field --mode even,1 --mode odd,1` (15x15,
-            # 401x701 grid) from 50 to 54 MB
             del contexts[parity]
-        grid = sample_field(estimate, cfg.grid)
+        grid, k = sample_field(estimate, cfg.grid), estimate.k_estimate
+        del estimate
         stem = f"field_{cfg.method.value}_{label.replace(',', '_')}"
         export_grid(grid, "csv", out / f"{stem}.csv")
         export_grid(grid, "pgm", out / f"{stem}.pgm")
-        print(f"{label}: k = {estimate.k_estimate:.4f} -> {stem}.csv/.pgm")
+        print(f"{label}: k = {k:.4f} -> {stem}.csv/.pgm")
     return EXIT_OK
 
 
@@ -210,8 +211,8 @@ def cmd_compare(cfg: RunConfig, args) -> int:
     for label in MODE_LABELS:
         parity, rank = parse_mode_label(label)
         ctx = contexts[Parity(parity)]
-        est_d, _ = _run_one(cfg, Method.DTN, ctx, seeds[label])
-        est_n, _ = _run_one(cfg, Method.NTD, ctx, seeds[label])
+        est_d, _ = iterate_mode(Method.DTN, seeds[label], ctx, tol=cfg.tol, max_iter=cfg.max_iter)
+        est_n, _ = iterate_mode(Method.NTD, seeds[label], ctx, tol=cfg.tol, max_iter=cfg.max_iter)
         k_fdm = by_parity[parity][rank - 1]
         mutual = abs(est_d.k_estimate - est_n.k_estimate)
         delta = abs(est_d.k_estimate - k_fdm)
@@ -274,7 +275,10 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args.config)
         return COMMANDS[args.command](cfg, args)
-    except (ConfigError, GridTooCoarse, IoFailure) as exc:
+    # both methods' metrics are the Gram plus a positive semidefinite
+    # interface term, so only the basis and quadrature can leave them no
+    # positive direction
+    except (ConfigError, GridTooCoarse, IoFailure, MetricNotPositiveDefinite) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (NotConverged, IterationStalled) as exc:

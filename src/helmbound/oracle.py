@@ -204,6 +204,9 @@ def _block_modes(problem: FdmProblem, A: sp.csr_matrix, parity: str, num_modes: 
     E, rows = _extension(problem, parity)
     B = (A[rows] @ E).tocsc()
     n = B.shape[0]
+    if num_modes >= n - 1:  # ARPACK finds at most n - 2 eigenvalues
+        raise GridTooCoarse(f"the {parity} block has {n} unknowns, too few for "
+                            f"{num_modes} modes (need more than num_modes + 1)")
     v0, sigma, ncv = np.ones(n), 0.0, None
     if start is not None:
         v0, sigma = _coarse_start(problem, start, parity, rows)

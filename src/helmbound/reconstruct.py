@@ -1,9 +1,9 @@
 """Full-domain eigenfunction reconstruction, sampling and export.
 
-A converged solve yields a vector a in the context's compressed coordinates
-Y, and coefficients gamma1 = Y a over the semicircle family; the rectangle
-part is expanded over the Steklov modes with coefficients fixed by
-the method's matching rule:
+A converged solve yields a vector a in the compressed coordinates Y of the
+context it was solved in, and coefficients gamma1 = Y a over that context's
+semicircle family; the rectangle part is expanded over the Steklov modes
+with coefficients fixed by the method's matching rule:
 
     DtN:  c_n = (psi_n | trace of Psi_I)            (value matching)
     NtD:  c_n = (psi_n | grad_perp Psi_I) / b_n     (derivative matching)
@@ -27,19 +27,25 @@ from .steklov import _guard_neumann, steklov_profile, steklov_table, steklov_tra
 
 @dataclass(frozen=True)
 class ModeEstimate:
-    """One converged mode: k estimate and both coefficient vectors.
+    """One converged mode: k estimate, its coefficients and the context it was solved in.
 
-    ``kappa`` is the operator parameter the final matrices were assembled
-    at; it agrees with ``k_estimate`` within the iteration tolerance.
-    ``spec`` and ``domain`` are those of the context it was solved in.
+    ``a`` holds the semicircle coordinates in the context's compressed
+    basis Y, and ``gamma2`` the Steklov coefficients.  ``kappa`` is the
+    operator parameter the final matrices were assembled at; it agrees with
+    ``k_estimate`` within the iteration tolerance.  The trial family and the
+    domain are those of ``context``.
     """
 
     k_estimate: float
-    gamma1: np.ndarray
+    a: np.ndarray
     gamma2: np.ndarray
-    spec: BasisSpec
-    domain: CompositeDomain
     kappa: float
+    context: "_assembly.AssemblyContext"
+
+    @property
+    def gamma1(self) -> np.ndarray:
+        """Coefficients over the semicircle family, gamma1 = Y a."""
+        return self.context.family_vector(self.a)
 
 
 @dataclass(frozen=True)
@@ -110,7 +116,7 @@ def _semicircle_field(spec: BasisSpec, domain: CompositeDomain, gamma1, x, y):
 
 
 def sample_field(estimate: ModeEstimate, grid: GridSpec = GridSpec()) -> FieldGrid:
-    """Sample normalized |Psi|^2 on a grid covering the estimate's [-a, a] x [-b, a].
+    """Sample normalized |Psi|^2 on a grid covering [-a, a] x [-b, a] of the estimate's domain.
 
     Semicircle cells, the interface row (|y| <= INTERFACE_TOL) included,
     take |sum gamma1 phi|^2, rectangle cells |sum c_n psi_n(k)|^2 at the
@@ -119,17 +125,18 @@ def sample_field(estimate: ModeEstimate, grid: GridSpec = GridSpec()) -> FieldGr
     block is one product (X^T c) Y of the Steklov traces X (modes x columns)
     and the y-profiles Y (modes x rows), over the modes with c_n != 0.
     """
-    domain = estimate.domain
+    ctx = estimate.context
+    domain = ctx.domain
     a, b = domain.a, domain.b
     xs = np.linspace(-a, a, grid.nx)
     ys = np.linspace(-b, a, grid.ny)
     values = np.zeros((grid.nx, grid.ny))
 
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    semi = (Y > -INTERFACE_TOL) & (X * X + Y * Y < a * a)
-    if np.any(semi):
-        field = _semicircle_field(estimate.spec, domain, estimate.gamma1, X[semi], Y[semi])
-        values[semi] = field**2
+    x = xs[:, None]
+    i, j = np.nonzero((ys > -INTERFACE_TOL) & (x * x + ys * ys < a * a))
+    if i.size:
+        field = _semicircle_field(ctx.spec, domain, estimate.gamma1, xs[i], ys[j])
+        values[i, j] = field**2
 
     rect_rows = ys < -INTERFACE_TOL
     y_rect = ys[rect_rows]
@@ -199,22 +206,16 @@ def read_grid_csv(path) -> FieldGrid:
     return FieldGrid(xs=xs, ys=ys, values=values)
 
 
-def interface_mismatch(
-    estimate: ModeEstimate,
-    context: "_assembly.AssemblyContext",
-) -> tuple[float, float]:
+def interface_mismatch(estimate: ModeEstimate) -> tuple[float, float]:
     """L2 norms of the value and normal-derivative jumps across the interface.
 
-    Both sides are evaluated at the context's interface nodes from its trace
-    tables, at a = Y^T gamma1; the context must be built for the estimate's
-    trial family and domain, or ValueError is raised.
+    Both sides are evaluated at the interface nodes of the estimate's
+    context, from its trace tables at the estimate's a.
     DtN solutions have (by construction) only the Steklov-truncation tail in
     the value jump; NtD solutions the analogue in the derivative jump.
     """
-    if (context.spec, context.domain) != (estimate.spec, estimate.domain):
-        raise ValueError("context was built for another trial family or domain")
-    a = context.reduced_vector(estimate.gamma1)
-    trial = _assembly.TrialPair(a, estimate.gamma2, estimate.kappa)
+    context = estimate.context
+    trial = _assembly.TrialPair(estimate.a, estimate.gamma2, estimate.kappa)
     *_, v1, d1, v2, d2 = _assembly._surface_fields(context, trial)
     ws = context.surface_rule.weights
     norm = np.sqrt(float(np.dot(ws, v1 * v1))) or 1.0

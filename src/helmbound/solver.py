@@ -1,8 +1,9 @@
 """Generalized eigensolve and the kappa fixed-point iteration.
 
-The solve runs on the pencil in the context's compressed coordinates
-(``assembly`` module docstring), so each iteration works on r x r
-matrices; gamma2 reads the tracked vector a, sampling gamma1 = Y a.
+The solve reads one AssemblyContext alone and runs on the pencil in its
+compressed coordinates (``assembly`` module docstring), so each iteration
+works on r x r matrices.  The converged mode keeps the tracked vector a and
+that context: gamma2 reads a, sampling gamma1 = Y a.
 
 The compression drops the directions that are negligible for the family's
 Gram, not for the method's metric: the reduced Delta still spans the whole
@@ -46,18 +47,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import (
-    DEFAULT_STEKLOV_MODES,
-    AssemblyContext,
-    MatrixPair,
-    Method,
-    QuadratureConfig,
-    assemble,
-    build_context,
-)
-from .basis import BasisSpec
+from .assembly import AssemblyContext, MatrixPair, Method, assemble
+from .assembly import build_context  # noqa: F401  (helmbench/tracing.py wraps this name)
 from .errors import MetricNotPositiveDefinite, NoPositiveEigenvalue, NotConverged
-from .geometry import CompositeDomain
 from .reconstruct import ModeEstimate, gamma2_coefficients
 
 DEFAULT_FILTER_TOL = 1e-13
@@ -160,35 +152,28 @@ def select_mode(previous_k_squared: float, solution: EigenSolution) -> int:
 def iterate_mode(
     method: Method,
     kappa0: float,
-    spec: BasisSpec,
-    domain: CompositeDomain,
-    quad: QuadratureConfig = QuadratureConfig(),
-    n_modes: int = DEFAULT_STEKLOV_MODES,
+    context: AssemblyContext,
+    *,
     tol: float = DEFAULT_K_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
     filter_tol: float = DEFAULT_FILTER_TOL,
-    context: AssemblyContext | None = None,
 ):
     """Run the self-consistency loop kappa <- sqrt(F) for one tracked mode.
 
-    Assembly and the returned estimate read the trial family and the domain
-    from the context; without one, a context is built from spec, domain,
-    quad and n_modes.  A context built for another spec or domain raises
-    ValueError.
+    The context is all the loop reads: the trial family, the domain, the
+    quadrature and the Steklov truncation are those it was built for, and
+    the returned estimate keeps it.
 
     Returns (ModeEstimate, IterationTrace); raises NotConverged (with the
     trace attached) if max_iter is exhausted first.
     """
     if kappa0 <= 0:
         raise ValueError(f"kappa0 must be > 0, got {kappa0}")
-    if context is not None and (context.spec, context.domain) != (spec, domain):
-        raise ValueError("context was built for another trial family or domain")
-    ctx = context if context is not None else build_context(spec, domain, quad, n_modes)
     trace = IterationTrace()
     kappa = float(kappa0)
     target = kappa0**2
     for _ in range(max_iter):
-        pair = assemble(method, kappa, context=ctx)
+        pair = assemble(method, kappa, context=context)
         solution = solve_generalized(pair, filter_tol)
         idx = select_mode(target, solution)
         target = solution.values[idx]
@@ -201,13 +186,6 @@ def iterate_mode(
         kappa = k
     if not trace.converged:
         raise NotConverged(trace)
-    vec = solution.vector(idx)
-    estimate = ModeEstimate(
-        k_estimate=k,
-        gamma1=ctx.family_vector(vec),
-        gamma2=gamma2_coefficients(method, vec, kappa, ctx),
-        spec=ctx.spec,
-        domain=ctx.domain,
-        kappa=kappa,
-    )
-    return estimate, trace
+    a = solution.vector(idx)
+    gamma2 = gamma2_coefficients(method, a, kappa, context)
+    return ModeEstimate(k_estimate=k, a=a, gamma2=gamma2, kappa=kappa, context=context), trace

@@ -150,7 +150,7 @@ def converged(domain, context_for):
         if key not in cache:
             parity = Parity(label.split(",")[0])
             ctx = context_for(parity, size)
-            cache[key] = iterate_mode(method, seeds[label], ctx.spec, domain, tol=tol, context=ctx)
+            cache[key] = iterate_mode(method, seeds[label], ctx, tol=tol)
         return cache[key]
 
     return get

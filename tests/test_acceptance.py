@@ -180,10 +180,9 @@ def test_criterion_5_functional_suite(domain, quad, context_for, zero_trace_coor
         assert abs(evaluate_discontinuous_functional(matched, mixing, ctx) - base) < 1e-10
 
     for (method, label), (estimate, _trace) in tight_solutions.items():
-        parity = Parity(label.split(",")[0])
-        sol_ctx = context_for(parity, 15)
+        sol_ctx = estimate.context
         mixing = _natural_mixing(method)
-        a0 = sol_ctx.reduced_vector(estimate.gamma1)
+        a0 = estimate.a
         trial0 = TrialPair(a=a0, gamma2=estimate.gamma2, kappa=estimate.kappa)
         f0 = evaluate_discontinuous_functional(trial0, mixing, sol_ctx).real
         f_tilde = estimate.k_estimate**2

@@ -167,13 +167,11 @@ def test_context_keeps_no_family_table(context_for):
 
 @pytest.mark.parametrize("parity", list(Parity))
 def test_factored_maps_match_dense_coords(context_for, dense_coords, parity, rng):
-    # gamma1 = Y a and a = Y^T g1 through the 1-D factors against a dense Y
+    # gamma1 = Y a through the 1-D factors against a dense Y
     ctx = context_for(parity, 15)
     Y = dense_coords(ctx)
     a = rng.normal(size=ctx.trial_dim)
-    g1 = rng.normal(size=ctx.spec.size)
     assert np.max(np.abs(ctx.family_vector(a) - Y @ a)) < 1e-13
-    assert np.max(np.abs(ctx.reduced_vector(g1) - Y.T @ g1)) < 1e-13
 
 
 @pytest.mark.parametrize("b", [1.0078125, 1.8515625, 2.25])
@@ -224,8 +222,7 @@ def test_compression_matches_uncompressed_family(domain, context_for, family_tab
         parity = Parity(label.split(",")[0])
         for method in Method:
             k = converged(method, label, tol=1e-8)[0].k_estimate
-            k_full = iterate_mode(method, seed, full[parity].spec, domain, tol=1e-8,
-                                  context=full[parity])[0].k_estimate
+            k_full = iterate_mode(method, seed, full[parity], tol=1e-8)[0].k_estimate
             assert abs(k - k_full) < 5e-8, (label, method)
 
 
@@ -241,8 +238,7 @@ def test_compress_floor_moves_no_k(domain, context_for, converged, monkeypatch):
         assert lower[parity].trial_dim > context_for(parity).trial_dim
         for method in Method:
             k = converged(method, label, tol=1e-8)[0].k_estimate
-            k_lower = iterate_mode(method, seed, lower[parity].spec, domain, tol=1e-8,
-                                   context=lower[parity])[0].k_estimate
+            k_lower = iterate_mode(method, seed, lower[parity], tol=1e-8)[0].k_estimate
             assert abs(k - k_lower) < 5e-8, (label, method)
 
 

@@ -206,6 +206,26 @@ def test_unwritable_output_file_is_config_error(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_empty_compressed_basis_is_config_error(tmp_path, capsys):
+    # sin(m phi) vanishes at the one angular node: the odd family keeps no
+    # direction, so the metric has none either
+    cfg_path = _write_config(tmp_path, quadrature={"n_phi": 1}, basis={"parity": "odd"},
+                             kappa0=3.38)
+    assert main(["--config", str(cfg_path), "solve"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: the odd 15x15 family has no direction")
+    assert err.count("\n") == 1
+
+
+def test_oracle_modes_beyond_a_block_are_config_error(tmp_path, capsys):
+    # at h = 0.1 the even block has 226 unknowns and the odd block 202
+    cfg_path = _write_config(tmp_path, oracle={"h": 0.1, "num_modes": 400})
+    assert main(["--config", str(cfg_path), "oracle"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: the even block has 226 unknowns")
+    assert err.count("\n") == 1
+
+
 def test_oracle_rectangle_seeds(tmp_path):
     cfg_path = _write_config(
         tmp_path, oracle={"h": 1.0 / 32.0, "num_modes": 4, "shape": "bounding_rectangle"}
@@ -259,16 +279,17 @@ def test_compare_all_pass(tmp_path):
 
 
 def _count_contexts(monkeypatch):
-    """Parities of the contexts built from here on, through either builder."""
-    from helmbound import cli, solver
+    """Parities of the contexts the CLI builds from here on (``iterate_mode``
+    takes a context and builds none)."""
+    from helmbound import cli
 
     built = []
-    for module in (cli, solver):
-        def counted(spec, *args, _build=module.build_context, **kwargs):
-            built.append(spec.parity.value)
-            return _build(spec, *args, **kwargs)
 
-        monkeypatch.setattr(module, "build_context", counted)
+    def counted(spec, *args, _build=cli.build_context, **kwargs):
+        built.append(spec.parity.value)
+        return _build(spec, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_context", counted)
     return built
 
 

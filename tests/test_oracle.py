@@ -271,14 +271,15 @@ def test_deterministic(domain):
 
 def test_cross_validation_off_reference_geometry():
     # nothing in the pipeline may assume the unit-scale reference geometry
-    from helmbound import BasisSpec, Method, Parity, iterate_mode, make_domain, mode_seeds
+    from helmbound import (BasisSpec, Method, Parity, build_context, iterate_mode, make_domain,
+                           mode_seeds)
 
     dom = make_domain(0.8, 1.2)
     seeds = mode_seeds(dom)
     results, _ = richardson_eigen(dom, 1.0 / 80.0, 4)
     fdm_even1 = next(k for k, parity in results if parity == "even")
-    spec = BasisSpec(parity=Parity.EVEN, n_max=10, m_max=10)
-    est_d, _ = iterate_mode(Method.DTN, seeds["even,1"], spec, dom)
-    est_n, _ = iterate_mode(Method.NTD, seeds["even,1"], spec, dom)
+    ctx = build_context(BasisSpec(parity=Parity.EVEN, n_max=10, m_max=10), dom)
+    est_d, _ = iterate_mode(Method.DTN, seeds["even,1"], ctx)
+    est_n, _ = iterate_mode(Method.NTD, seeds["even,1"], ctx)
     assert abs(est_d.k_estimate - est_n.k_estimate) < 1e-4
     assert abs(est_d.k_estimate - fdm_even1) < 1e-2

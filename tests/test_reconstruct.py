@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -10,7 +12,9 @@ from helmbound import (
     build_context,
     export_grid,
     gamma2_coefficients,
+    iterate_mode,
     make_domain,
+    mode_seeds,
     sample_field,
     steklov_table,
     steklov_trace,
@@ -70,40 +74,45 @@ def test_ntd_gamma2_respects_operator(domain, context_for, dense_coords, interfa
     assert got == pytest.approx(want, rel=1e-13, abs=1e-13)
 
 
-def test_value_mismatch_shrinks_with_basis(context_for, converged):
+def test_value_mismatch_shrinks_with_basis(converged):
     est5, _ = converged(Method.NTD, "even,1", size=5)
     est15, _ = converged(Method.NTD, "even,1", size=15)
-    v5, _ = interface_mismatch(est5, context_for(Parity.EVEN, 5))
-    v15, _ = interface_mismatch(est15, context_for(Parity.EVEN, 15))
+    v5, _ = interface_mismatch(est5)
+    v15, _ = interface_mismatch(est15)
     assert v15 < v5
 
 
-def test_mismatch_rejects_foreign_context(context_for, converged):
+def test_dtn_value_mismatch_is_truncation_tail(converged):
     est, _ = converged(Method.DTN, "even,1")
-    with pytest.raises(ValueError):
-        interface_mismatch(est, context_for(Parity.EVEN, 5))
-
-
-def test_mismatch_rejects_foreign_depth(quad, converged):
-    # same trial family, deeper rectangle: the jumps would be meaningless
-    est, _ = converged(Method.NTD, "even,1", size=5)
-    deeper = build_context(est.spec, make_domain(1.0, 2.0), quad)
-    with pytest.raises(ValueError, match="domain"):
-        interface_mismatch(est, deeper)
-
-
-def test_dtn_value_mismatch_is_truncation_tail(context_for, converged):
-    est, _ = converged(Method.DTN, "even,1")
-    value_jump, deriv_jump = interface_mismatch(est, context_for(Parity.EVEN))
+    value_jump, deriv_jump = interface_mismatch(est)
     assert value_jump < 1e-4  # projection leaves only the truncation tail
     assert deriv_jump > value_jump
 
 
-def test_ntd_derivative_mismatch_is_truncation_tail(context_for, converged):
+def test_ntd_derivative_mismatch_is_truncation_tail(converged):
     # the NtD construction matches normal derivatives, so the roles swap
     est, _ = converged(Method.NTD, "even,1")
-    value_jump, deriv_jump = interface_mismatch(est, context_for(Parity.EVEN))
+    value_jump, deriv_jump = interface_mismatch(est)
     assert deriv_jump < value_jump
+
+
+@pytest.mark.parametrize("method", list(Method))
+def test_estimate_reads_depth_from_its_context(context_for, method):
+    # a context built at b = 1.5 and moved to another depth by
+    # dataclasses.replace solves, matches and samples bit for bit as a
+    # fresh build there: the estimate reads its depth only from its context
+    deep = make_domain(1.0, 1.8046875)
+    moved = dataclasses.replace(context_for(Parity.EVEN, 15), domain=deep)
+    fresh = build_context(moved.spec, deep, moved.quad, moved.n_modes)
+    seed = mode_seeds(deep)["even,1"]
+    (est_m, _), (est_f, _) = (iterate_mode(method, seed, ctx) for ctx in (moved, fresh))
+    assert est_m.context is moved and est_f.context is fresh
+    assert est_m.k_estimate == est_f.k_estimate
+    assert np.array_equal(est_m.a, est_f.a)
+    assert np.array_equal(est_m.gamma2, est_f.gamma2)
+    assert interface_mismatch(est_m) == interface_mismatch(est_f)
+    grid = GridSpec(nx=41, ny=71)
+    assert np.array_equal(sample_field(est_m, grid).values, sample_field(est_f, grid).values)
 
 
 def _grid(converged, method, label, size=15, spec=GridSpec(nx=81, ny=141)):
@@ -155,7 +164,7 @@ def test_field_vanishes_toward_boundary(converged):
 def _reference_field(est, domain, grid):
     # |Psi|^2 cell by cell, summing closed forms written out here, one member
     # and one Steklov mode at a time
-    a, b, kappa, spec = domain.a, domain.b, est.k_estimate, est.spec
+    a, b, kappa, spec = domain.a, domain.b, est.k_estimate, est.context.spec
     even = spec.parity is Parity.EVEN
     ang = np.cos if even else np.sin
     X, Y = np.meshgrid(grid.xs, grid.ys, indexing="ij")

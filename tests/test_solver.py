@@ -2,14 +2,12 @@ import numpy as np
 import pytest
 
 from helmbound import (
-    BasisSpec,
     EigenSolution,
     MatrixPair,
     Method,
     Parity,
     assemble,
     iterate_mode,
-    make_domain,
     mode_seeds,
     select_mode,
     solve_generalized,
@@ -94,32 +92,16 @@ def test_iterate_table_run(converged):
     assert trace.kappas[1:] == pytest.approx(trace.estimates[:-1])
 
 
-def test_iterate_not_converged(domain, context_for):
+def test_iterate_not_converged(context_for):
     ctx = context_for(Parity.EVEN, 15)
     with pytest.raises(NotConverged) as info:
-        iterate_mode(Method.DTN, 2.0116, ctx.spec, domain, max_iter=1, context=ctx)
+        iterate_mode(Method.DTN, 2.0116, ctx, max_iter=1)
     assert info.value.trace.iterations == 1
 
 
-def test_iterate_rejects_bad_seed(domain, quad):
-    spec = BasisSpec(parity=Parity.EVEN, n_max=3, m_max=3)
+def test_iterate_rejects_bad_seed(context_for):
     with pytest.raises(ValueError):
-        iterate_mode(Method.DTN, 0.0, spec, domain, quad=quad)
-
-
-@pytest.mark.parametrize("foreign", ["domain", "spec"])
-def test_iterate_rejects_foreign_context(domain, context_for, foreign):
-    # a context for b = 1.5 and a 15x15 family must not be paired with b = 2.0
-    # (Steklov symbols of one depth, tables of another) or with a 5x5 spec
-    # (a 226-entry gamma1 labelled with a 26-member family)
-    ctx = context_for(Parity.EVEN, 15)
-    spec, dom = ctx.spec, domain
-    if foreign == "domain":
-        dom = make_domain(1.0, 2.0)
-    else:
-        spec = BasisSpec(parity=Parity.EVEN, n_max=5, m_max=5)
-    with pytest.raises(ValueError, match="another trial family or domain"):
-        iterate_mode(Method.DTN, 2.0116, spec, dom, context=ctx)
+        iterate_mode(Method.DTN, 0.0, context_for(Parity.EVEN, 3))
 
 
 def test_monotone_convergence_after_first_step(converged):
@@ -148,8 +130,7 @@ def test_filter_sensitivity(domain, context_for):
         ctx = context_for(Parity(label.split(",")[0]), 15)
         for method, bound in bounds.items():
             k = {
-                ft: iterate_mode(method, seeds[label], ctx.spec, domain, tol=1e-8,
-                                 filter_tol=ft, context=ctx)[0].k_estimate
+                ft: iterate_mode(method, seeds[label], ctx, tol=1e-8, filter_tol=ft)[0].k_estimate
                 for ft in (1e-14, 1e-13, 1e-12)
             }
             assert abs(k[1e-14] - k[1e-13]) < bound, (method, label)
@@ -218,7 +199,7 @@ def test_iterate_matches_full_eigh_loop(domain, context_for):
     for label, seed in seeds.items():
         ctx = context_for(Parity(label.split(",")[0]), 15)
         for method in (Method.DTN, Method.NTD):
-            estimate, trace = iterate_mode(method, seed, ctx.spec, domain, tol=1e-8, context=ctx)
+            estimate, trace = iterate_mode(method, seed, ctx, tol=1e-8)
             kappa, target, ks = seed, seed**2, []
             while len(ks) < 2 or abs(ks[-1] - ks[-2]) >= 1e-8:
                 assert len(ks) < 20, (method, label)
