@@ -140,26 +140,31 @@ def laplacian_factors(spec: BasisSpec, domain: CompositeDomain, r):
 def interface_factors(spec: BasisSpec, domain: CompositeDomain, x):
     """Separable factors of the family's interface traces at points x.
 
-    Returns (R, A, DR, DA), one column per point.  On y = 0, r = |x| and
-    phi = -sign(x) pi/2, so the trace of the member R[i] A[j] of
-    ``family_factors`` is R[i] A[j] with R and A evaluated there, and its
-    normal-derivative trace is DR[i] DA[j], the closed form of the
-    module docstring: DR = sin(n alpha (|x| - a)), which the even linear
-    member lacks (its row is 0, since its angular factor is constant), and
-    DA = -nu sin(nu pi/2) (even) or -nu cos(nu pi/2) sign(x) (odd).  The odd
-    normal-derivative rows take the value 0 at x = 0 through sign(0) = 0.
+    Returns (R, A, DR, DA): radial rows R and DR with one column per point,
+    and angular constants A and DA with one entry per angular row.  On
+    y = 0, r = |x| and phi = -sign(x) pi/2, so every angular factor is a
+    constant times s(x), with s = 1 (even) or sign(x) (odd).  The trace of
+    the member R[i] A[j] of ``family_factors`` is therefore R[i] A[j], with
+    s folded into R: R = s r sin(n alpha (|x| - a)) and A = the angular
+    factor at phi = -pi/2.  Its normal-derivative trace is DR[i] DA[j], the
+    closed form of the module docstring: DR = s sin(n alpha (|x| - a)),
+    which the even linear member lacks (its row is 0, since its angular
+    factor is constant), and DA = -nu sin(nu pi/2) (even) or
+    -nu cos(nu pi/2) (odd).  The odd rows take the value 0 at x = 0
+    through sign(0) = 0.
     """
     xs = np.asarray(x, dtype=float)
     absx = np.abs(xs)
-    R, A = family_factors(spec, domain, absx, -np.sign(xs) * (np.pi / 2.0))
-    nu = _angular_frequencies(spec)[:, None]
+    s = np.ones_like(xs) if spec.parity is Parity.EVEN else np.sign(xs)
+    R, A = family_factors(spec, domain, absx, [-np.pi / 2.0])
+    nu = _angular_frequencies(spec)
     DR = np.sin(_radial_phase(spec, domain, absx)[1])
     if spec.parity is Parity.EVEN:
         DR = np.vstack([np.zeros_like(xs), DR])
-        DA = -nu * np.sin(nu * np.pi / 2.0) * np.ones_like(xs)
+        DA = -nu * np.sin(nu * np.pi / 2.0)
     else:
-        DA = (-nu * np.cos(nu * np.pi / 2.0)) * np.sign(xs)
-    return R, A, DR, DA
+        DA = -nu * np.cos(nu * np.pi / 2.0)
+    return R * s, A[:, 0], DR * s, DA
 
 
 def basis_tables(

@@ -80,16 +80,17 @@ def gamma2_coefficients(
     """Rectangle-side Steklov coefficients for a given semicircle solution.
 
     ``a`` holds the solution's coordinates in the context's compressed basis
-    Y.  The context's projections P Y and Q Y of the interface value and
-    normal derivative onto its n_modes Steklov traces give
-    c_n = (psi_n | Psi_I) for DtN and (psi_n | grad_perp Psi_I) / b_n for NtD.
+    Y.  The projections P Y a and Q Y a of its interface value and normal
+    derivative onto the context's n_modes Steklov traces, read from the
+    context's radial factors, give c_n = (psi_n | Psi_I) for DtN and
+    (psi_n | grad_perp Psi_I) / b_n for NtD.
     """
-    a = np.asarray(a, dtype=float)
+    values, derivs = context.radial_coefficients(np.asarray(a, dtype=float))
     if method is _assembly.Method.DTN:
-        return context.proj_values @ a
+        return context.value_factor @ values
     bn, _ = steklov_table(kappa, context.n_modes, context.domain)
     _guard_neumann(bn, kappa)
-    return (context.proj_derivs @ a) / bn
+    return (context.deriv_factor @ derivs) / bn
 
 
 # Semicircle points evaluated per block: bounds the (n_max + m_max) x CHUNK
@@ -210,7 +211,7 @@ def interface_mismatch(estimate: ModeEstimate) -> tuple[float, float]:
     """L2 norms of the value and normal-derivative jumps across the interface.
 
     Both sides are evaluated at the interface nodes of the estimate's
-    context, from its trace tables at the estimate's a.
+    context, from its radial interface rows at the estimate's a.
     DtN solutions have (by construction) only the Steklov-truncation tail in
     the value jump; NtD solutions the analogue in the derivative jump.
     """

@@ -127,10 +127,12 @@ def solve_generalized(pair: MatrixPair, filter_tol: float = DEFAULT_FILTER_TOL) 
     Ub = U[:, :low]
     sigma[:low], W = np.linalg.eigh(Ub.T @ pair.delta @ Ub)
     U[:, :low] = Ub @ W
-    keep = sigma > filter_tol * sigma[-1]
-    if not np.any(keep):
+    # sigma ascends: the refined values up to about REFINE_BELOW * sigma_max,
+    # the rest from there, so the kept directions are its top slice
+    first = int(np.searchsorted(sigma, filter_tol * sigma[-1], side="right"))
+    if first == sigma.size:
         raise MetricNotPositiveDefinite("metric filtering removed every direction")
-    X = U[:, keep] / np.sqrt(sigma[keep])
+    X = U[:, first:] / np.sqrt(sigma[first:])
     H = X.T @ pair.lam @ X
     return EigenSolution(values=np.linalg.eigvalsh(H), kept=X.shape[1], whitening=X, block=H)
 

@@ -45,8 +45,9 @@ def context_for(domain, quad):
 
 
 def _member_rows(spec, radial, angular):
-    """Rows radial[i] * angular[j] of the members, in index order (member_index)."""
-    return (radial[:, None] * angular).reshape(-1, radial.shape[-1])[member_index(spec)]
+    """Rows radial[i] * angular[j] of the members, in index order (member_index),
+    for radial rows over points and angular constants."""
+    return (radial[:, None] * angular[:, None]).reshape(-1, radial.shape[-1])[member_index(spec)]
 
 
 @pytest.fixture(scope="session")
@@ -123,16 +124,29 @@ def dense_coords():
 
 
 @pytest.fixture(scope="session")
-def zero_trace_coords():
+def compressed_traces():
+    """(Y^T T, Y^T D) of a context, each r x Ks, from its factored interface
+    tables: row k is the radial row i_k times the angular constant of pair k."""
+
+    def get(ctx):
+        i = ctx.pairs[0]
+        return (ctx.radial_values[i] * ctx.value_consts[:, None],
+                ctx.radial_derivs[i] * ctx.deriv_consts[:, None])
+
+    return get
+
+
+@pytest.fixture(scope="session")
+def zero_trace_coords(compressed_traces):
     """Draws a random reduced vector a whose interface value a @ Y^T T vanishes.
 
-    a lies in the left null space of the context's compressed traces: the
-    left singular vectors whose singular value is at most 1e-13 times the
-    largest.
+    a lies in the left null space of the context's compressed traces Y^T T
+    (``compressed_traces``): the left singular vectors whose singular value
+    is at most 1e-13 times the largest.
     """
 
     def draw(ctx, rng):
-        U, s, _ = np.linalg.svd(ctx.traces)
+        U, s, _ = np.linalg.svd(compressed_traces(ctx)[0])
         null = U[:, np.count_nonzero(s > 1e-13 * s[0]):]
         return null @ rng.normal(size=null.shape[1])
 

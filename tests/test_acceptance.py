@@ -140,11 +140,12 @@ def test_criterion_4_operator_properties(domain, quad, rng):
                                (Parity.ODD, ("odd,1", "odd,2"))):
             spec = BasisSpec(parity=parity, n_max=size, m_max=size)
             ctx = build_context(spec, domain, quad)
+            assert ctx.symmetry_defect < 1e-10, (size, parity)
             for method in (Method.DTN, Method.NTD):
                 for label in labels:
                     pair = assemble(method, seeds[label], ctx)
-                    assert pair.lambda_defect < 1e-10, (size, parity, method, label)
-                    assert pair.delta_defect < 1e-10, (size, parity, method, label)
+                    assert np.array_equal(pair.lam, pair.lam.T), (size, parity, method, label)
+                    assert np.array_equal(pair.delta, pair.delta.T), (size, parity, method, label)
                     sigma = np.linalg.eigvalsh(pair.delta)
                     assert sigma[-1] > 0.0
                     assert sigma[0] > -1e-13 * sigma[-1], (size, parity, method, label)

@@ -43,33 +43,38 @@ def _family_pencil(method, kappa, ctx, tables):
     return lam, G - dop / (2.0 * kappa)
 
 
-def _pairs(domain, quad, size):
-    out = []
+def _contexts(domain, quad, size):
+    """The even,1 and odd,1 seeds with a context of their parity at size."""
     seeds = mode_seeds(domain)
-    for parity, seed in ((Parity.EVEN, seeds["even,1"]), (Parity.ODD, seeds["odd,1"])):
-        ctx = build_context(BasisSpec(parity=parity, n_max=size[0], m_max=size[1]), domain, quad)
-        out.append(assemble(Method.DTN, seed, ctx))
-        out.append(assemble(Method.NTD, seed, ctx))
-    return out
+    return [(seed, build_context(BasisSpec(parity=parity, n_max=size[0], m_max=size[1]), domain, quad))
+            for parity, seed in ((Parity.EVEN, seeds["even,1"]), (Parity.ODD, seeds["odd,1"]))]
+
+
+def _pairs(domain, quad, size):
+    return [assemble(method, seed, ctx) for seed, ctx in _contexts(domain, quad, size) for method in Method]
 
 
 @pytest.mark.parametrize("size", SIZES)
 def test_symmetry_defects(domain, quad, size):
-    for pair in _pairs(domain, quad, size):
-        assert pair.lambda_defect < 1e-10
-        assert pair.delta_defect < 1e-10
-        assert np.array_equal(pair.lam, pair.lam.T)
-        assert np.array_equal(pair.delta, pair.delta.T)
+    # the defect of the kappa-independent parts is measured once per context
+    # (2.0-2.2e-12 at 30x30, 2.5-2.8e-15 at 15x15); the assembled pencils of
+    # both methods are exactly symmetric
+    for seed, ctx in _contexts(domain, quad, size):
+        assert ctx.symmetry_defect < 1e-10
+        for method in Method:
+            pair = assemble(method, seed, ctx)
+            assert np.array_equal(pair.lam, pair.lam.T)
+            assert np.array_equal(pair.delta, pair.delta.T)
 
 
 def test_defect_equals_magnitude_ratio(domain, quad, monkeypatch):
     # _defect reads the largest entry of A - A^T over max(A.max(), -A.min());
-    # on every matrix assemble passes it, both methods and parities, that is
-    # max |A - A^T| / max |A| bit for bit
+    # on every matrix build_context passes it (-S + C, -S - C^T and G, both
+    # parities), that is max |A - A^T| / max |A| bit for bit
     seen, defect = [], assembly._defect
     monkeypatch.setattr(assembly, "_defect", lambda A: seen.append(A.copy()) or defect(A))
-    _pairs(domain, quad, (15, 15))
-    assert len(seen) == 8
+    _contexts(domain, quad, (15, 15))
+    assert len(seen) == 6
     for A in seen:
         assert defect(A) == float(np.max(np.abs(A - A.T)) / np.max(np.abs(A)))
     assert any(defect(A) > 0 for A in seen)
@@ -155,14 +160,15 @@ def _array_fields(ctx):
 def test_context_keeps_no_family_table(context_for):
     # every table is in the compressed coordinates and Y is kept as its 1-D
     # factors, so at 15x15 (M = 226, r = 122) no array has a dimension of
-    # size M.  The 30x30 context holds 5.09 MB of arrays
+    # size M.  The 30x30 context holds 3.03 MB of arrays, the interface as
+    # its N x n_r radial factors
     ctx = context_for(Parity.EVEN, 15)
     M = ctx.spec.size
     assert M > ctx.trial_dim
     arrays = _array_fields(ctx)
-    assert "stiffness" in arrays and "traces" in arrays
+    assert "dtn_base" in arrays and "value_factor" in arrays
     assert [name for name, v in arrays.items() if M in v.shape] == []
-    assert sum(v.nbytes for v in _array_fields(context_for(Parity.EVEN, 30)).values()) < 7e6
+    assert sum(v.nbytes for v in _array_fields(context_for(Parity.EVEN, 30)).values()) < 3.5e6
 
 
 @pytest.mark.parametrize("parity", list(Parity))
@@ -191,39 +197,76 @@ def test_context_tables_independent_of_depth(domain, quad, context_for, parity, 
             assert got == want, f.name
 
 
-def _uncompressed(ctx, tables):
-    """The context's family with Y = I: identity factors, every member a pair,
-    and the tables of the family pencil (``family_tables``)."""
-    G, S, T, D, psi, ws = tables
-    na = ctx.angular_basis.shape[0]
-    return dataclasses.replace(
-        ctx,
-        radial_basis=np.eye(ctx.radial_basis.shape[0]),
-        angular_basis=np.eye(na),
-        pairs=np.array(np.divmod(member_index(ctx.spec), na)),
-        stiffness=S,
-        gram=G,
-        cross=(T * ws) @ D.T,
-        traces=T,
-        dtraces=D,
-        proj_values=(psi * ws) @ T.T,
-        proj_derivs=(psi * ws) @ D.T,
-    )
+def _uncompressed(parity, domain, quad, monkeypatch):
+    """The context of the 15x15 family with Y = I, built by build_context
+    itself: every 1-D eigenbasis is the identity and every pair is kept."""
+    with monkeypatch.context() as patch:
+        patch.setattr(assembly, "_product_eigenbasis",
+                      lambda gram, lead: (np.ones(gram.shape[0] - lead), np.eye(gram.shape[0])))
+        ctx = build_context(BasisSpec(parity=parity), domain, quad)
+    assert ctx.trial_dim == ctx.spec.size
+    assert np.array_equal(ctx.pairs, np.divmod(member_index(ctx.spec), ctx.angular_basis.shape[0]))
+    return ctx
 
 
-def test_compression_matches_uncompressed_family(domain, context_for, family_tables, converged):
+def test_compression_matches_uncompressed_family(domain, quad, converged, monkeypatch):
     # the eight Table 2 k at tol 1e-8 against the solve over the whole
     # family (Y = I); measured at most 2.1e-8 apart at 15x15 and 6.8e-9 at
     # 30x30, on 1 and 2 BLAS threads
     seeds = mode_seeds(domain)
-    full = {parity: _uncompressed(context_for(parity), family_tables(context_for(parity)))
-            for parity in Parity}
+    full = {parity: _uncompressed(parity, domain, quad, monkeypatch) for parity in Parity}
     for label, seed in seeds.items():
         parity = Parity(label.split(",")[0])
         for method in Method:
             k = converged(method, label, tol=1e-8)[0].k_estimate
             k_full = iterate_mode(method, seed, full[parity], tol=1e-8)[0].k_estimate
             assert abs(k - k_full) < 5e-8, (label, method)
+
+
+@pytest.mark.parametrize("size", [5, 15])
+@pytest.mark.parametrize("parity", list(Parity))
+def test_factored_interface_matches_family_tables(context_for, family_tables, dense_coords,
+                                                  compressed_traces, size, parity):
+    # the factored interface tables against the dense family tables: P Y,
+    # Q Y, Y^T T, Y^T D and Y^T C Y, and the two symmetrized bases -S + C
+    # and -S - C^T and G
+    ctx = context_for(parity, size)
+    G, S, T, D, psi, ws = family_tables(ctx)
+    Y = dense_coords(ctx)
+    YT, YD = compressed_traces(ctx)
+    i, c, d = ctx.pairs[0], ctx.value_consts, ctx.deriv_consts
+    PY, QY = (psi * ws) @ T.T @ Y, (psi * ws) @ D.T @ Y
+    C = (T * ws) @ D.T
+
+    def sym(X):
+        return 0.5 * (X + X.T)
+
+    for got, want in ((ctx.value_factor[:, i] * c, PY), (ctx.deriv_factor[:, i] * d, QY),
+                      (YT, Y.T @ T), (YD, Y.T @ D), ((YT * ws) @ YD.T, Y.T @ C @ Y),
+                      (ctx.dtn_base, Y.T @ sym(-S + C) @ Y), (ctx.ntd_base, Y.T @ sym(-S - C.T) @ Y),
+                      (ctx.gram, Y.T @ G @ Y)):
+        assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
+    # W Y = F K^T has rank at most n_r = n_max + lead, against r columns
+    n_r = ctx.radial_basis.shape[1]
+    assert ctx.trial_dim > n_r
+    for W in (PY, QY):
+        assert np.linalg.matrix_rank(W) <= n_r
+
+
+@pytest.mark.parametrize("parity", list(Parity))
+def test_gamma2_reads_dense_projections(context_for, family_tables, dense_coords, parity, rng):
+    # gamma2 from the radial factors against the dense P Y a and Q Y a / b_n
+    from helmbound import gamma2_coefficients
+
+    ctx = context_for(parity, 15)
+    _, _, T, D, psi, ws = family_tables(ctx)
+    Y = dense_coords(ctx)
+    a = rng.normal(size=ctx.trial_dim)
+    bn, _ = steklov_table(KAPPA, ctx.n_modes, ctx.domain)
+    for method, want in ((Method.DTN, (psi * ws) @ T.T @ Y @ a),
+                         (Method.NTD, (psi * ws) @ D.T @ Y @ a / bn)):
+        got = gamma2_coefficients(method, a, KAPPA, ctx)
+        assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want)), method
 
 
 def test_compress_floor_moves_no_k(domain, context_for, converged, monkeypatch):

@@ -16,12 +16,7 @@ from helmbound.errors import MetricNotPositiveDefinite, NoPositiveEigenvalue, No
 
 
 def _pair(lam, delta):
-    return MatrixPair(
-        lam=np.asarray(lam, dtype=float),
-        delta=np.asarray(delta, dtype=float),
-        lambda_defect=0.0,
-        delta_defect=0.0,
-    )
+    return MatrixPair(lam=np.asarray(lam, dtype=float), delta=np.asarray(delta, dtype=float))
 
 
 def _vectors(sol, indices):
