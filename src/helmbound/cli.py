@@ -112,9 +112,16 @@ def _parse_sizes(text: str):
 
 
 def cmd_sweep_basis(cfg: RunConfig, args) -> int:
+    """Converged k per basis size, method and label, written to sweep.csv.
+
+    Each solve starts from the last converged k of its label: the first
+    from the closed-form rectangle seed, NtD from DtN's k at the same size,
+    and each size from the previous size's last k.  A failed cell leaves the
+    seed of its label as it was.
+    """
     sizes = _parse_sizes(args.sizes)
     out = _outdir(cfg)
-    seeds = mode_seeds(cfg.geometry)
+    warm = mode_seeds(cfg.geometry)
     methods = [Method.DTN, Method.NTD] if args.methods == "both" else [Method(args.methods)]
     rows = ["n_max,m_max,method,mode_label,converged_k,note"]
     for n_max, m_max in sizes:
@@ -123,8 +130,9 @@ def cmd_sweep_basis(cfg: RunConfig, args) -> int:
             for label in MODE_LABELS:
                 ctx = contexts[Parity(parse_mode_label(label)[0])]
                 try:
-                    estimate, _trace = iterate_mode(method, seeds[label], ctx, tol=cfg.tol,
+                    estimate, _trace = iterate_mode(method, warm[label], ctx, tol=cfg.tol,
                                                     max_iter=cfg.max_iter)
+                    warm[label] = estimate.k_estimate
                     rows.append(
                         f"{n_max},{m_max},{method.value},\"{label}\",{estimate.k_estimate:.6f},"
                     )
@@ -198,6 +206,11 @@ ORACLE_TOL = 1e-3
 
 
 def cmd_compare(cfg: RunConfig, args) -> int:
+    """DtN and NtD per label against each other and the FD oracle, to compare.json.
+
+    DtN starts from the closed-form rectangle seed and NtD from DtN's
+    converged k, so both track the same root.
+    """
     from .oracle import richardson_eigen
 
     out = _outdir(cfg)
@@ -212,7 +225,8 @@ def cmd_compare(cfg: RunConfig, args) -> int:
         parity, rank = parse_mode_label(label)
         ctx = contexts[Parity(parity)]
         est_d, _ = iterate_mode(Method.DTN, seeds[label], ctx, tol=cfg.tol, max_iter=cfg.max_iter)
-        est_n, _ = iterate_mode(Method.NTD, seeds[label], ctx, tol=cfg.tol, max_iter=cfg.max_iter)
+        est_n, _ = iterate_mode(Method.NTD, est_d.k_estimate, ctx, tol=cfg.tol,
+                                max_iter=cfg.max_iter)
         k_fdm = by_parity[parity][rank - 1]
         mutual = abs(est_d.k_estimate - est_n.k_estimate)
         delta = abs(est_d.k_estimate - k_fdm)

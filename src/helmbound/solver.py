@@ -37,8 +37,14 @@ ones of the NtD pencil) are meaningful only as subspace artifacts and are
 never selected by the tracking rule.
 
 The fixed-point loop sets kappa to the square root of the tracked eigenvalue
-until successive estimates of k agree within the tolerance; the tracked
-eigenvector is computed once, at convergence.
+and stops when the estimate k agrees within the tolerance with the kappa the
+pencil was assembled at, |k - kappa| < tol.  From the second iteration on
+kappa is the previous estimate, so this is the step between successive
+estimates; on the first, the seed kappa0 counts as estimate 0.  Physical
+roots are stationary (d sqrt(F) / d kappa = 0 there), so a seed already
+within tol of the root, such as the other method's or a neighbouring basis
+size's converged k, returns after one pencil solve.  The tracked eigenvector
+is computed once, at convergence.
 """
 
 from __future__ import annotations
@@ -107,9 +113,10 @@ class IterationTrace:
         return len(self.estimates)
 
     def last_step(self) -> float:
-        if len(self.estimates) < 2:
+        """Fixed-point residual |k - kappa| of the last iteration (inf before the first)."""
+        if not self.estimates:
             return float("inf")
-        return abs(self.estimates[-1] - self.estimates[-2])
+        return abs(self.estimates[-1] - self.kappas[-1])
 
 
 def solve_generalized(pair: MatrixPair, filter_tol: float = DEFAULT_FILTER_TOL) -> EigenSolution:
@@ -162,9 +169,11 @@ def iterate_mode(
 ):
     """Run the self-consistency loop kappa <- sqrt(F) for one tracked mode.
 
-    The context is all the loop reads: the trial family, the domain, the
-    quadrature and the Steklov truncation are those it was built for, and
-    the returned estimate keeps it.
+    It stops at the first iteration whose estimate lies within tol of the
+    kappa it was assembled at, so a seed within tol of the root costs one
+    pencil solve (module docstring).  The context is all the loop reads:
+    the trial family, the domain, the quadrature and the Steklov truncation
+    are those it was built for, and the returned estimate keeps it.
 
     Returns (ModeEstimate, IterationTrace); raises NotConverged (with the
     trace attached) if max_iter is exhausted first.

@@ -155,6 +155,36 @@ def test_sweep_csv(tmp_path):
     assert cells["odd,2"] == pytest.approx(4.2234, abs=1e-3)
 
 
+def test_sweep_warm_starts_match_cold_solves(tmp_path, monkeypatch, context_for, domain):
+    # every solve of a sweep starts from its label's last converged k; the
+    # rows still read the cold-seeded k.  NtD, seeded with DtN's k at its
+    # size, takes one assemble call per cell from 5x5 on; at 3x3 DtN and NtD
+    # differ by 5e-5 to 6.4e-3, beyond tol, and three of its cells take two
+    from helmbound import Method, iterate_mode, solver
+
+    calls = []
+
+    def counted(method, kappa, context, _assemble=solver.assemble):
+        calls.append((method, context.spec.n_max))
+        return _assemble(method, kappa, context=context)
+
+    monkeypatch.setattr(solver, "assemble", counted)
+    cfg_path = _write_config(tmp_path)
+    assert main(["--config", str(cfg_path), "sweep-basis", "--sizes", "3x3,5x5,15x15"]) == 0
+    rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()[1:]
+    assert [calls.count((Method.NTD, size)) for size in (3, 5, 15)] == [7, 4, 4]
+    monkeypatch.undo()
+    seeds = mode_seeds(domain)
+    expected = []
+    for size in (3, 5, 15):
+        for method in (Method.DTN, Method.NTD):
+            for label in seeds:
+                ctx = context_for(Parity(parse_mode_label(label)[0]), size)
+                k = iterate_mode(method, seeds[label], ctx)[0].k_estimate
+                expected.append(f'{size},{size},{method.value},"{label}",{k:.6f},')
+    assert rows == expected
+
+
 @pytest.mark.parametrize("argv", [
     ["sweep-basis", "--sizes", "15"],
     ["sweep-basis", "--sizes", "3x"],

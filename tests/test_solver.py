@@ -2,16 +2,20 @@ import numpy as np
 import pytest
 
 from helmbound import (
+    BasisSpec,
     EigenSolution,
     MatrixPair,
     Method,
     Parity,
     assemble,
+    build_context,
     iterate_mode,
+    make_domain,
     mode_seeds,
     select_mode,
     solve_generalized,
 )
+from helmbound.cli import MUTUAL_TOL
 from helmbound.errors import MetricNotPositiveDefinite, NoPositiveEigenvalue, NotConverged
 
 
@@ -91,7 +95,44 @@ def test_iterate_not_converged(context_for):
     ctx = context_for(Parity.EVEN, 15)
     with pytest.raises(NotConverged) as info:
         iterate_mode(Method.DTN, 2.0116, ctx, max_iter=1)
-    assert info.value.trace.iterations == 1
+    trace = info.value.trace
+    assert trace.iterations == 1
+    # the seed counts as estimate 0, so one iteration already has a step
+    assert trace.last_step() == abs(trace.estimates[0] - 2.0116)
+    assert f"last |dk| = {trace.last_step():.3e}" in str(info.value)
+
+
+@pytest.mark.parametrize("label", ["even,1", "even,2", "odd,1", "odd,2"])
+def test_warm_starts_take_one_iteration(converged, context_for, label):
+    # physical roots are stationary, so a seed within tol of the root passes
+    # the fixed-point test after one solve.  At 15x15 a restart from a
+    # method's own k lands within 2.1e-11 (DtN) and 1.6e-9 (NtD) of it, and
+    # NtD seeded with DtN's k (as sweep-basis and compare do) within 1.5e-9
+    # of NtD's cold k
+    ctx = context_for(Parity(label.split(",")[0]), 15)
+    est = {method: converged(method, label)[0].k_estimate for method in Method}
+    starts = [(Method.DTN, est[Method.DTN], 1e-9), (Method.NTD, est[Method.NTD], 1e-8),
+              (Method.NTD, est[Method.DTN], 1e-8)]
+    for method, seed, bound in starts:
+        warm, trace = iterate_mode(method, seed, ctx)
+        assert trace.iterations == 1, (method, seed)
+        assert abs(warm.k_estimate - est[method]) < bound, (method, seed)
+
+
+def test_warm_ntd_stays_on_dtn_root_where_seed_hops(quad):
+    # b = 2.0, odd,2: from the closed-form seed NtD climbs over 7 iterations
+    # to the mode at 4.6486 (defect D2, which solve still shows); from DtN's
+    # k it stays on DtN's root, 2.5e-5 away after one iteration
+    domain = make_domain(1.0, 2.0)
+    ctx = build_context(BasisSpec(parity=Parity.ODD, n_max=15, m_max=15), domain, quad)
+    seed = mode_seeds(domain)["odd,2"]
+    est_d, _ = iterate_mode(Method.DTN, seed, ctx)
+    cold, _ = iterate_mode(Method.NTD, seed, ctx)
+    warm, trace = iterate_mode(Method.NTD, est_d.k_estimate, ctx)
+    assert est_d.k_estimate == pytest.approx(3.9006, abs=1e-4)
+    assert cold.k_estimate == pytest.approx(4.6486, abs=1e-4)
+    assert trace.iterations == 1
+    assert abs(warm.k_estimate - est_d.k_estimate) < MUTUAL_TOL
 
 
 def test_iterate_rejects_bad_seed(context_for):
