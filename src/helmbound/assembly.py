@@ -45,9 +45,9 @@ cosines, whose values and derivatives on the interface an inverse inequality
 bounds by their norm times a power of the family size, so the interface
 terms that both methods' metrics add through W are small on the dropped
 span too, though not at roundoff: at b = 1.5 the augmented Gram
-A = G + T w T^T + D w D^T on the dropped complement stays below 1e-7 of A's
-largest eigenvalue at 15x15 (2e-7 at 30x30).  What that costs in k is
-measured against the uncompressed family (COMPRESS_FLOOR comment).
+A = G + T w T^T + D w D^T on the dropped complement stays below 9e-8 of A's
+largest eigenvalue at 15x15 (1.4e-6 at 30x30).  What the cut costs in k is
+in the COMPRESS_FLOOR comment.
 
 The interface terms have low rank.  On y = 0, phi = -sign(x) pi/2, so the
 angular factor of every member is a constant times s(x), with s = 1 (even)
@@ -98,14 +98,15 @@ from .steklov import _guard_neumann, steklov_table, steklov_trace
 
 DEFAULT_STEKLOV_MODES = 200
 # Pairs whose Gram eigenvalue lambda_r,i lambda_a,j is at most this fraction
-# of the largest are dropped.  At b = 1.5 it keeps r = 122/115 of 226/225
-# directions (15x15, even/odd) and 314/306 of 901/900 (30x30), the same on 1
-# and 2 BLAS threads.  Against the uncompressed family (Y = I), the eight
-# Table 2 k at tol 1e-8 move by at most 2.1e-8 (15x15) and 6.8e-9 (30x30).
-# 1e-15 keeps 125/118 and 332/326 directions and moves them by 1.6e-8 and
-# 5.5e-10, at the cost of larger solves; 1e-13 moves them by 8.2e-7 and
-# 1.8e-7, and 1e-11 by 1.3e-4 at 30x30.
-COMPRESS_FLOOR = 1e-14
+# of the largest are dropped: the only cut of the trial space, since the
+# solver's Cholesky reduction keeps every direction.  At b = 1.5 it keeps
+# r = 110/105 of 226/225 directions (15x15, even/odd) and 308/298 of 901/900
+# (30x30), on 1 and 2 BLAS threads.  At 1e-12 the eight Table 2 k (tol 1e-8)
+# move by at most 5.9e-7 (DtN) and 2.2e-6 (NtD) at 15x15, 4.3e-6 and 6.2e-6
+# at 30x30.  At 1e-14 the 15x15 k fall by 2.4e-7 to 3.3e-5, but the tracked
+# vectors degrade: acceptance 5's order drops below 1.9 and NtD's derivative
+# jump exceeds its value jump.
+COMPRESS_FLOOR = 1e-13
 
 
 class Method(enum.Enum):

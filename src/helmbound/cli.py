@@ -117,12 +117,13 @@ def cmd_sweep_basis(cfg: RunConfig, args) -> int:
     Each solve starts from the last converged k of its label: the first
     from the closed-form rectangle seed, NtD from DtN's k at the same size,
     and each size from the previous size's last k.  A failed cell leaves the
-    seed of its label as it was.
+    seed of its label as it was.  NtD's seed is DtN's k whichever methods
+    are written, so with ``--methods ntd`` DtN still runs and writes no row.
     """
     sizes = _parse_sizes(args.sizes)
     out = _outdir(cfg)
     warm = mode_seeds(cfg.geometry)
-    methods = [Method.DTN, Method.NTD] if args.methods == "both" else [Method(args.methods)]
+    methods = [Method.DTN] if args.methods == "dtn" else [Method.DTN, Method.NTD]
     rows = ["n_max,m_max,method,mode_label,converged_k,note"]
     for n_max, m_max in sizes:
         contexts = _contexts(cfg, Parity, n_max=n_max, m_max=m_max)
@@ -133,12 +134,11 @@ def cmd_sweep_basis(cfg: RunConfig, args) -> int:
                     estimate, _trace = iterate_mode(method, warm[label], ctx, tol=cfg.tol,
                                                     max_iter=cfg.max_iter)
                     warm[label] = estimate.k_estimate
-                    rows.append(
-                        f"{n_max},{m_max},{method.value},\"{label}\",{estimate.k_estimate:.6f},"
-                    )
+                    cell = f"{estimate.k_estimate:.6f},"
                 except (NotConverged, NearDirichletResonance, NearNeumannResonance) as exc:
-                    reason = type(exc).__name__
-                    rows.append(f"{n_max},{m_max},{method.value},\"{label}\",NA,{reason}")
+                    cell = f"NA,{type(exc).__name__}"
+                if args.methods in ("both", method.value):
+                    rows.append(f"{n_max},{m_max},{method.value},\"{label}\",{cell}")
     path = out / "sweep.csv"
     path.write_text("\n".join(rows) + "\n")
     print(f"wrote {path} ({len(rows) - 1} cells)")
@@ -289,9 +289,10 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args.config)
         return COMMANDS[args.command](cfg, args)
-    # both methods' metrics are the Gram plus a positive semidefinite
-    # interface term, so only the basis and quadrature can leave them no
-    # positive direction
+    # both methods' metrics are the compressed Gram, positive definite down
+    # to COMPRESS_FLOOR, plus a positive semidefinite interface term, so
+    # only a basis and quadrature that leave the compression no direction
+    # make the solve's Cholesky factorization fail
     except (ConfigError, GridTooCoarse, IoFailure, MetricNotPositiveDefinite) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -5,36 +5,28 @@ compressed coordinates (``assembly`` module docstring), so each iteration
 works on r x r matrices.  The converged mode keeps the tracked vector a and
 that context: gamma2 reads a, sampling gamma1 = Y a.
 
-The compression drops the directions that are negligible for the family's
-Gram, not for the method's metric: the reduced Delta still spans the whole
-float64 range (at b = 1.5 its smallest eigenvalues lie between 9e-19 and
-9e-15 of the largest, and 9 to 62 of them below 1e-13, at 15x15 and
-30x30), so a plain Cholesky reduction is not an option.  The solve instead
-filters the reduced metric: eigendecompose Delta, keep directions with
-sigma > filter_tol * sigma_max, whiten, and solve the standard symmetric
-problem in the kept subspace.
+The compression (``assembly.COMPRESS_FLOOR``) is the only cut of the trial
+space, and the solve is the Cholesky reduction of the pencil it leaves:
+Delta = L L^T, X = L^-T, and the eigenvalues of H = X^T Lambda X.  The
+reduced Gram is diagonal, or an arrowhead through the even linear member,
+with entries between COMPRESS_FLOOR and 1 times its largest, and each
+method adds a positive semidefinite interface term of rank n_r to it, so
+Delta is positive definite and graded: Cholesky is accurate on such
+matrices (van der Sluis, Numer. Math. 14, 1969).  Scaled by its diagonal,
+Delta's condition number is 9e2 to 1.4e6 for DtN but 2e8 to 5.5e11 for NtD
+(b = 1.5, 15x15 and 30x30), so NtD's accuracy rests on the tests against
+DtN, the oracle and the uncompressed family.  L^-1 is a recursive 2x2-block
+inverse, with residual |L^-1 L - I| below 3e-10 where one ``np.linalg.inv``
+of L leaves up to 1e-6 (30x30 NtD, kappa 1.9 to 4.4).
 
-One eigh fixes the eigenvalues of Delta only to about eps * sigma_max, so
-near the cut it cannot tell apart directions a few dozen eps * sigma_max
-apart: at b = 1.5 the dropped span at filter_tol 1e-14 is off by 1e-2 to
-1e-1 in angle.  The kept span then moves with the rounding of every kappa,
-and the fixed point jitters by 1e-7 to 1e-6 (15x15 NtD odd,1).  So the
-directions below sqrt(eps) * sigma_max are solved a second time, by eigh of
-the metric restricted to their span, U_b^T Delta U_b.  That span is fixed to
-about eps / sqrt(eps) against the rest, and the restricted metric has norm
-sqrt(eps) * sigma_max, so the second eigh resolves the bottom to about
-eps^1.5 * sigma_max: the dropped span at 1e-14 comes out within 1e-10 to
-1e-7 in angle of the one from an SVD of Delta's Cholesky factor.
-
-Returned eigenvalues are those of the filtered pencil, from ``eigvalsh`` of
-the whitened kept block H = X^T Lambda X; no eigenvector is computed with
-them, since each iteration of the fixed point reads only the tracked value.
-``EigenSolution.vector(i)`` computes the one eigenvector the converged
-iteration needs, by inverse iteration on H, and maps it through X.  The
-physically tracked low modes carry pencil residuals at the 1e-10 level,
-while Ritz values far outside the physical window (e.g. the large negative
-ones of the NtD pencil) are meaningful only as subspace artifacts and are
-never selected by the tracking rule.
+Returned eigenvalues come from ``eigvalsh`` of H; no eigenvector is
+computed with them, since each iteration of the fixed point reads only the
+tracked value.  ``EigenSolution.vector(i)`` computes the one eigenvector
+the converged iteration needs, by inverse iteration on H, and maps it
+through X.  The physically tracked low modes carry pencil residuals at the
+1e-10 level, while Ritz values far outside the physical window (e.g. the
+large negative ones of the NtD pencil) are meaningful only as subspace
+artifacts and are never selected by the tracking rule.
 
 The fixed-point loop sets kappa to the square root of the tracked eigenvalue
 and stops when the estimate k agrees within the tolerance with the kappa the
@@ -58,12 +50,8 @@ from .assembly import build_context  # noqa: F401  (helmbench/tracing.py wraps t
 from .errors import MetricNotPositiveDefinite, NoPositiveEigenvalue, NotConverged
 from .reconstruct import ModeEstimate, gamma2_coefficients
 
-DEFAULT_FILTER_TOL = 1e-13
 DEFAULT_K_TOL = 5e-5
 DEFAULT_MAX_ITER = 20
-# metric eigenvalues below this fraction of the largest are solved a second
-# time, restricted to their span (module docstring)
-REFINE_BELOW = np.sqrt(np.finfo(float).eps)
 # EigenSolution.vector takes two inverse-iteration steps from all-ones, with
 # the shift this fraction of ||H|| above the eigenvalue: a few ulps of the
 # largest, so H - s I is never exactly singular
@@ -72,27 +60,29 @@ INVERSE_SHIFT = 4 * np.finfo(float).eps
 
 @dataclass(frozen=True)
 class EigenSolution:
-    """Ascending eigenvalues of the filtered pencil, and what their vectors need.
+    """Ascending eigenvalues of the pencil, and what their vectors need.
 
-    ``kept`` is the dimension of the filtered subspace actually solved (<= the
-    pencil's size, which for an assembled pair is the context's trial
-    dimension r); ``whitening`` is X (X^T Delta X = I) and ``block`` is
-    H = X^T Lambda X, whose eigenvalues are ``values``.  ``vector(i)`` returns
-    the metric-normalised eigenvector of ``values[i]``.
+    ``whitening`` is X = L^-T (X^T Delta X = I) and ``block`` is
+    H = X^T Lambda X, whose eigenvalues are ``values``.  ``vector(i)``
+    returns the metric-normalised eigenvector of ``values[i]``.
     """
 
     values: np.ndarray
-    kept: int
     whitening: np.ndarray = field(repr=False)
     block: np.ndarray = field(repr=False)
+
+    @property
+    def kept(self) -> int:
+        """The pencil's size r (helmbench/tracing.py reads it)."""
+        return self.values.size
 
     def vector(self, i: int) -> np.ndarray:
         """Eigenvector x of ``values[i]`` with x^T Delta x = 1, by inverse
         iteration on H (INVERSE_SHIFT).  Its largest-magnitude component is
         made positive, so repeated solves are bit-reproducible."""
         shift = self.values[i] + INVERSE_SHIFT * np.max(np.abs(self.values))
-        M = self.block - shift * np.eye(self.kept)
-        z = np.ones(self.kept)
+        M = self.block - shift * np.eye(self.values.size)
+        z = np.ones(self.values.size)
         for _ in range(2):
             z = np.linalg.solve(M, z)
             z /= np.linalg.norm(z)
@@ -119,29 +109,32 @@ class IterationTrace:
         return abs(self.estimates[-1] - self.kappas[-1])
 
 
-def solve_generalized(pair: MatrixPair, filter_tol: float = DEFAULT_FILTER_TOL) -> EigenSolution:
-    """Solve Lambda x = F Delta x with metric filtering.
+def _lower_inverse(L: np.ndarray) -> np.ndarray:
+    """Inverse of lower-triangular L, [[A, 0], [C, D]]^-1 = [[A^-1, 0],
+    [-D^-1 C A^-1, D^-1]], down to blocks of at most 32 rows."""
+    n = L.shape[0]
+    if n <= 32:
+        return np.tril(np.linalg.inv(L))
+    h = n // 2
+    A, D = _lower_inverse(L[:h, :h]), _lower_inverse(L[h:, h:])
+    return np.block([[A, np.zeros((h, n - h))], [-D @ L[h:, :h] @ A, D]])
 
-    The metric's eigenvalues below REFINE_BELOW * sigma_max come from a
-    second eigh on their span, so the filter cut reads resolved values.
+
+def solve_generalized(pair: MatrixPair) -> EigenSolution:
+    """Solve Lambda x = F Delta x by the Cholesky reduction of the pencil.
+
     Only eigenvalues are computed; ``vector(i)`` of the result gives one
-    eigenvector on demand.
+    eigenvector on demand.  Raises MetricNotPositiveDefinite when Delta has
+    no Cholesky factor (a singular metric has none).
     """
-    sigma, U = np.linalg.eigh(pair.delta)
-    if sigma[-1] <= 0:
-        raise MetricNotPositiveDefinite("metric has no positive direction")
-    low = int(np.sum(sigma < REFINE_BELOW * sigma[-1]))
-    Ub = U[:, :low]
-    sigma[:low], W = np.linalg.eigh(Ub.T @ pair.delta @ Ub)
-    U[:, :low] = Ub @ W
-    # sigma ascends: the refined values up to about REFINE_BELOW * sigma_max,
-    # the rest from there, so the kept directions are its top slice
-    first = int(np.searchsorted(sigma, filter_tol * sigma[-1], side="right"))
-    if first == sigma.size:
-        raise MetricNotPositiveDefinite("metric filtering removed every direction")
-    X = U[:, first:] / np.sqrt(sigma[first:])
+    try:
+        L = np.linalg.cholesky(pair.delta)
+    except np.linalg.LinAlgError as exc:
+        raise MetricNotPositiveDefinite(f"metric has no Cholesky factor: {exc}") from exc
+    X = _lower_inverse(L).T
     H = X.T @ pair.lam @ X
-    return EigenSolution(values=np.linalg.eigvalsh(H), kept=X.shape[1], whitening=X, block=H)
+    H = 0.5 * (H + H.T)  # eigvalsh reads one triangle, vector() all of H
+    return EigenSolution(values=np.linalg.eigvalsh(H), whitening=X, block=H)
 
 
 def select_mode(previous_k_squared: float, solution: EigenSolution) -> int:
@@ -165,7 +158,6 @@ def iterate_mode(
     *,
     tol: float = DEFAULT_K_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    filter_tol: float = DEFAULT_FILTER_TOL,
 ):
     """Run the self-consistency loop kappa <- sqrt(F) for one tracked mode.
 
@@ -185,7 +177,7 @@ def iterate_mode(
     target = kappa0**2
     for _ in range(max_iter):
         pair = assemble(method, kappa, context=context)
-        solution = solve_generalized(pair, filter_tol)
+        solution = solve_generalized(pair)
         idx = select_mode(target, solution)
         target = solution.values[idx]
         k = float(np.sqrt(target))

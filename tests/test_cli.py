@@ -185,6 +185,24 @@ def test_sweep_warm_starts_match_cold_solves(tmp_path, monkeypatch, context_for,
     assert rows == expected
 
 
+def test_sweep_ntd_rows_do_not_depend_on_methods(tmp_path):
+    # NtD starts from DtN's k at the same size whichever methods are
+    # written.  At b = 2.0 the closed-form seed would take NtD odd,2 to the
+    # mode at 4.6486 (defect D2) instead of DtN's root at 3.9006
+    rows = {}
+    for methods in ("ntd", "both"):
+        (tmp_path / methods).mkdir()
+        cfg_path = _write_config(tmp_path / methods, geometry={"a": 1.0, "b": 2.0})
+        assert main(["--config", str(cfg_path), "sweep-basis", "--sizes", "15x15",
+                     "--methods", methods]) == 0
+        lines = (tmp_path / methods / "out" / "sweep.csv").read_text().splitlines()[1:]
+        rows[methods] = [line for line in lines if ",ntd," in line]
+    assert len(rows["ntd"]) == 4
+    assert rows["ntd"] == rows["both"]
+    odd2 = next(line for line in rows["ntd"] if '"odd,2"' in line)
+    assert float(odd2.split(",")[5]) == pytest.approx(3.9006, abs=1e-4)
+
+
 @pytest.mark.parametrize("argv", [
     ["sweep-basis", "--sizes", "15"],
     ["sweep-basis", "--sizes", "3x"],
