@@ -15,6 +15,8 @@ from helmbound import (
     select_mode,
     solve_generalized,
 )
+from helmbound import assembly
+from helmbound.assembly import COMPRESS_FLOOR
 from helmbound.cli import MUTUAL_TOL
 from helmbound.errors import MetricNotPositiveDefinite, NoPositiveEigenvalue, NotConverged
 
@@ -155,6 +157,27 @@ def test_cross_method_agreement(converged):
         est_d, _ = converged(Method.DTN, label)
         est_n, _ = converged(Method.NTD, label)
         assert abs(est_d.k_estimate - est_n.k_estimate) < 1e-4
+
+
+def test_filter_sensitivity(domain, context_for, converged, monkeypatch):
+    # the solve filters nothing: the compression floor is the only cut of the
+    # trial space (solver docstring).  A floor a decade up (1e-12) drops 3-4
+    # directions per family at 15x15 and moves the eight Table 2 k (tol
+    # 1e-8, 1 and 2 BLAS threads) by at most 5.9e-7 (DtN odd,1) and 2.2e-6
+    # (NtD odd,2).  A decade down is test_assembly's
+    # test_compress_floor_moves_no_k
+    seeds = mode_seeds(domain)
+    ctx = {parity: context_for(parity) for parity in Parity}  # cached at the default floor
+    monkeypatch.setattr(assembly, "COMPRESS_FLOOR", COMPRESS_FLOOR * 10)
+    higher = {parity: build_context(ctx[parity].spec, domain) for parity in Parity}
+    bounds = {Method.DTN: 1e-6, Method.NTD: 1e-4}
+    for label, seed in seeds.items():
+        parity = Parity(label.split(",")[0])
+        assert higher[parity].trial_dim < ctx[parity].trial_dim
+        for method, bound in bounds.items():
+            k = converged(method, label, tol=1e-8)[0].k_estimate
+            k_higher = iterate_mode(method, seed, higher[parity], tol=1e-8)[0].k_estimate
+            assert abs(k_higher - k) < bound, (label, method)
 
 
 def test_eigenvalues_real_ascending(context_for):
