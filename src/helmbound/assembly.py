@@ -67,18 +67,22 @@ enters only through ``steklov_table`` in ``assemble``.  A context built at
 one depth therefore serves any other after ``dataclasses.replace`` of its
 ``domain``, with bit-identical tables.
 
-``assemble`` returns the pencil Y^T (Lambda, Delta) Y at kappa.  The
-context holds the kappa-independent parts -S + X of both methods and G,
-each symmetrized once (``symmetry_defect`` records their defects).  Per
-call, ``assemble`` forms the n_r x n_r products F^T diag(w(kappa)) F, at
-O(N n_r^2), and adds them onto the pairs as c_k c_l M[i_k, i_l], at
-O(r^2), about 1.1 ms per call at 30x30 on one BLAS thread of a 2-core
-machine.  Both matrices come out exactly symmetric, and the solver works
-on r x r matrices.  Since Y is orthonormal, the reduced pencil is the
-family pencil restricted to the kept subspace, with its scale and rounding
-level.  Downstream of the solve,
-gamma2, the functional and the interface jumps read the reduced vector a;
-only field sampling maps it to the family vector gamma1 = Y a.
+``assemble`` returns the pencil Y^T (Lambda, Delta) Y at kappa in factored
+form.  The context holds the kappa-independent parts -S + X of both methods
+and G, each symmetrized once (``symmetry_defect`` records their defects), and
+the interface term of either method is (F K^T)^T diag(w) (F K^T) with the
+method's radial factor F and the weights w(kappa) over the N Steklov modes.
+So ``assemble`` evaluates the symbols sigma and sigma' once per call, O(N),
+and keeps the two weight vectors; the r x r matrices are built only when
+``MatrixPair.lam`` or ``delta`` is read, by forming the n_r x n_r products
+F^T diag(w) F, at O(N n_r^2), and adding them onto the pairs as
+c_k c_l M[i_k, i_l], at O(r^2), about 1.1 ms for both at 30x30 on one BLAS
+thread of a 2-core machine.  Both come out exactly symmetric.  Since Y is
+orthonormal, the reduced pencil is the family pencil restricted to the kept
+subspace, with its scale and rounding level.  The solver reads only the
+weights (``solver`` module docstring).  Downstream of the solve, gamma2, the
+functional and the interface jumps read the reduced vector a; only field
+sampling maps it to the family vector gamma1 = Y a.
 
 All arithmetic is real; complex enters only through the mixing parameter of
 the discontinuous functional.
@@ -88,6 +92,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -99,7 +104,7 @@ from .steklov import _guard_neumann, steklov_table, steklov_trace
 DEFAULT_STEKLOV_MODES = 200
 # Pairs whose Gram eigenvalue lambda_r,i lambda_a,j is at most this fraction
 # of the largest are dropped: the only cut of the trial space, since the
-# solver's Cholesky reduction keeps every direction.  At b = 1.5 it keeps
+# solver keeps every direction it leaves.  At b = 1.5 it keeps
 # r = 110/105 of 226/225 directions (15x15, even/odd) and 308/298 of 901/900
 # (30x30), on 1 and 2 BLAS threads.  At 1e-12 the eight Table 2 k (tol 1e-8)
 # move by at most 5.9e-7 (DtN) and 2.2e-6 (NtD) at 15x15, 4.3e-6 and 6.2e-6
@@ -126,19 +131,6 @@ class QuadratureConfig:
     n_r: int = 64
     n_phi: int = 64
     n_s: int = 128
-
-
-@dataclass(frozen=True)
-class MatrixPair:
-    """Assembled (Lambda, Delta) at one kappa in the context's coordinates Y.
-
-    Both are exactly symmetric: the context symmetrizes their
-    kappa-independent parts once, and ``assemble`` adds an interface term
-    that is symmetric by construction.
-    """
-
-    lam: np.ndarray
-    delta: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -186,6 +178,17 @@ class AssemblyContext:
     deriv_factor: np.ndarray = field(repr=False)  # (N, n_r) F_d = (psi w) radial_derivs^T
     # max |X - X^T| / max |X| of the three (r, r) parts before symmetrization
     symmetry_defect: float
+    # set-ups that ``solver.spectrum`` builds on first use, one per method, and
+    # the Gram factor they share; none depends on b, so a context moved to
+    # another depth by dataclasses.replace shares them
+    spectra: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def method_tables(self, method: Method):
+        """(-S + X, F, c) of a method: its kappa-independent part, radial
+        interface factor (N x n_r) and angular constants (r,)."""
+        if method is Method.DTN:
+            return self.dtn_base, self.value_factor, self.value_consts
+        return self.ntd_base, self.deriv_factor, self.deriv_consts
 
     @property
     def trial_dim(self) -> int:
@@ -294,34 +297,53 @@ def build_context(
     )
 
 
+@dataclass(frozen=True)
+class MatrixPair:
+    """(Lambda, Delta) of one method at one kappa, in the context's coordinates Y.
+
+    Held factored: ``weights`` = (w_Lambda, w_Delta) over the N Steklov
+    modes, the interface terms being (F K^T)^T diag(w) (F K^T) on the
+    method's kappa-independent part and on G (module docstring).  ``lam``
+    and ``delta`` build the r x r matrices on first read; both are exactly
+    symmetric.
+    """
+
+    method: Method
+    weights: tuple
+    context: AssemblyContext = field(repr=False)
+
+    @cached_property
+    def lam(self) -> np.ndarray:
+        return self._dense(self.context.method_tables(self.method)[0], self.weights[0])
+
+    @cached_property
+    def delta(self) -> np.ndarray:
+        return self._dense(self.context.gram, self.weights[1])
+
+    def _dense(self, part, weights):
+        """part + Y^T W^T diag(weights) W Y; M + M^T is exactly symmetric."""
+        _, F, c = self.context.method_tables(self.method)
+        M = F.T @ ((0.5 * weights)[:, None] * F)
+        return part + _at_pairs(M + M.T, self.context.pairs[0]) * (c[:, None] * c)
+
+
 def assemble(method: Method, kappa: float, context: AssemblyContext) -> MatrixPair:
     """Matrix pair of either method at kappa, in the context's coordinates Y.
 
-    Adds the interface term to the context's symmetrized kappa-independent
-    parts: two n_r x n_r products F^T diag(w) F of the method's radial
-    factor F (N x n_r), gathered onto the pairs (module docstring).
+    Evaluates the method's symbol sigma and its derivative once and returns
+    the pair factored as the interface weights sigma - (kappa/2) sigma' and
+    -sigma' / (2 kappa) (module docstring).
 
     Raises NearDirichletResonance on a pole of some b_n, and for NtD
     NearNeumannResonance if some b_n ~ 0.
     """
     bn, dbn = steklov_table(kappa, context.n_modes, context.domain)
-    # the method's (F, c, sigma, sigma', -S + X); see the module docstring
     if method is Method.DTN:
-        F, c, base = context.value_factor, context.value_consts, context.dtn_base
         sigma, dsigma = -bn, -dbn
     else:
         _guard_neumann(bn, kappa)
-        F, c, base = context.deriv_factor, context.deriv_consts, context.ntd_base
         sigma, dsigma = 1.0 / bn, -dbn / bn**2
-    i, scale = context.pairs[0], c[:, None] * c
-
-    def interface(weights):  # Y^T W^T diag(weights) W Y; M + M^T is exactly symmetric
-        M = F.T @ ((0.5 * weights)[:, None] * F)
-        return _at_pairs(M + M.T, i) * scale
-
-    lam = base + interface(sigma - 0.5 * kappa * dsigma)
-    delta = context.gram - interface(dsigma / (2.0 * kappa))
-    return MatrixPair(lam=lam, delta=delta)
+    return MatrixPair(method, (sigma - 0.5 * kappa * dsigma, -dsigma / (2.0 * kappa)), context)
 
 
 def _surface_fields(ctx: AssemblyContext, trial: TrialPair):

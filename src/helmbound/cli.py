@@ -289,10 +289,9 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args.config)
         return COMMANDS[args.command](cfg, args)
-    # both methods' metrics are the compressed Gram, positive definite down
-    # to COMPRESS_FLOOR, plus a positive semidefinite interface term, so
-    # only a basis and quadrature that leave the compression no direction
-    # make the solve's Cholesky factorization fail
+    # the solver's set-up factors the compressed Gram, positive definite
+    # down to COMPRESS_FLOOR, so only a basis and quadrature that leave the
+    # compression no direction make its Cholesky factorization fail
     except (ConfigError, GridTooCoarse, IoFailure, MetricNotPositiveDefinite) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

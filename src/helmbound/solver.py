@@ -1,32 +1,73 @@
-"""Generalized eigensolve and the kappa fixed-point iteration.
+"""The kappa fixed-point iteration, and the eigensolves it rests on.
 
-The solve reads one AssemblyContext alone and runs on the pencil in its
-compressed coordinates (``assembly`` module docstring), so each iteration
-works on r x r matrices.  The converged mode keeps the tracked vector a and
-that context: gamma2 reads a, sampling gamma1 = Y a.
+Every solve reads one AssemblyContext alone and works in its compressed
+coordinates (``assembly`` module docstring), where a method's pencil at
+kappa is Lambda = B + K A1 K^T and Delta = G + K A2 K^T: B (the method's
+-S + X), G and K (r x n_r) depend on neither kappa nor b, and only the
+n_r x n_r cores A1, A2 = F^T diag(w(kappa)) F do.  The converged mode keeps
+the tracked vector a and that context: gamma2 reads a, sampling gamma1 = Y a.
 
-The compression (``assembly.COMPRESS_FLOOR``) is the only cut of the trial
-space, and the solve is the Cholesky reduction of the pencil it leaves:
-Delta = L L^T, X = L^-T, and the eigenvalues of H = X^T Lambda X.  The
-reduced Gram is diagonal, or an arrowhead through the even linear member,
-with entries between COMPRESS_FLOOR and 1 times its largest, and each
-method adds a positive semidefinite interface term of rank n_r to it, so
-Delta is positive definite and graded: Cholesky is accurate on such
-matrices (van der Sluis, Numer. Math. 14, 1969).  Scaled by its diagonal,
-Delta's condition number is 9e2 to 1.4e6 for DtN but 2e8 to 5.5e11 for NtD
-(b = 1.5, 15x15 and 30x30), so NtD's accuracy rests on the tests against
-DtN, the oracle and the uncompressed family.  L^-1 is a recursive 2x2-block
+Set-up (``spectrum``, once per context and method, cached on the context).
+G = L L^T is factored once and shared by both methods, B W = G W Theta is
+solved by ``eigh`` of L^-1 B L^-T, and U = W^T K.  The interface term in W
+coordinates, U F^T diag(w) F U^T, is reduced by two small SVDs to
+U' P^T diag(w) P U'^T with P (N x q) orthonormal; the cut (RANGE_CUT) drops
+only exactly null directions, such as the even linear member's, which has no
+normal derivative on the interface, and leaves q = 9 to 10 at 15x15 and 15
+to 16 at 30x30.  About 2 ms per (context, method) at 15x15 and 18 to 23 ms
+at 30x30, on one BLAS thread of a 2-core machine.
+
+Count (per kappa).  With C = A1 - F A2 (q x q, A_i = P^T diag(w_i) P) and
+D = Theta - F, the matrix E(F) = C^-1 + U'^T D^-1 U' is congruent to
+-S, S = -C - C U'^T D^-1 U' C, and by Sylvester's law the number of pencil
+eigenvalues below F is #(Theta < F) + #(E > 0) - #(C > 0) (the restricted
+rank modification of Golub, SIAM Review 15, 1973, and of Bunch, Nielsen and
+Sorensen, Numer. Math. 31, 1978).  One evaluation is two q x q
+eigendecompositions and an r x q product, about 0.03 to 0.07 ms.
+
+Root.  The pencil's eigenvalues are the F where E(F) is singular.  Since A2
+(the rectangle's norm) and U'^T D^-2 U' are positive semidefinite, every
+eigenvalue of E increases with F between the poles Theta and the zeros of
+det C, and falls from +inf to -inf across each.  ``_nearest`` takes the
+positive eigenvalue nearest the target (``select_mode``'s rule, ties to the
+smaller): it runs Newton on the branch of E whose zero is nearest in the
+direction the branches point, keeps it inside a bracket that the counts
+maintain, bisects where it leaves the bracket or fails to halve its step
+(it can cycle across a pole), confirms the root by the count COUNT_GAP
+past it, and checks by one more count that no eigenvalue lies nearer on
+the other side of the target.  S itself has spurious zeros where
+C is singular and, from the grading of the cores, eigenvalues near 0 that
+never cross it; E has neither.  Over 20 depths b = 1 + i/128 from the
+closed-form seeds (15x15 and 30x30, default tol) a kappa took 6.7
+evaluations on average: 8.3 in the first iteration, 5.5 (median 4) from the
+fourth on.
+
+Vector.  At convergence the null vector w of E gives y = -D^-1 U' w, and
+two steps of inverse iteration on D + U' C U'^T, solved through E by
+Woodbury's identity, refine it; x = W y is scaled so that x^T Delta x = 1
+with its largest component positive.  The steps matter only at an
+eigenvalue on a pole Theta_i whose direction does not couple to the
+interface.  For the four labels at b = 1.5, 1.0078125 and 2.0 (15x15 and
+30x30) the pencil residual of x is below 1e-16 ||Lambda||_2 ||x||.
+
+``solve_generalized`` is the dense reference the tests compare against:
+the Cholesky reduction of the assembled r x r pencil, Delta = L L^T,
+X = L^-T, and the eigenvalues of H = X^T Lambda X.  The reduced Gram is
+diagonal, or an arrowhead through the even linear member, with entries
+between COMPRESS_FLOOR and 1 times its largest, and each method adds a
+positive semidefinite interface term of rank n_r to it, so Delta is
+positive definite and graded: Cholesky is accurate on such matrices (van
+der Sluis, Numer. Math. 14, 1969).  Scaled by its diagonal, Delta's
+condition number is 9e2 to 1.4e6 for DtN but 2e8 to 5.5e11 for NtD (b =
+1.5, 15x15 and 30x30), so NtD's accuracy rests on the tests against DtN,
+the oracle and the uncompressed family.  L^-1 is a recursive 2x2-block
 inverse, with residual |L^-1 L - I| below 3e-10 where one ``np.linalg.inv``
 of L leaves up to 1e-6 (30x30 NtD, kappa 1.9 to 4.4).
-
-Returned eigenvalues come from ``eigvalsh`` of H; no eigenvector is
-computed with them, since each iteration of the fixed point reads only the
-tracked value.  ``EigenSolution.vector(i)`` computes the one eigenvector
-the converged iteration needs, by inverse iteration on H, and maps it
-through X.  The physically tracked low modes carry pencil residuals at the
-1e-10 level, while Ritz values far outside the physical window (e.g. the
-large negative ones of the NtD pencil) are meaningful only as subspace
-artifacts and are never selected by the tracking rule.
+``EigenSolution.vector(i)`` computes one eigenvector by inverse iteration on
+H.  The physically tracked low modes carry pencil residuals at the 1e-10
+level, while Ritz values far outside the physical window (e.g. the large
+negative ones of the NtD pencil) are meaningful only as subspace artifacts
+and are never selected by the tracking rule.
 
 The fixed-point loop sets kappa to the square root of the tracked eigenvalue
 and stops when the estimate k agrees within the tolerance with the kappa the
@@ -42,6 +83,7 @@ is computed once, at convergence.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,6 +98,17 @@ DEFAULT_MAX_ITER = 20
 # the shift this fraction of ||H|| above the eigenvalue: a few ulps of the
 # largest, so H - s I is never exactly singular
 INVERSE_SHIFT = 4 * np.finfo(float).eps
+# Interface directions whose singular value is at most this fraction of the
+# largest are dropped at set-up.  At b = 1.5 the kept ones reach down to 2.4e-3
+# (15x15 and 30x30, both parities and methods); the dropped ones are exactly 0
+RANGE_CUT = 1e-10
+# Newton has converged once its step is at most this fraction of F; its last
+# step then leaves an error far below it
+STEP_TOL = 1e-10
+# A root is confirmed by the count this fraction of F past it
+COUNT_GAP = 1e-9
+# Evaluations one eigenvalue search may take before it settles for its bracket
+MAX_EVALUATIONS = 100
 
 
 @dataclass(frozen=True)
@@ -123,9 +176,11 @@ def _lower_inverse(L: np.ndarray) -> np.ndarray:
 def solve_generalized(pair: MatrixPair) -> EigenSolution:
     """Solve Lambda x = F Delta x by the Cholesky reduction of the pencil.
 
-    Only eigenvalues are computed; ``vector(i)`` of the result gives one
-    eigenvector on demand.  Raises MetricNotPositiveDefinite when Delta has
-    no Cholesky factor (a singular metric has none).
+    The dense reference: it reads the r x r ``lam`` and ``delta`` of the
+    pair (of any object that has them).  Only eigenvalues are computed;
+    ``vector(i)`` of the result gives one eigenvector on demand.  Raises
+    MetricNotPositiveDefinite when Delta has no Cholesky factor (a singular
+    metric has none).
     """
     try:
         L = np.linalg.cholesky(pair.delta)
@@ -151,6 +206,189 @@ def select_mode(previous_k_squared: float, solution: EigenSolution) -> int:
     return int(np.argmin(dist))
 
 
+@dataclass(frozen=True)
+class Spectrum:
+    """One method's kappa-independent set-up (module docstring).
+
+    ``theta`` (r,) ascending and ``vectors`` W solve B W = G W diag(theta)
+    with W^T G W = I; ``coupling`` U' (r x q) and ``factor`` P (N x q,
+    orthonormal columns) carry the interface term, W^T K F^T diag(w) F K^T W
+    = U' P^T diag(w) P U'^T.
+    """
+
+    theta: np.ndarray
+    vectors: np.ndarray = field(repr=False)
+    coupling: np.ndarray = field(repr=False)
+    factor: np.ndarray = field(repr=False)
+
+    def cores(self, weights) -> list[np.ndarray]:
+        """(A1, A2) = P^T diag(w) P for the weights of a ``MatrixPair``."""
+        return [self.factor.T @ (w[:, None] * self.factor) for w in weights]
+
+
+def spectrum(method: Method, context: AssemblyContext) -> Spectrum:
+    """The method's set-up on this context, built on first use and cached on it.
+
+    Raises MetricNotPositiveDefinite when the context's Gram has no Cholesky
+    factor.
+    """
+    cache = context.spectra
+    if method not in cache:
+        if "gram" not in cache:  # L^-1, shared by both methods
+            try:
+                cache["gram"] = _lower_inverse(np.linalg.cholesky(context.gram))
+            except np.linalg.LinAlgError as exc:
+                raise MetricNotPositiveDefinite(f"Gram has no Cholesky factor: {exc}") from exc
+        X = cache["gram"]
+        base, F, c = context.method_tables(method)
+        H = X @ base @ X.T
+        theta, V = np.linalg.eigh(0.5 * (H + H.T))
+        W = X.T @ V
+        # K restricted to the radial factors the pairs use, then U = W^T K = Pu su Qt
+        used, column = np.unique(context.pairs[0], return_inverse=True)
+        K = np.zeros((context.trial_dim, used.size))
+        K[np.arange(context.trial_dim), column] = c
+        Pu, su, Qt = np.linalg.svd(W.T @ K, full_matrices=False)
+        # F K^T W = P s (Pu R^T)^T: the interface term's range on both sides
+        P, s, Rt = np.linalg.svd(F[:, used] @ (Qt.T * su), full_matrices=False)
+        q = int(np.count_nonzero(s > RANGE_CUT * s[0]))
+        cache[method] = Spectrum(theta=theta, vectors=W, coupling=(Pu @ Rt[:q].T) * s[:q],
+                                 factor=P[:, :q])
+    return cache[method]
+
+
+class _Point(NamedTuple):
+    """E at one F: the count of eigenvalues below F, and the Newton steps to
+    the nearest zero above (``up``, inf if none) and below (``down``, -inf)."""
+
+    F: float
+    count: int
+    up: float
+    down: float
+
+
+class _Secular:
+    """E(F) = C^-1 + U'^T (Theta - F)^-1 U' of one method at one kappa (module docstring)."""
+
+    def __init__(self, spec: Spectrum, cores):
+        self.spec = spec
+        self.A1, self.A2 = cores
+
+    def _at(self, F: float, vectors: bool):
+        """(F, count, e, Z, C^-1, D^-1 U') at F, moved up by ulps off any pole."""
+        theta, U = self.spec.theta, self.spec.coupling
+        while True:
+            c, Q = np.linalg.eigh(self.A1 - F * self.A2)
+            D = theta - F
+            if np.all(c != 0) and np.all(D != 0):
+                break
+            F = float(np.nextafter(F, np.inf))
+        Cinv = (Q / c) @ Q.T
+        Y = U / D[:, None]
+        E = Cinv + U.T @ Y
+        e, Z = np.linalg.eigh(E) if vectors else (np.linalg.eigvalsh(E), None)
+        count = int(np.searchsorted(theta, F)) + int(np.count_nonzero(e > 0)) - int(np.count_nonzero(c > 0))
+        return F, count, e, Z, Cinv, Y
+
+    def count(self, F: float) -> int:
+        """Number of the pencil's eigenvalues below F."""
+        return self._at(F, False)[1]
+
+    def point(self, F: float) -> _Point:
+        F, count, e, Z, Cinv, Y = self._at(F, True)
+        G, YZ = Cinv @ Z, Y @ Z
+        slope = np.sum(G * (self.A2 @ G), axis=0) + np.sum(YZ * YZ, axis=0)
+        rising = slope > 0
+        step = np.divide(-e, slope, out=np.zeros_like(e), where=rising)
+        up = float(np.min(step[rising & (e < 0)], initial=np.inf))
+        down = float(np.max(step[rising & (e > 0)], initial=-np.inf))
+        return _Point(F, count, up, down)
+
+    def mode(self, F: float) -> np.ndarray:
+        """Eigenvector x at the eigenvalue F, x^T Delta x = 1, largest component positive.
+
+        It starts from E's null vector, mapped as y = -D^-1 U' w, plus a
+        constant vector, and takes two steps of inverse iteration on
+        D + U' C U'^T, solved by Woodbury's identity through E.  The steps
+        matter where the eigenvalue lies within roundoff of a pole Theta_i
+        whose direction barely couples to the interface: E is far from
+        singular there, and y lacks that direction.
+        """
+        F, _, e, Z, _, Y = self._at(F, True)
+        U, D = self.spec.coupling, self.spec.theta - F
+        y = -(Y @ Z[:, np.argmin(np.abs(e))])
+        y = y / max(np.linalg.norm(y), np.finfo(float).tiny) + 1 / np.sqrt(y.size)
+        floor = np.finfo(float).eps * max(np.max(np.abs(e)), 1.0)  # E may be exactly singular at F
+        e = np.where(np.abs(e) < floor, np.copysign(floor, e), e)
+        for _ in range(2):
+            b = y + U @ (self.A2 @ (U.T @ y))  # Delta y, in W coordinates
+            y = b / D - Y @ (Z @ ((Z.T @ (Y.T @ b)) / e))
+            y /= np.linalg.norm(y)
+        s = U.T @ y
+        x = self.spec.vectors @ y / np.sqrt(y @ y + s @ self.A2 @ s)
+        return x if x[np.argmax(np.abs(x))] >= 0 else -x
+
+
+def _eigenvalue(secular: _Secular, j: int, lo: float, hi: float, point: _Point):
+    """The eigenvalue lambda_j (0-based, ascending) in [lo, hi], hi possibly inf.
+
+    ``point`` lies in [lo, hi], and count(hi) > j.  Returns None if lambda_j < lo.
+    """
+    start, lo_known, last = point.F, False, np.inf
+    for _ in range(MAX_EVALUATIONS):
+        below = point.count <= j
+        if below:
+            lo, lo_known = max(lo, point.F), True
+        else:
+            hi = min(hi, point.F)
+        step = point.up if below else point.down
+        F = point.F + step
+        if np.isfinite(F) and abs(step) <= STEP_TOL * abs(F):
+            past = F + COUNT_GAP * abs(F) if below else F - COUNT_GAP * abs(F)
+            if (secular.count(past) > j) == below:
+                return F
+            lo, hi = (past, hi) if below else (lo, past)
+        # bisect where Newton leaves the bracket, or does not halve its step
+        # (it can cycle across a pole of E)
+        if not lo < F < hi or abs(step) > 0.5 * last:
+            if not lo_known:
+                if secular.count(lo) > j:
+                    return None
+                lo_known = True
+            F = 0.5 * (lo + hi) if np.isfinite(hi) else lo + max(lo - start, 1e-2 * abs(start))
+        if np.isfinite(hi) and hi - lo <= STEP_TOL * abs(hi):
+            return 0.5 * (lo + hi)
+        last = abs(F - point.F)
+        point = secular.point(F)
+    if not np.isfinite(hi):
+        raise NoPositiveEigenvalue(f"no eigenvalue found above {lo}")
+    return 0.5 * (lo + hi)
+
+
+def _nearest(secular: _Secular, target: float) -> float:
+    """The positive eigenvalue nearest target, ties to the smaller (``select_mode``'s rule)."""
+    point = secular.point(target)
+    n, r = point.count, secular.spec.theta.size
+    up_ok, down_ok = n < r and point.up < np.inf, n > 0 and point.down > -np.inf
+    up = up_ok and not (down_ok and -point.down <= point.up) if up_ok or down_ok else n < r
+    if up:
+        F = _eigenvalue(secular, n, target, np.inf, point)
+        d = F - target
+        if n == 0 or secular.count(target - d) == n:
+            return F
+        lower = _eigenvalue(secular, n - 1, max(target - d, 0.0), target, point)
+        return F if lower is None else lower
+    F = _eigenvalue(secular, n - 1, 0.0, target, point)
+    if F is None:
+        if n == r:
+            raise NoPositiveEigenvalue("no positive eigenvalue to track")
+        return _eigenvalue(secular, n, target, np.inf, point)
+    d = target - F
+    if n == r or secular.count(target + d) == n:
+        return F
+    return _eigenvalue(secular, n, target, target + d, point)
+
+
 def iterate_mode(
     method: Method,
     kappa0: float,
@@ -161,11 +399,13 @@ def iterate_mode(
 ):
     """Run the self-consistency loop kappa <- sqrt(F) for one tracked mode.
 
-    It stops at the first iteration whose estimate lies within tol of the
-    kappa it was assembled at, so a seed within tol of the root costs one
-    pencil solve (module docstring).  The context is all the loop reads:
-    the trial family, the domain, the quadrature and the Steklov truncation
-    are those it was built for, and the returned estimate keeps it.
+    Each iteration assembles the pair at kappa and finds the positive
+    eigenvalue nearest the previous one from the method's cached set-up
+    (module docstring).  It stops at the first iteration whose estimate lies
+    within tol of the kappa it was assembled at, so a seed within tol of the
+    root costs one pencil solve.  The context is all the loop reads: the
+    trial family, the domain, the quadrature and the Steklov truncation are
+    those it was built for, and the returned estimate keeps it.
 
     Returns (ModeEstimate, IterationTrace); raises NotConverged (with the
     trace attached) if max_iter is exhausted first.
@@ -177,9 +417,9 @@ def iterate_mode(
     target = kappa0**2
     for _ in range(max_iter):
         pair = assemble(method, kappa, context=context)
-        solution = solve_generalized(pair)
-        idx = select_mode(target, solution)
-        target = solution.values[idx]
+        spec = spectrum(method, context)
+        secular = _Secular(spec, spec.cores(pair.weights))
+        target = _nearest(secular, target)
         k = float(np.sqrt(target))
         trace.kappas.append(kappa)
         trace.estimates.append(k)
@@ -189,6 +429,6 @@ def iterate_mode(
         kappa = k
     if not trace.converged:
         raise NotConverged(trace)
-    a = solution.vector(idx)
+    a = secular.mode(target)
     gamma2 = gamma2_coefficients(method, a, kappa, context)
     return ModeEstimate(k_estimate=k, a=a, gamma2=gamma2, kappa=kappa, context=context), trace
