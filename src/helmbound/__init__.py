@@ -34,13 +34,7 @@ from .reconstruct import (
     gamma2_coefficients,
     sample_field,
 )
-from .solver import (
-    EigenSolution,
-    IterationTrace,
-    iterate_mode,
-    select_mode,
-    solve_generalized,
-)
+from .solver import IterationTrace, iterate_mode
 from .steklov import steklov_profile, steklov_table, steklov_trace
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -51,8 +51,15 @@ def _outdir(cfg: RunConfig) -> Path:
     return out
 
 
+def _write_text(path: Path, text: str) -> None:
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise IoFailure(f"cannot write {path}: {exc}") from exc
+
+
 def _write_json(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _contexts(cfg: RunConfig, parities, **size) -> dict[Parity, AssemblyContext]:
@@ -140,7 +147,7 @@ def cmd_sweep_basis(cfg: RunConfig, args) -> int:
                 if args.methods in ("both", method.value):
                     rows.append(f"{n_max},{m_max},{method.value},\"{label}\",{cell}")
     path = out / "sweep.csv"
-    path.write_text("\n".join(rows) + "\n")
+    _write_text(path, "\n".join(rows) + "\n")
     print(f"wrote {path} ({len(rows) - 1} cells)")
     return EXIT_OK
 

@@ -50,24 +50,21 @@ eigenvalue on a pole Theta_i whose direction does not couple to the
 interface.  For the four labels at b = 1.5, 1.0078125 and 2.0 (15x15 and
 30x30) the pencil residual of x is below 1e-16 ||Lambda||_2 ||x||.
 
-``solve_generalized`` is the dense reference the tests compare against:
-the Cholesky reduction of the assembled r x r pencil, Delta = L L^T,
-X = L^-T, and the eigenvalues of H = X^T Lambda X.  The reduced Gram is
-diagonal, or an arrowhead through the even linear member, with entries
-between COMPRESS_FLOOR and 1 times its largest, and each method adds a
-positive semidefinite interface term of rank n_r to it, so Delta is
-positive definite and graded: Cholesky is accurate on such matrices (van
-der Sluis, Numer. Math. 14, 1969).  Scaled by its diagonal, Delta's
-condition number is 9e2 to 1.4e6 for DtN but 2e8 to 5.5e11 for NtD (b =
-1.5, 15x15 and 30x30), so NtD's accuracy rests on the tests against DtN,
-the oracle and the uncompressed family.  L^-1 is a recursive 2x2-block
-inverse, with residual |L^-1 L - I| below 3e-10 where one ``np.linalg.inv``
-of L leaves up to 1e-6 (30x30 NtD, kappa 1.9 to 4.4).
-``EigenSolution.vector(i)`` computes one eigenvector by inverse iteration on
-H.  The physically tracked low modes carry pencil residuals at the 1e-10
-level, while Ritz values far outside the physical window (e.g. the large
-negative ones of the NtD pencil) are meaningful only as subspace artifacts
-and are never selected by the tracking rule.
+``solve_generalized`` is the tests' dense reference: Delta = L L^T,
+X = L^-T and one ``eigh`` of H = X^T Lambda X, whose vectors Z give the
+pencil's as X Z (X^T Delta X = I).  The reduced Gram is diagonal, or an
+arrowhead through the even linear member, with entries between
+COMPRESS_FLOOR and 1 times its largest, and each method adds a positive
+semidefinite interface term of rank n_r to it, so Delta is positive definite
+and graded: Cholesky is accurate on such matrices (van der Sluis, Numer.
+Math. 14, 1969).  Scaled by its diagonal, Delta's condition number is 9e2 to
+1.4e6 for DtN but 2e8 to 5.5e11 for NtD (b = 1.5, 15x15 and 30x30), so
+NtD's accuracy rests on the tests against DtN, the oracle and the
+uncompressed family.  L^-1, here and of the set-up's Gram, is a recursive
+2x2-block inverse: |L^-1 L - I| stays below 3e-10 where one
+``np.linalg.inv`` of L leaves up to 1e-6 (30x30 NtD, kappa 1.9 to 4.4).
+Ritz values far outside the physical window, such as the NtD pencil's large
+negative ones, are subspace artifacts that the tracking rule never selects.
 
 The fixed-point loop sets kappa to the square root of the tracked eigenvalue
 and stops when the estimate k agrees within the tolerance with the kappa the
@@ -94,10 +91,6 @@ from .reconstruct import ModeEstimate, gamma2_coefficients
 
 DEFAULT_K_TOL = 5e-5
 DEFAULT_MAX_ITER = 20
-# EigenSolution.vector takes two inverse-iteration steps from all-ones, with
-# the shift this fraction of ||H|| above the eigenvalue: a few ulps of the
-# largest, so H - s I is never exactly singular
-INVERSE_SHIFT = 4 * np.finfo(float).eps
 # Interface directions whose singular value is at most this fraction of the
 # largest are dropped at set-up.  At b = 1.5 the kept ones reach down to 2.4e-3
 # (15x15 and 30x30, both parities and methods); the dropped ones are exactly 0
@@ -109,38 +102,6 @@ STEP_TOL = 1e-10
 COUNT_GAP = 1e-9
 # Evaluations one eigenvalue search may take before it settles for its bracket
 MAX_EVALUATIONS = 100
-
-
-@dataclass(frozen=True)
-class EigenSolution:
-    """Ascending eigenvalues of the pencil, and what their vectors need.
-
-    ``whitening`` is X = L^-T (X^T Delta X = I) and ``block`` is
-    H = X^T Lambda X, whose eigenvalues are ``values``.  ``vector(i)``
-    returns the metric-normalised eigenvector of ``values[i]``.
-    """
-
-    values: np.ndarray
-    whitening: np.ndarray = field(repr=False)
-    block: np.ndarray = field(repr=False)
-
-    @property
-    def kept(self) -> int:
-        """The pencil's size r (helmbench/tracing.py reads it)."""
-        return self.values.size
-
-    def vector(self, i: int) -> np.ndarray:
-        """Eigenvector x of ``values[i]`` with x^T Delta x = 1, by inverse
-        iteration on H (INVERSE_SHIFT).  Its largest-magnitude component is
-        made positive, so repeated solves are bit-reproducible."""
-        shift = self.values[i] + INVERSE_SHIFT * np.max(np.abs(self.values))
-        M = self.block - shift * np.eye(self.values.size)
-        z = np.ones(self.values.size)
-        for _ in range(2):
-            z = np.linalg.solve(M, z)
-            z /= np.linalg.norm(z)
-        x = self.whitening @ z
-        return x if x[np.argmax(np.abs(x))] >= 0 else -x
 
 
 @dataclass
@@ -173,32 +134,36 @@ def _lower_inverse(L: np.ndarray) -> np.ndarray:
     return np.block([[A, np.zeros((h, n - h))], [-D @ L[h:, :h] @ A, D]])
 
 
-def solve_generalized(pair: MatrixPair) -> EigenSolution:
+def _cholesky_inverse(metric: np.ndarray, name: str) -> np.ndarray:
+    """L^-1 of metric = L L^T; raises MetricNotPositiveDefinite where there is no L."""
+    try:
+        L = np.linalg.cholesky(metric)
+    except np.linalg.LinAlgError as exc:
+        raise MetricNotPositiveDefinite(f"{name} has no Cholesky factor: {exc}") from exc
+    return _lower_inverse(L)
+
+
+def solve_generalized(pair: MatrixPair) -> tuple[np.ndarray, np.ndarray]:
     """Solve Lambda x = F Delta x by the Cholesky reduction of the pencil.
 
     The dense reference: it reads the r x r ``lam`` and ``delta`` of the
-    pair (of any object that has them).  Only eigenvalues are computed;
-    ``vector(i)`` of the result gives one eigenvector on demand.  Raises
+    pair (of any object that has them) and returns the ascending eigenvalues
+    and their eigenvectors as columns, x^T Delta x = 1.  Raises
     MetricNotPositiveDefinite when Delta has no Cholesky factor (a singular
     metric has none).
     """
-    try:
-        L = np.linalg.cholesky(pair.delta)
-    except np.linalg.LinAlgError as exc:
-        raise MetricNotPositiveDefinite(f"metric has no Cholesky factor: {exc}") from exc
-    X = _lower_inverse(L).T
+    X = _cholesky_inverse(pair.delta, "metric").T
     H = X.T @ pair.lam @ X
-    H = 0.5 * (H + H.T)  # eigvalsh reads one triangle, vector() all of H
-    return EigenSolution(values=np.linalg.eigvalsh(H), whitening=X, block=H)
+    values, Z = np.linalg.eigh(0.5 * (H + H.T))
+    return values, X @ Z
 
 
-def select_mode(previous_k_squared: float, solution: EigenSolution) -> int:
+def select_mode(previous_k_squared: float, values: np.ndarray) -> int:
     """Index of the positive eigenvalue nearest previous_k_squared.
 
     Ties break toward the smaller index; raises NoPositiveEigenvalue when
     the whole spectrum is non-positive.
     """
-    values = solution.values
     positive = values > 0
     if not np.any(positive):
         raise NoPositiveEigenvalue("no positive eigenvalue to track")
@@ -235,10 +200,7 @@ def spectrum(method: Method, context: AssemblyContext) -> Spectrum:
     cache = context.spectra
     if method not in cache:
         if "gram" not in cache:  # L^-1, shared by both methods
-            try:
-                cache["gram"] = _lower_inverse(np.linalg.cholesky(context.gram))
-            except np.linalg.LinAlgError as exc:
-                raise MetricNotPositiveDefinite(f"Gram has no Cholesky factor: {exc}") from exc
+            cache["gram"] = _cholesky_inverse(context.gram, "Gram")
         X = cache["gram"]
         base, F, c = context.method_tables(method)
         H = X @ base @ X.T

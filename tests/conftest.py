@@ -6,6 +6,7 @@ from helmbound import (
     Method,
     Parity,
     QuadratureConfig,
+    assemble,
     build_context,
     interface_rule,
     iterate_mode,
@@ -15,6 +16,7 @@ from helmbound import (
     steklov_trace,
 )
 from helmbound.basis import basis_tables, interface_factors, member_index
+from helmbound.solver import select_mode
 
 A, B = 1.0, 1.5
 
@@ -168,6 +170,31 @@ def converged(domain, context_for):
         return cache[key]
 
     return get
+
+
+@pytest.fixture(scope="session")
+def dense_fixed_point():
+    """The fixed point kappa <- sqrt(F) over a dense solve of each assembled pencil.
+
+    ``solve(pair)`` returns (values, vectors) like ``solver.solve_generalized``;
+    the loop tracks with ``select_mode`` and stops by ``iterate_mode``'s rule,
+    |k - kappa| < tol with the seed as estimate 0.  Returns (k, iterations,
+    the tracked vector of the last pencil).
+    """
+
+    def run(solve, method, seed, ctx, tol):
+        kappa, target = seed, seed**2
+        for iterations in range(1, 21):
+            values, vectors = solve(assemble(method, kappa, context=ctx))
+            j = select_mode(target, values)
+            target = values[j]
+            k = float(np.sqrt(target))
+            if abs(k - kappa) < tol:
+                return k, iterations, vectors[:, j]
+            kappa = k
+        raise AssertionError(f"{method} from {seed} did not converge")
+
+    return run
 
 
 @pytest.fixture

@@ -13,7 +13,6 @@ from helmbound import (
     BasisSpec,
     Method,
     Parity,
-    QuadratureConfig,
     TrialPair,
     assemble,
     build_context,
@@ -22,7 +21,6 @@ from helmbound import (
     interface_rule,
     mode_seeds,
     sample_field,
-    solve_generalized,
     steklov_profile,
     steklov_table,
     steklov_trace,

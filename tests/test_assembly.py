@@ -18,11 +18,10 @@ from helmbound import (
     mode_seeds,
     steklov_table,
 )
-from helmbound import assembly, solver
+from helmbound import assembly
 from helmbound.assembly import COMPRESS_FLOOR
 from helmbound.basis import member_index
 from helmbound.errors import NearDirichletResonance, ZeroTrial
-from helmbound.solver import EigenSolution
 
 KAPPA = 2.0116
 SIZES = [(3, 3), (5, 5), (15, 15)]
@@ -219,15 +218,16 @@ def _filtered_solve(pair):
     """A reference solve that accepts a singular metric: eigendecompose
     Delta (its directions below sqrt(eps) of the largest a second time,
     restricted to their span), keep those above 1e-13 of the largest,
-    whiten, and solve the kept block."""
+    whiten, and solve the kept block: (values, vectors) like
+    solve_generalized."""
     sigma, U = np.linalg.eigh(pair.delta)
     low = int(np.sum(sigma < np.sqrt(np.finfo(float).eps) * sigma[-1]))
     sigma[:low], W = np.linalg.eigh(U[:, :low].T @ pair.delta @ U[:, :low])
     U[:, :low] = U[:, :low] @ W
     first = int(np.searchsorted(sigma, 1e-13 * sigma[-1], side="right"))
     X = U[:, first:] / np.sqrt(sigma[first:])
-    H = X.T @ pair.lam @ X
-    return EigenSolution(values=np.linalg.eigvalsh(H), whitening=X, block=H)
+    values, Z = np.linalg.eigh(X.T @ pair.lam @ X)
+    return values, X @ Z
 
 
 # The default finite-difference oracle's k at b = 1.5 (h = 1/64, Richardson;
@@ -235,21 +235,7 @@ def _filtered_solve(pair):
 ORACLE_K = {"even,1": 2.061071395, "even,2": 3.073017257, "odd,1": 3.450614741, "odd,2": 4.218866332}
 
 
-def _filtered_fixed_point(method, seed, ctx, tol):
-    """k of the fixed point kappa <- sqrt(F) over _filtered_solve of the
-    assembled pencil, with iterate_mode's tracking rule and stopping test."""
-    kappa, target = seed, seed**2
-    for _ in range(20):
-        sol = _filtered_solve(assemble(method, kappa, ctx))
-        target = sol.values[solver.select_mode(target, sol)]
-        k = float(np.sqrt(target))
-        if abs(k - kappa) < tol:
-            return k
-        kappa = k
-    raise AssertionError(f"{method} from {seed} did not converge")
-
-
-def test_compression_matches_uncompressed_family(domain, quad, converged, monkeypatch):
+def test_compression_matches_uncompressed_family(domain, quad, converged, dense_fixed_point, monkeypatch):
     # the eight Table 2 k at tol 1e-8 against the solve over the whole
     # family (Y = I).  Its Gram is singular at roundoff, so it has no
     # Cholesky factor and no spectral set-up: its fixed point runs over
@@ -262,7 +248,7 @@ def test_compression_matches_uncompressed_family(domain, quad, converged, monkey
         parity = Parity(label.split(",")[0])
         for method in Method:
             k = converged(method, label, tol=1e-8)[0].k_estimate
-            k_full = _filtered_fixed_point(method, seed, full[parity], 1e-8)
+            k_full = dense_fixed_point(_filtered_solve, method, seed, full[parity], 1e-8)[0]
             if method is Method.DTN:
                 assert abs(k - k_full) < 5e-8, label
             else:

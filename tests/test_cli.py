@@ -240,17 +240,22 @@ def test_field_outputs(tmp_path):
     assert -1.5 < grid.ys[j_max] < 1.0
 
 
-def test_unwritable_output_file_is_config_error(tmp_path, capsys):
-    # a directory where the CSV should go: one line on stderr, exit 1
-    cfg_path = _write_config(
-        tmp_path,
-        basis={"parity": "even", "n_max": 5, "m_max": 5},
-        grid={"nx": 41, "ny": 71},
-    )
-    (tmp_path / "out" / "field_dtn_even_1.csv").mkdir(parents=True)
-    assert main(["--config", str(cfg_path), "field", "--mode", "even,1"]) == 1
+@pytest.mark.parametrize("argv, name", [
+    (["field", "--mode", "even,1"], "field_dtn_even_1.csv"),
+    (["solve"], "solve_dtn_even.json"),
+    (["sweep-basis", "--sizes", "3x3"], "sweep.csv"),
+    (["oracle"], "oracle.json"),
+    (["compare"], "compare.json"),
+], ids=["field", "solve", "sweep-basis", "oracle", "compare"])
+def test_unwritable_output_file_is_config_error(tmp_path, capsys, argv, name):
+    # a directory where the output file should go: one line on stderr, exit 1
+    # (h = 0.1 keeps the finite-difference solves of oracle and compare short)
+    cfg_path = _write_config(tmp_path, basis={"parity": "even", "n_max": 5, "m_max": 5},
+                             grid={"nx": 41, "ny": 71}, oracle={"h": 0.1})
+    (tmp_path / "out" / name).mkdir(parents=True)
+    assert main(["--config", str(cfg_path), *argv]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("config error: cannot write") and "field_dtn_even_1.csv" in err
+    assert err.startswith("config error: cannot write") and name in err
     assert err.count("\n") == 1
 
 
