@@ -36,7 +36,7 @@ largest, plus the even family's linear member as one more coordinate; these
 columns form the orthonormal compressed basis Y (M x r).  Y is never
 formed: every table is an entry-wise product of eigenvector-transformed 1-D
 tables at the kept pairs, e.g. Y^T G Y = (U_r^T RR U_r)[i, i'] (U_a^T AA U_a)[j, j'],
-and gamma1 = Y a is two small products on the factor grid (``family_vector``).
+and Y a is two small products on the factor grid (``factor_grid``).
 
 The selection reads G alone.  A dropped direction is a product f(r) g(phi)
 of a radial and an angular combination whose semicircle norm squared is at
@@ -82,7 +82,7 @@ orthonormal, the reduced pencil is the family pencil restricted to the kept
 subspace, with its scale and rounding level.  The solver reads only the
 weights (``solver`` module docstring).  Downstream of the solve, gamma2, the
 functional and the interface jumps read the reduced vector a; only field
-sampling maps it to the family vector gamma1 = Y a.
+sampling maps it to the factor grid.
 
 All arithmetic is real; complex enters only through the mixing parameter of
 the discontinuous functional.
@@ -96,7 +96,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .basis import BasisSpec, Parity, basis_tables, member_index
+from .basis import BasisSpec, Parity, basis_tables
 from .errors import MetricNotPositiveDefinite, ZeroTrial
 from .geometry import CompositeDomain, QuadratureRule1D, interface_rule, semicircle_rule
 from .steklov import _guard_neumann, steklov_table, steklov_trace
@@ -135,7 +135,7 @@ class QuadratureConfig:
 
 @dataclass(frozen=True)
 class TrialPair:
-    """Trial function: gamma1 = Y a over the semicircle family, gamma2 over Steklov modes."""
+    """Trial function: Y a over the semicircle family, gamma2 over Steklov modes."""
 
     a: np.ndarray
     gamma2: np.ndarray
@@ -149,7 +149,7 @@ class AssemblyContext:
     Every table is in the coordinates of the compressed basis Y (module
     docstring), held in factored form: column k of Y is
     radial_basis[:, i_k] x angular_basis[:, j_k] on the factor grid of
-    ``family_factors``, read at ``member_index``, with (i_k, j_k) =
+    ``family_factors``, read at the members, with (i_k, j_k) =
     ``pairs[:, k]``.  r is the compressed dimension, N the number of
     Steklov modes, Ks the number of interface nodes and n_r the number of
     radial factors.  The interface tables are factored too: row k of Y^T T
@@ -163,7 +163,6 @@ class AssemblyContext:
     quad: QuadratureConfig
     n_modes: int
     surface_rule: QuadratureRule1D
-    steklov_traces: np.ndarray = field(repr=False)  # (N, Ks) psi_n at the interface nodes
     radial_basis: np.ndarray = field(repr=False)  # U_r, eigenvectors of (R|R)_r's product block
     angular_basis: np.ndarray = field(repr=False)  # U_a, eigenvectors of (A|A)_phi's product block
     pairs: np.ndarray = field(repr=False)  # (2, r) factor indices (i, j) of Y's columns
@@ -195,11 +194,12 @@ class AssemblyContext:
         """r, the number of compressed coordinates."""
         return self.pairs.shape[1]
 
-    def family_vector(self, a) -> np.ndarray:
-        """gamma1 = Y a: U_r (a on the kept pairs) U_a^T, read at the members."""
+    def factor_grid(self, a) -> np.ndarray:
+        """Y a as the coefficients of the products R[i] A[j] of ``family_factors``
+        (0 off the members): U_r (a on the kept pairs) U_a^T."""
         grid = np.zeros((self.radial_basis.shape[1], self.angular_basis.shape[1]))
         grid[tuple(self.pairs)] = a
-        return (self.radial_basis @ grid @ self.angular_basis.T).flat[member_index(self.spec)]
+        return self.radial_basis @ grid @ self.angular_basis.T
 
     def radial_coefficients(self, a):
         """(a c, a d) summed over the pairs onto their radial factors, each of length n_r.
@@ -280,7 +280,6 @@ def build_context(
         quad=quad,
         n_modes=n_modes,
         surface_rule=surf,
-        steklov_traces=psi,
         radial_basis=Ur,
         angular_basis=Ua,
         pairs=np.array([ii, jj]),
@@ -346,8 +345,9 @@ def assemble(method: Method, kappa: float, context: AssemblyContext) -> MatrixPa
     return MatrixPair(method, (sigma - 0.5 * kappa * dsigma, -dsigma / (2.0 * kappa)), context)
 
 
-def _surface_fields(ctx: AssemblyContext, trial: TrialPair):
-    """Values/normal derivatives of both trial parts at the interface nodes."""
+def _surface_fields(ctx: AssemblyContext, trial):
+    """Values/normal derivatives of both trial parts at the interface nodes,
+    for a TrialPair or anything else with its a, gamma2 and kappa."""
     a = np.asarray(trial.a, dtype=float)
     g2 = np.asarray(trial.gamma2, dtype=float)
     n2 = g2.size
@@ -356,7 +356,7 @@ def _surface_fields(ctx: AssemblyContext, trial: TrialPair):
             f"gamma2 has {n2} coefficients but the context holds {ctx.n_modes} Steklov modes"
         )
     bn, dbn = steklov_table(trial.kappa, n2, ctx.domain) if n2 else (np.empty(0), np.empty(0))
-    psi = ctx.steklov_traces[:n2]
+    psi = steklov_trace(np.arange(1, n2 + 1)[:, None], ctx.domain, ctx.surface_rule.nodes[None, :])
     values, derivs = ctx.radial_coefficients(a)
     v1 = values @ ctx.radial_values
     d1 = derivs @ ctx.radial_derivs

@@ -167,10 +167,11 @@ def cmd_field(cfg: RunConfig, args) -> int:
         estimate, _trace = iterate_mode(cfg.method, seeds[label], contexts[parity], tol=cfg.tol,
                                         max_iter=cfg.max_iter)
         # After a parity's last label, neither the dict nor the estimate keeps
-        # its context through the export and the next build: a fresh
-        # `field --mode even,1 --mode odd,1` (15x15, 401x701 grid, 1 BLAS
-        # thread) peaks at 48.2-48.3 MB, at 48.8 MB with the estimate kept
-        # through the export, and at 49.7 MB with the context kept in the dict
+        # its context through the export and the next build.  With this
+        # release and without it, a fresh `field --mode even,1 --mode odd,1`
+        # (15x15, 401x701 grid, 1 BLAS thread) peaks at 48.0-48.1 and 48.7 MB,
+        # and the benchmark's field-export round (seeds 1-3) at 61.2-62.2 and
+        # 62.1-63.1 MB
         if parity not in parities[i + 1:]:
             del contexts[parity]
         grid, k = sample_field(estimate, cfg.grid), estimate.k_estimate

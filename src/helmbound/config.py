@@ -103,8 +103,9 @@ def _replace(default, data, where: str):
 
     A key naming a dataclass field recurses into it; any other value must
     have its field's annotated type (a bool is neither an int nor a number,
-    an int is a number, an enum field takes one of its values).  Unknown
-    keys at any depth are errors.
+    an int is a number, an enum field takes one of its values) and, if a
+    float, be finite (JSON's Infinity and NaN are not).  Unknown keys at any
+    depth are errors.
     """
     if not isinstance(data, dict):
         raise ConfigError(f"{where} must be an object, got {data!r}")
@@ -124,6 +125,8 @@ def _replace(default, data, where: str):
                 raise ConfigError(f"{name} must be one of {[m.value for m in kind]}, got {value!r}") from None
         elif isinstance(value, bool) or not isinstance(value, numbers.Real if kind is float else kind):
             raise ConfigError(f"{name} must be of type {kind.__name__}, got {value!r}")
+        elif isinstance(value, float) and not np.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value!r}")
         else:
             changes[key] = value
     try:

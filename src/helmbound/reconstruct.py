@@ -1,9 +1,10 @@
 """Full-domain eigenfunction reconstruction, sampling and export.
 
 A converged solve yields a vector a in the compressed coordinates Y of the
-context it was solved in, and coefficients gamma1 = Y a over that context's
-semicircle family; the rectangle part is expanded over the Steklov modes
-with coefficients fixed by the method's matching rule:
+context it was solved in, which sets the semicircle part through that
+context's factor grid (``AssemblyContext.factor_grid``); the rectangle part
+is expanded over the Steklov modes with coefficients fixed by the method's
+matching rule:
 
     DtN:  c_n = (psi_n | trace of Psi_I)            (value matching)
     NtD:  c_n = (psi_n | grad_perp Psi_I) / b_n     (derivative matching)
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import assembly as _assembly
-from .basis import BasisSpec, Parity, family_factors, member_index
+from .basis import BasisSpec, family_factors
 from .errors import IoFailure
 from .geometry import INTERFACE_TOL, CompositeDomain, cartesian_to_polar
 from .steklov import _guard_neumann, steklov_profile, steklov_table, steklov_trace
@@ -41,11 +42,6 @@ class ModeEstimate:
     gamma2: np.ndarray
     kappa: float
     context: "_assembly.AssemblyContext"
-
-    @property
-    def gamma1(self) -> np.ndarray:
-        """Coefficients over the semicircle family, gamma1 = Y a."""
-        return self.context.family_vector(self.a)
 
 
 @dataclass(frozen=True)
@@ -98,17 +94,11 @@ def gamma2_coefficients(
 CHUNK = 4096
 
 
-def _semicircle_field(spec: BasisSpec, domain: CompositeDomain, gamma1, x, y):
-    """sum_mu gamma1_mu phi_mu at scattered semicircle points.
-
-    The members are summed as sum_i R_i (G A)_i with G = gamma1 placed on
-    the factor grid of ``family_factors`` by ``member_index``, so the M x P
-    table of members is never formed.
-    """
+def _semicircle_field(spec: BasisSpec, domain: CompositeDomain, G, x, y):
+    """sum_ij G_ij R_i A_j at scattered semicircle points, for G on the factor
+    grid of ``family_factors``, summed as sum_i R_i (G A)_i, so the M x P
+    table of members is never formed."""
     r, phi = cartesian_to_polar(domain, x, y)
-    lead = int(spec.parity is Parity.EVEN)  # the even tables lead with the linear member
-    G = np.zeros((spec.n_max + lead, spec.m_max + lead))
-    G.flat[member_index(spec)] = gamma1
     out = np.empty_like(r)
     for lo in range(0, r.size, CHUNK):
         R, A = family_factors(spec, domain, r[lo:lo + CHUNK], phi[lo:lo + CHUNK])
@@ -120,11 +110,12 @@ def sample_field(estimate: ModeEstimate, grid: GridSpec = GridSpec()) -> FieldGr
     """Sample normalized |Psi|^2 on a grid covering [-a, a] x [-b, a] of the estimate's domain.
 
     Semicircle cells, the interface row (|y| <= INTERFACE_TOL) included,
-    take |sum gamma1 phi|^2, rectangle cells |sum c_n psi_n(k)|^2 at the
-    estimate's k, outside cells 0.  The semicircle sum runs over blocks of CHUNK points
-    through the separable factors of ``family_factors``; the rectangle
-    block is one product (X^T c) Y of the Steklov traces X (modes x columns)
-    and the y-profiles Y (modes x rows), over the modes with c_n != 0.
+    take |sum G_ij R_i A_j|^2 with G = ``context.factor_grid(a)``, rectangle
+    cells |sum c_n psi_n(k)|^2 at the estimate's k, outside cells 0.  The
+    semicircle sum runs over blocks of CHUNK points through the separable
+    factors R, A of ``family_factors``; the rectangle block is one product
+    (X^T c) Y of the Steklov traces X (modes x columns) and the y-profiles Y
+    (modes x rows), over the modes with c_n != 0.
     """
     ctx = estimate.context
     domain = ctx.domain
@@ -136,7 +127,7 @@ def sample_field(estimate: ModeEstimate, grid: GridSpec = GridSpec()) -> FieldGr
     x = xs[:, None]
     i, j = np.nonzero((ys > -INTERFACE_TOL) & (x * x + ys * ys < a * a))
     if i.size:
-        field = _semicircle_field(ctx.spec, domain, estimate.gamma1, xs[i], ys[j])
+        field = _semicircle_field(ctx.spec, domain, ctx.factor_grid(estimate.a), xs[i], ys[j])
         values[i, j] = field**2
 
     rect_rows = ys < -INTERFACE_TOL
@@ -195,18 +186,6 @@ def export_grid(grid: FieldGrid, fmt: str, path) -> None:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
-def read_grid_csv(path) -> FieldGrid:
-    """Parse a CSV produced by export_grid back into a FieldGrid."""
-    try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
-    xs = np.unique(data[:, 0])
-    ys = np.unique(data[:, 1])
-    values = data[:, 2].reshape(xs.size, ys.size)
-    return FieldGrid(xs=xs, ys=ys, values=values)
-
-
 def interface_mismatch(estimate: ModeEstimate) -> tuple[float, float]:
     """L2 norms of the value and normal-derivative jumps across the interface.
 
@@ -216,8 +195,7 @@ def interface_mismatch(estimate: ModeEstimate) -> tuple[float, float]:
     the value jump; NtD solutions the analogue in the derivative jump.
     """
     context = estimate.context
-    trial = _assembly.TrialPair(estimate.a, estimate.gamma2, estimate.kappa)
-    *_, v1, d1, v2, d2 = _assembly._surface_fields(context, trial)
+    *_, v1, d1, v2, d2 = _assembly._surface_fields(context, estimate)
     ws = context.surface_rule.weights
     norm = np.sqrt(float(np.dot(ws, v1 * v1))) or 1.0
     value_jump = np.sqrt(float(np.dot(ws, (v1 - v2) ** 2)))

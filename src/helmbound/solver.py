@@ -5,7 +5,7 @@ coordinates (``assembly`` module docstring), where a method's pencil at
 kappa is Lambda = B + K A1 K^T and Delta = G + K A2 K^T: B (the method's
 -S + X), G and K (r x n_r) depend on neither kappa nor b, and only the
 n_r x n_r cores A1, A2 = F^T diag(w(kappa)) F do.  The converged mode keeps
-the tracked vector a and that context: gamma2 reads a, sampling gamma1 = Y a.
+the tracked vector a and that context, which gamma2 and field sampling read.
 
 Set-up (``spectrum``, once per context and method, cached on the context).
 G = L L^T is factored once and shared by both methods, B W = G W Theta is
@@ -92,8 +92,9 @@ from .reconstruct import ModeEstimate, gamma2_coefficients
 DEFAULT_K_TOL = 5e-5
 DEFAULT_MAX_ITER = 20
 # Interface directions whose singular value is at most this fraction of the
-# largest are dropped at set-up.  At b = 1.5 the kept ones reach down to 2.4e-3
-# (15x15 and 30x30, both parities and methods); the dropped ones are exactly 0
+# largest are dropped at set-up.  At b = 1.5 the kept ones reach down to
+# 2.35e-3 (15x15 and 30x30, both parities and methods); the dropped ones are
+# exactly 0, the even linear member's under NtD (it has no normal derivative)
 RANGE_CUT = 1e-10
 # Newton has converged once its step is at most this fraction of F; its last
 # step then leaves an error far below it
@@ -110,7 +111,6 @@ class IterationTrace:
 
     kappas: list[float] = field(default_factory=list)
     estimates: list[float] = field(default_factory=list)
-    converged: bool = False
 
     @property
     def iterations(self) -> int:
@@ -270,7 +270,8 @@ class _Secular:
         """Eigenvector x at the eigenvalue F, x^T Delta x = 1, largest component positive.
 
         It starts from E's null vector, mapped as y = -D^-1 U' w, plus a
-        constant vector, and takes two steps of inverse iteration on
+        constant vector unless that cancels it (y along -1, always so at
+        r = 1 when y < 0), and takes two steps of inverse iteration on
         D + U' C U'^T, solved by Woodbury's identity through E.  The steps
         matter where the eigenvalue lies within roundoff of a pole Theta_i
         whose direction barely couples to the interface: E is far from
@@ -279,7 +280,8 @@ class _Secular:
         F, _, e, Z, _, Y = self._at(F, True)
         U, D = self.spec.coupling, self.spec.theta - F
         y = -(Y @ Z[:, np.argmin(np.abs(e))])
-        y = y / max(np.linalg.norm(y), np.finfo(float).tiny) + 1 / np.sqrt(y.size)
+        start = y / max(np.linalg.norm(y), np.finfo(float).tiny) + 1 / np.sqrt(y.size)
+        y = start if np.any(start) else y
         floor = np.finfo(float).eps * max(np.max(np.abs(e)), 1.0)  # E may be exactly singular at F
         e = np.where(np.abs(e) < floor, np.copysign(floor, e), e)
         for _ in range(2):
@@ -386,11 +388,8 @@ def iterate_mode(
         trace.kappas.append(kappa)
         trace.estimates.append(k)
         if trace.last_step() < tol:
-            trace.converged = True
-            break
+            a = secular.mode(target)
+            gamma2 = gamma2_coefficients(method, a, kappa, context)
+            return ModeEstimate(k_estimate=k, a=a, gamma2=gamma2, kappa=kappa, context=context), trace
         kappa = k
-    if not trace.converged:
-        raise NotConverged(trace)
-    a = secular.mode(target)
-    gamma2 = gamma2_coefficients(method, a, kappa, context)
-    return ModeEstimate(k_estimate=k, a=a, gamma2=gamma2, kappa=kappa, context=context), trace
+    raise NotConverged(trace)

@@ -3,6 +3,7 @@ import pytest
 
 from helmbound import (
     BasisSpec,
+    FieldGrid,
     Method,
     Parity,
     QuadratureConfig,
@@ -195,6 +196,18 @@ def dense_fixed_point():
         raise AssertionError(f"{method} from {seed} did not converge")
 
     return run
+
+
+@pytest.fixture(scope="session")
+def read_grid_csv():
+    """Parses a CSV written by ``export_grid`` back into a FieldGrid."""
+
+    def read(path):
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        xs, ys = np.unique(data[:, 0]), np.unique(data[:, 1])
+        return FieldGrid(xs=xs, ys=ys, values=data[:, 2].reshape(xs.size, ys.size))
+
+    return read
 
 
 @pytest.fixture

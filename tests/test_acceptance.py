@@ -27,7 +27,6 @@ from helmbound import (
 )
 from helmbound.errors import NearDirichletResonance
 from helmbound.oracle import Rectangle, richardson_eigen
-from helmbound.reconstruct import read_grid_csv
 
 # Reference values, four decimals.
 TABLE1 = {
@@ -232,7 +231,7 @@ def test_criterion_6_oracle_cross_validation(domain, converged):
     print(f"ACCEPTANCE 6 (finite-difference cross-validation, {elapsed:.0f}s): PASS")
 
 
-def test_criterion_7_field_artifacts(domain, converged, tmp_path):
+def test_criterion_7_field_artifacts(domain, converged, tmp_path, read_grid_csv):
     for label in ("even,1", "even,2", "odd,1", "odd,2"):
         est_d, _ = converged(Method.DTN, label, size=25)
         est_n, _ = converged(Method.NTD, label, size=25)

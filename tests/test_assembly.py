@@ -159,25 +159,31 @@ def _array_fields(ctx):
 
 def test_context_keeps_no_family_table(context_for):
     # every table is in the compressed coordinates and Y is kept as its 1-D
-    # factors, so at 15x15 (M = 226, r = 122) no array has a dimension of
-    # size M.  The 30x30 context holds 3.03 MB of arrays, the interface as
-    # its N x n_r radial factors
+    # factors, so at 15x15 (M = 226, r = 110) no array has a dimension of
+    # size M.  The 30x30 context holds 2.53 MB of arrays, the interface as
+    # its N x n_r radial factors and no N x Ks table of Steklov traces
     ctx = context_for(Parity.EVEN, 15)
     M = ctx.spec.size
     assert M > ctx.trial_dim
     arrays = _array_fields(ctx)
     assert "dtn_base" in arrays and "value_factor" in arrays
     assert [name for name, v in arrays.items() if M in v.shape] == []
-    assert sum(v.nbytes for v in _array_fields(context_for(Parity.EVEN, 30)).values()) < 3.5e6
+    assert [name for name, v in arrays.items() if ctx.surface_rule.nodes.size in v.shape
+            and ctx.n_modes in v.shape] == []
+    assert sum(v.nbytes for v in _array_fields(context_for(Parity.EVEN, 30)).values()) < 2.6e6
 
 
 @pytest.mark.parametrize("parity", list(Parity))
 def test_factored_maps_match_dense_coords(context_for, dense_coords, parity, rng):
-    # gamma1 = Y a through the 1-D factors against a dense Y
+    # Y a on the factor grid, through the 1-D factors, against a dense Y at
+    # the members; the other products of the grid carry nothing
     ctx = context_for(parity, 15)
     Y = dense_coords(ctx)
     a = rng.normal(size=ctx.trial_dim)
-    assert np.max(np.abs(ctx.family_vector(a) - Y @ a)) < 1e-13
+    grid = ctx.factor_grid(a).ravel()
+    members = member_index(ctx.spec)
+    assert np.max(np.abs(grid[members] - Y @ a)) < 1e-13
+    assert not np.any(np.delete(grid, members))
 
 
 @pytest.mark.parametrize("b", [1.0078125, 1.8515625, 2.25])

@@ -77,6 +77,11 @@ def test_config_validation():
     # out-of-range values found only when they are used
     {"output_dir": "file/out"},  # below the regular file made in tmp_path
     {"oracle": {"h": 0.5}},  # fewer than 10 FD grid points across the domain
+    # non-finite numbers, which JSON's Infinity and NaN spell
+    {"kappa0": float("inf")},
+    {"geometry": {"a": 1.0, "b": float("inf")}},
+    {"basis": {"alpha": float("nan")}},
+    {"basis": {"beta": float("nan")}},
 ])
 def test_wrongly_typed_config_is_config_error(tmp_path, monkeypatch, capsys, override):
     monkeypatch.chdir(tmp_path)
@@ -218,7 +223,7 @@ def test_malformed_arguments_are_config_errors(tmp_path, capsys, argv):
     assert not (tmp_path / "out").exists()  # rejected before any work
 
 
-def test_field_outputs(tmp_path):
+def test_field_outputs(tmp_path, read_grid_csv):
     cfg_path = _write_config(
         tmp_path,
         basis={"parity": "even", "n_max": 5, "m_max": 5},
@@ -232,8 +237,6 @@ def test_field_outputs(tmp_path):
     header = csv_path.read_text().splitlines()[0]
     assert header == "x,y,value"
     # the nodeless fundamental peaks on the symmetry axis, inside the domain
-    from helmbound.reconstruct import read_grid_csv
-
     grid = read_grid_csv(csv_path)
     i_max, j_max = np.unravel_index(np.argmax(grid.values), grid.values.shape)
     assert grid.xs[i_max] == pytest.approx(0.0, abs=1e-12)

@@ -20,7 +20,7 @@ from helmbound import (
     steklov_trace,
 )
 from helmbound.errors import IoFailure
-from helmbound.reconstruct import interface_mismatch, read_grid_csv
+from helmbound.reconstruct import interface_mismatch
 
 # Steklov indices checked against adaptive quadrature
 PROJECTED_MODES = (1, 2, 7, 20, 50)
@@ -161,9 +161,9 @@ def test_field_vanishes_toward_boundary(converged):
     assert boundary_max(fine) < boundary_max(coarse)
 
 
-def _reference_field(est, domain, grid):
+def _reference_field(est, gamma1, domain, grid):
     # |Psi|^2 cell by cell, summing closed forms written out here, one member
-    # and one Steklov mode at a time
+    # and one Steklov mode at a time, with the family coefficients gamma1 = Y a
     a, b, kappa, spec = domain.a, domain.b, est.k_estimate, est.context.spec
     even = spec.parity is Parity.EVEN
     ang = np.cos if even else np.sin
@@ -182,7 +182,7 @@ def _reference_field(est, domain, grid):
                 # the basis docstring's bijection, row-major in (n, m)
                 n, m = divmod(mu - (2 if even else 1), spec.m_max)
                 member = r * np.sin((n + 1) * spec.alpha * (r - a)) * ang((m + 1) * spec.beta * phi)
-            field += est.gamma1[mu - 1] * member
+            field += gamma1[mu - 1] * member
         values[cells] = field**2
     x, y = X[rect], Y[rect]
     field = np.zeros_like(x)
@@ -202,7 +202,7 @@ def _reference_field(est, domain, grid):
 
 
 @pytest.mark.parametrize("label", ["even,1", "odd,1"])
-def test_field_matches_scalar_reference(domain, converged, monkeypatch, label):
+def test_field_matches_scalar_reference(domain, converged, dense_coords, monkeypatch, label):
     from helmbound import reconstruct
 
     # small blocks, so the semicircle points span several of them plus a remainder
@@ -213,7 +213,7 @@ def test_field_matches_scalar_reference(domain, converged, monkeypatch, label):
     n_semi = int(np.sum((Y > 0) & (X * X + Y * Y < 1.0)))
     assert n_semi > 2 * 37 and n_semi % 37 != 0
     assert np.any(np.abs(grid.ys) <= 1e-12)  # the interface row is sampled
-    ref = _reference_field(est, domain, grid)
+    ref = _reference_field(est, dense_coords(est.context) @ est.a, domain, grid)
     assert np.max(np.abs(grid.values - ref)) <= 1e-12 * np.max(ref)
 
 
@@ -239,7 +239,7 @@ def test_pgm_rows_top_to_bottom(tmp_path, rng):
     assert path.read_bytes() == ("\n".join(["P2", "7 4", "65535"] + rows) + "\n").encode()
 
 
-def test_csv_roundtrip(tmp_path, converged):
+def test_csv_roundtrip(tmp_path, converged, read_grid_csv):
     grid = _grid(converged, Method.DTN, "even,1", spec=GridSpec(nx=21, ny=36))
     path = tmp_path / "field.csv"
     export_grid(grid, "csv", path)
