@@ -17,6 +17,13 @@ linear function first for the even family:
     even:  mu = 1 -> linear;  mu = 1 + (n-1) m_max + m  ->  (n, m)
     odd:   mu = (n-1) m_max + m  ->  (n, m)
 
+The family is evaluated as radial and angular factor tables
+(``family_factors``), the even ones led by the linear member's r - a and 1.
+With lead = 1 (even) or 0 (odd), member (n, m) is the product at flat index
+(n - 1 + lead) (m_max + lead) + m - 1 + lead of the factor grid, the linear
+member at 0.  Each table's rows come from one rotation recurrence
+(``_multiples``), at two transcendental calls per point.
+
 On the interface y = 0 one has r = |x| and phi = +-pi/2 (positive sign for
 x < 0), so with the interface normal n = (0, -1):
 
@@ -70,28 +77,25 @@ class BasisSpec:
         return base + 1 if self.parity is Parity.EVEN else base
 
 
-def _radial_phase(spec: BasisSpec, domain: CompositeDomain, r):
-    """w = n alpha for n = 1..n_max, shape (n_max, 1), and the phase w (r - a), shape (n_max, P)."""
-    w = np.arange(1, spec.n_max + 1)[:, None] * spec.alpha
-    return w, w * (np.asarray(r, dtype=float) - domain.a)
+def _multiples(theta, n):
+    """(cos k theta, sin k theta), k = 1..n, each (n,) + theta.shape, as the powers of
+    z = cos theta + i sin theta.  The error grows like k eps, as the rounding of
+    k theta in a direct call does, and the parity is exact: at -theta the
+    cosines are bitwise equal and the sines bitwise negated."""
+    theta = np.asarray(theta, dtype=float)
+    z = np.empty(theta.shape, dtype=complex)
+    z.real, z.imag = np.cos(theta), np.sin(theta)
+    powers = np.empty((n,) + z.shape, dtype=complex)
+    powers[0] = z
+    for k in range(1, n):
+        np.multiply(powers[k - 1], z, out=powers[k, ...])
+    return powers.real, powers.imag
 
 
 def _angular_frequencies(spec: BasisSpec):
     """nu = m beta of the angular factors, led by 0 (the constant 1) for the even family."""
     first = 0 if spec.parity is Parity.EVEN else 1
     return np.arange(first, spec.m_max + 1) * spec.beta
-
-
-def member_index(spec: BasisSpec):
-    """Flat index i * rows(A) + j of each member R[i] A[j] of ``family_factors``, in index order.
-
-    The even factor tables lead with the linear member's factors, (0, 0);
-    the product members follow row-major in (n, m), as in the module docstring.
-    """
-    lead = int(spec.parity is Parity.EVEN)
-    cols = spec.m_max + lead
-    grid = np.arange(lead, spec.n_max + lead)[:, None] * cols + np.arange(lead, cols)
-    return np.concatenate([np.zeros(lead, dtype=int), grid.ravel()])
 
 
 def family_factors(spec: BasisSpec, domain: CompositeDomain, r, phi):
@@ -101,16 +105,15 @@ def family_factors(spec: BasisSpec, domain: CompositeDomain, r, phi):
     one column per radius, and the angular rows cos(m beta phi) (even) or
     sin(m beta phi) (odd), m = 1..m_max, one column per angle.  The even
     family leads both with the linear member's factors, R[0] = r - a and
-    A[0] = cos(0 phi) = 1.  Member mu is the product R[i] A[j] at flat
-    index ``member_index(spec)[mu - 1]``.
+    A[0] = cos(0 phi) = 1.  Member (n, m) is R[n - 1 + lead] A[m - 1 + lead],
+    with lead = 1 (even) or 0 (odd).
     """
     r = np.asarray(r, dtype=float)
-    ang = np.cos if spec.parity is Parity.EVEN else np.sin
-    R = r * np.sin(_radial_phase(spec, domain, r)[1])
+    R = r * _multiples(spec.alpha * (r - domain.a), spec.n_max)[1]
+    cos, sin = _multiples(spec.beta * np.asarray(phi, dtype=float), spec.m_max)
     if spec.parity is Parity.EVEN:
-        R = np.vstack([r - domain.a, R])
-    A = ang(np.multiply.outer(_angular_frequencies(spec), np.asarray(phi, dtype=float)))
-    return R, A
+        return np.vstack([r - domain.a, R]), np.vstack([np.ones_like(cos[:1]), cos])
+    return R, sin
 
 
 def laplacian_factors(spec: BasisSpec, domain: CompositeDomain, r):
@@ -128,9 +131,10 @@ def laplacian_factors(spec: BasisSpec, domain: CompositeDomain, r):
     while its angular factor 1 has nu = 0.
     """
     r = np.asarray(r, dtype=float)
-    w, phase = _radial_phase(spec, domain, r)
-    Q = np.sin(phase) / r
-    P = 3.0 * w * np.cos(phase) - w * w * r * np.sin(phase) + Q
+    w = np.arange(1, spec.n_max + 1)[:, None] * spec.alpha
+    cos, sin = _multiples(spec.alpha * (r - domain.a), spec.n_max)
+    Q = sin / r
+    P = 3.0 * w * cos - w * w * r * sin + Q
     if spec.parity is Parity.EVEN:
         P = np.vstack([1.0 / r, P])
         Q = np.vstack([(r - domain.a) / r**2, Q])
@@ -157,13 +161,14 @@ def interface_factors(spec: BasisSpec, domain: CompositeDomain, x):
     absx = np.abs(xs)
     s = np.ones_like(xs) if spec.parity is Parity.EVEN else np.sign(xs)
     R, A = family_factors(spec, domain, absx, [-np.pi / 2.0])
+    DR = _multiples(spec.alpha * (absx - domain.a), spec.n_max)[1]
+    cos, sin = _multiples(spec.beta * np.pi / 2.0, spec.m_max)
     nu = _angular_frequencies(spec)
-    DR = np.sin(_radial_phase(spec, domain, absx)[1])
     if spec.parity is Parity.EVEN:
         DR = np.vstack([np.zeros_like(xs), DR])
-        DA = -nu * np.sin(nu * np.pi / 2.0)
+        DA = -nu * np.concatenate([[0.0], sin])
     else:
-        DA = -nu * np.cos(nu * np.pi / 2.0)
+        DA = -nu * cos
     return R * s, A[:, 0], DR * s, DA
 
 
@@ -184,7 +189,7 @@ def basis_tables(
     and the ``interface_factors`` at the surface nodes.  The volume rule
     (``semicircle_rule``) and every member are separable in (r, phi), so the
     Gram <phi_mu|phi_nu> and the stiffness <phi_mu|Lap phi_nu> are Kronecker
-    products restricted to the members' rows and columns (``member_index``),
+    products restricted to the members' rows and columns (module docstring),
 
         G = RR x AA,   S = RP x AA - RQ x AAnu,
 

@@ -159,10 +159,16 @@ def export_grid(grid: FieldGrid, fmt: str, path) -> None:
     Both writers format a whole grid row per call: the x/y labels are
     printed once per grid, each row's line template is assembled from them,
     and the row's values are filled in with one ``%`` substitution.
+
+    A grid with a NaN or infinite cell raises IoFailure before the file is
+    opened, so no partial file is left.
     """
     fmt = fmt.lower()
     if fmt not in ("csv", "pgm"):
         raise ValueError(f"unsupported format {fmt!r}")
+    bad = grid.values.size - np.count_nonzero(np.isfinite(grid.values))
+    if bad:
+        raise IoFailure(f"cannot write {path}: {bad} non-finite grid cells")
     try:
         if fmt == "csv":
             # x.join(tails) = x,y_0,%.9g\n x,y_1,%.9g\n ... for one x-row

@@ -16,7 +16,7 @@ from helmbound import (
     semicircle_rule,
     steklov_trace,
 )
-from helmbound.basis import basis_tables, interface_factors, member_index
+from helmbound.basis import basis_tables, interface_factors
 from helmbound.solver import select_mode
 
 A, B = 1.0, 1.5
@@ -47,10 +47,29 @@ def context_for(domain, quad):
     return get
 
 
+def _member_index(spec):
+    """Flat index i * rows(A) + j of each member R[i] A[j] of ``family_factors``, in index order.
+
+    The even factor tables lead with the linear member's factors, (0, 0);
+    the product members follow row-major in (n, m), as in the basis module
+    docstring.
+    """
+    lead = int(spec.parity is Parity.EVEN)
+    cols = spec.m_max + lead
+    grid = np.arange(lead, spec.n_max + lead)[:, None] * cols + np.arange(lead, cols)
+    return np.concatenate([np.zeros(lead, dtype=int), grid.ravel()])
+
+
+@pytest.fixture(scope="session")
+def member_index():
+    """The member flat indices of a spec's factor grid (``_member_index``)."""
+    return _member_index
+
+
 def _member_rows(spec, radial, angular):
-    """Rows radial[i] * angular[j] of the members, in index order (member_index),
+    """Rows radial[i] * angular[j] of the members, in index order (_member_index),
     for radial rows over points and angular constants."""
-    return (radial[:, None] * angular[:, None]).reshape(-1, radial.shape[-1])[member_index(spec)]
+    return (radial[:, None] * angular[:, None]).reshape(-1, radial.shape[-1])[_member_index(spec)]
 
 
 @pytest.fixture(scope="session")
@@ -77,7 +96,7 @@ def kron_tables():
 
     def get(spec, domain, volume_rule, surface_rule):
         RR, RP, RQ, AA, AAnu, R, A, DR, DA = basis_tables(spec, domain, volume_rule, surface_rule)
-        members = np.ix_(member_index(spec), member_index(spec))
+        members = np.ix_(_member_index(spec), _member_index(spec))
         G = np.kron(RR, AA)[members]
         S = (np.kron(RP, AA) - np.kron(RQ, AAnu))[members]
         return G, S, _member_rows(spec, R, A), _member_rows(spec, DR, DA)
@@ -121,7 +140,7 @@ def dense_coords():
         i, j = ctx.pairs
         cols = i * ctx.angular_basis.shape[1] + j
         full = np.kron(ctx.radial_basis, ctx.angular_basis)
-        return full[np.ix_(member_index(ctx.spec), cols)]
+        return full[np.ix_(_member_index(ctx.spec), cols)]
 
     return get
 

@@ -20,7 +20,6 @@ from helmbound import (
 )
 from helmbound import assembly
 from helmbound.assembly import COMPRESS_FLOOR
-from helmbound.basis import member_index
 from helmbound.errors import NearDirichletResonance, ZeroTrial
 
 KAPPA = 2.0116
@@ -174,7 +173,7 @@ def test_context_keeps_no_family_table(context_for):
 
 
 @pytest.mark.parametrize("parity", list(Parity))
-def test_factored_maps_match_dense_coords(context_for, dense_coords, parity, rng):
+def test_factored_maps_match_dense_coords(context_for, dense_coords, member_index, parity, rng):
     # Y a on the factor grid, through the 1-D factors, against a dense Y at
     # the members; the other products of the grid carry nothing
     ctx = context_for(parity, 15)
@@ -208,7 +207,7 @@ def test_context_tables_independent_of_depth(domain, quad, context_for, parity, 
             assert got == want, f.name
 
 
-def _uncompressed(parity, domain, quad, monkeypatch):
+def _uncompressed(parity, domain, quad, monkeypatch, member_index):
     """The context of the 15x15 family with Y = I, built by build_context
     itself: every 1-D eigenbasis is the identity and every pair is kept."""
     with monkeypatch.context() as patch:
@@ -241,7 +240,8 @@ def _filtered_solve(pair):
 ORACLE_K = {"even,1": 2.061071395, "even,2": 3.073017257, "odd,1": 3.450614741, "odd,2": 4.218866332}
 
 
-def test_compression_matches_uncompressed_family(domain, quad, converged, dense_fixed_point, monkeypatch):
+def test_compression_matches_uncompressed_family(domain, quad, converged, dense_fixed_point, monkeypatch,
+                                                  member_index):
     # the eight Table 2 k at tol 1e-8 against the solve over the whole
     # family (Y = I).  Its Gram is singular at roundoff, so it has no
     # Cholesky factor and no spectral set-up: its fixed point runs over
@@ -249,7 +249,7 @@ def test_compression_matches_uncompressed_family(domain, quad, converged, dense_
     # the compressed k lie 1.7e-6 to 3.9e-5 closer to the oracle than the
     # filtered ones, on 1 and 2 BLAS threads
     seeds = mode_seeds(domain)
-    full = {parity: _uncompressed(parity, domain, quad, monkeypatch) for parity in Parity}
+    full = {parity: _uncompressed(parity, domain, quad, monkeypatch, member_index) for parity in Parity}
     for label, seed in seeds.items():
         parity = Parity(label.split(",")[0])
         for method in Method:

@@ -8,7 +8,7 @@ from helmbound import (
     interface_rule,
     semicircle_rule,
 )
-from helmbound.basis import family_factors, laplacian_factors, member_index
+from helmbound.basis import _multiples, family_factors, laplacian_factors
 
 EVEN = BasisSpec(parity=Parity.EVEN, n_max=3, m_max=3)
 ODD = BasisSpec(parity=Parity.ODD, n_max=3, m_max=3)
@@ -17,17 +17,22 @@ ODD = BasisSpec(parity=Parity.ODD, n_max=3, m_max=3)
 ODD11_AT_HALF = -0.144361716817
 
 
-def _volume(spec, domain, x, y):
+@pytest.fixture(scope="module")
+def volume(member_index):
     """(V, L) of the whole family at Cartesian points, one column per point,
     composed from the 1-D factors as the volume matrices are."""
-    r, phi = cartesian_to_polar(domain, x, y)
-    r, phi = np.atleast_1d(r), np.atleast_1d(phi)
-    R, A = family_factors(spec, domain, r, phi)
-    P, Q, nu = laplacian_factors(spec, domain, r)
-    V = R[:, None] * A[None]
-    L = (P[:, None] - (nu * nu)[None, :, None] * Q[:, None]) * A[None]
-    members = member_index(spec)
-    return V.reshape(-1, r.size)[members], L.reshape(-1, r.size)[members]
+
+    def get(spec, domain, x, y):
+        r, phi = cartesian_to_polar(domain, x, y)
+        r, phi = np.atleast_1d(r), np.atleast_1d(phi)
+        R, A = family_factors(spec, domain, r, phi)
+        P, Q, nu = laplacian_factors(spec, domain, r)
+        V = R[:, None] * A[None]
+        L = (P[:, None] - (nu * nu)[None, :, None] * Q[:, None]) * A[None]
+        members = member_index(spec)
+        return V.reshape(-1, r.size)[members], L.reshape(-1, r.size)[members]
+
+    return get
 
 
 def _nm(spec, mu):
@@ -40,7 +45,29 @@ def _nm(spec, mu):
     return n + 1, m + 1
 
 
-def test_sizes_and_bijection(domain):
+def test_multiples_match_direct_calls(domain):
+    # the radial phases alpha (r - a), r in [0, a], and the angular beta phi,
+    # |phi| <= pi/2, at alpha = beta = 1: the recurrence against one
+    # cos/sin call per k, k <= 30 (measured 4.0e-15 and 5.0e-15)
+    k = np.arange(1, 31)[:, None]
+    for theta in (np.linspace(0.0, domain.a, 4001) - domain.a, np.linspace(-np.pi / 2, np.pi / 2, 4001)):
+        cos, sin = _multiples(theta, 30)
+        assert cos.shape == sin.shape == (30, theta.size)
+        assert np.max(np.abs(cos - np.cos(k * theta))) < 1e-14
+        assert np.max(np.abs(sin - np.sin(k * theta))) < 1e-14
+
+
+def test_multiples_parity_is_exact(rng):
+    # every factor row is exactly even (cos) or odd (sin) in its phase:
+    # bitwise-equal cosines and bitwise-negated sines at -theta
+    theta = rng.uniform(-np.pi / 2, np.pi / 2, 1000)
+    cos, sin = _multiples(theta, 30)
+    cos_m, sin_m = _multiples(-theta, 30)
+    assert np.array_equal(cos, cos_m)
+    assert np.array_equal(sin, -sin_m)
+
+
+def test_sizes_and_bijection(domain, member_index):
     assert EVEN.size == 10 and ODD.size == 9
     # member_index puts the docstring's (n, m) examples on the factor
     # products R_n A_m: even mu = 2, 5, 10 and odd mu = 1, 4, 9 are the
@@ -62,13 +89,13 @@ def test_sizes_and_bijection(domain):
     assert member_index(EVEN)[0] == 0
 
 
-def test_eval_linear_member(domain):
+def test_eval_linear_member(domain, volume):
     R, A = family_factors(EVEN, domain, [0.0, 0.5, 1.0], [0.3, -1.2, 0.0])
     assert R[0] == pytest.approx([-1.0, -0.5, 0.0], abs=1e-15)
     assert np.all(A[0] == 1.0)
-    assert _volume(EVEN, domain, 0.0, 0.5)[0][0] == pytest.approx([-0.5], abs=1e-15)
+    assert volume(EVEN, domain, 0.0, 0.5)[0][0] == pytest.approx([-0.5], abs=1e-15)
     # a scalar x broadcasts against an array y
-    values = _volume(EVEN, domain, 0.0, np.array([0.1, 0.2]))[0][0]
+    values = volume(EVEN, domain, 0.0, np.array([0.1, 0.2]))[0][0]
     np.testing.assert_allclose(values, [-0.9, -0.8], atol=1e-15)
 
 
@@ -77,10 +104,10 @@ def test_eval_odd_member(domain):
     assert R[0] * A[0] == pytest.approx([ODD11_AT_HALF], abs=1e-10)
 
 
-def test_all_members_vanish_on_arc(domain):
+def test_all_members_vanish_on_arc(domain, volume):
     theta = np.linspace(-np.pi / 2, np.pi / 2, 1000)
     for spec in (BasisSpec(parity=Parity.EVEN), BasisSpec(parity=Parity.ODD)):
-        V, _ = _volume(spec, domain, -np.sin(theta), np.cos(theta))
+        V, _ = volume(spec, domain, -np.sin(theta), np.cos(theta))
         assert V.shape == (spec.size, theta.size)
         assert np.max(np.abs(V)) <= 1e-13
 
@@ -92,23 +119,23 @@ def test_even_members_at_origin(domain):
     assert np.max(np.abs(R[1:, 1])) < 1e-8
 
 
-def test_laplacian_of_linear_member(domain):
-    assert _volume(EVEN, domain, 0.0, 0.5)[1][0] == pytest.approx([2.0], rel=1e-14)
+def test_laplacian_of_linear_member(domain, volume):
+    assert volume(EVEN, domain, 0.0, 0.5)[1][0] == pytest.approx([2.0], rel=1e-14)
 
 
-def _fd_laplacian(spec, mu, domain, x, y, h=1e-4):
-    f = lambda px, py: _volume(spec, domain, px, py)[0][mu - 1]
+def _fd_laplacian(volume, spec, mu, domain, x, y, h=1e-4):
+    f = lambda px, py: volume(spec, domain, px, py)[0][mu - 1]
     return (f(x + h, y) + f(x - h, y) + f(x, y + h) + f(x, y - h) - 4.0 * f(x, y)) / h**2
 
 
 @pytest.mark.parametrize("spec,mu", [(EVEN, 1), (EVEN, 2), (EVEN, 7), (ODD, 1), (ODD, 6)])
-def test_laplacian_against_finite_difference(domain, spec, mu):
+def test_laplacian_against_finite_difference(domain, volume, spec, mu):
     x, y = np.array([-0.3, 0.2, 0.1]), np.array([0.4, 0.3, 0.6])
-    fd = _fd_laplacian(spec, mu, domain, x, y)
-    assert _volume(spec, domain, x, y)[1][mu - 1] == pytest.approx(fd, rel=1e-6)
+    fd = _fd_laplacian(volume, spec, mu, domain, x, y)
+    assert volume(spec, domain, x, y)[1][mu - 1] == pytest.approx(fd, rel=1e-6)
 
 
-def test_laplacian_against_symbolic(domain):
+def test_laplacian_against_symbolic(domain, volume):
     sympy = pytest.importorskip("sympy")
     x, y = sympy.symbols("x y")
     r = sympy.sqrt(x**2 + y**2)
@@ -116,7 +143,7 @@ def test_laplacian_against_symbolic(domain):
     expr = r * sympy.sin(r - 1) * sympy.sin(phi)
     lap = sympy.diff(expr, x, 2) + sympy.diff(expr, y, 2)
     want = float(lap.subs({x: -0.5, y: 0.5}).evalf(30))
-    got = _volume(ODD, domain, -0.5, 0.5)[1][0]
+    got = volume(ODD, domain, -0.5, 0.5)[1][0]
     assert got == pytest.approx([want], abs=1e-10)
 
 
@@ -145,11 +172,11 @@ def test_normal_trace_linear_member(domain, interface_tables):
 
 
 @pytest.mark.parametrize("spec,mu", [(EVEN, 3), (EVEN, 8), (ODD, 1), (ODD, 5)])
-def test_normal_trace_against_finite_difference(domain, spec, mu, interface_tables):
+def test_normal_trace_against_finite_difference(domain, volume, spec, mu, interface_tables):
     # one-sided into the semicircle with Richardson: O(h^2) estimate of -d/dy
     h = 1e-4
     x = np.array([-0.62, 0.15, 0.4])
-    f = lambda hh: _volume(spec, domain, x, hh)[0][mu - 1]
+    f = lambda hh: volume(spec, domain, x, hh)[0][mu - 1]
     f0 = f(0.0)
     d = lambda hh: -(f(hh) - f0) / hh
     fd = 2.0 * d(h / 2) - d(h)

@@ -281,3 +281,16 @@ def test_export_bad_path(converged):
         export_grid(grid, "csv", "/nonexistent-dir/field.csv")
     with pytest.raises(ValueError):
         export_grid(grid, "svg", "/tmp/x.svg")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "pgm"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_export_refuses_non_finite_grid(tmp_path, fmt, bad):
+    # checked before the file is opened: no nan/inf text, no int64-cast
+    # pixels and no partial file
+    values = np.ones((3, 2))
+    values[1, 0] = values[2, 1] = bad
+    path = tmp_path / f"field.{fmt}"
+    with pytest.raises(IoFailure, match="2 non-finite"):
+        export_grid(FieldGrid(xs=np.arange(3.0), ys=np.arange(2.0), values=values), fmt, path)
+    assert not path.exists()
