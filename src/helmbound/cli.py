@@ -217,14 +217,18 @@ def cmd_compare(cfg: RunConfig, args) -> int:
     """DtN and NtD per label against each other and the FD oracle, to compare.json.
 
     DtN starts from the closed-form rectangle seed and NtD from DtN's
-    converged k, so both track the same root.
+    converged k, so both track the same root.  timings.oracle_s runs from
+    the start through the oracle's Richardson pair, so like ``oracle``'s
+    total_s it includes the oracle's import.
     """
+    t0 = time.perf_counter()
     from .oracle import richardson_eigen
 
     out = _outdir(cfg)
     seeds = mode_seeds(cfg.geometry)
     max_rank = max(parse_mode_label(label)[1] for label in MODE_LABELS)
     results, _raw = richardson_eigen(cfg.geometry, cfg.oracle.h, max_rank)
+    oracle_s = time.perf_counter() - t0
     by_parity = {p: [k for k, parity in results if parity == p] for p in ("even", "odd")}
     contexts = _contexts(cfg, Parity)
     report = {"modes": [], "mutual_tol": MUTUAL_TOL, "oracle_tol": ORACLE_TOL}
@@ -251,6 +255,7 @@ def cmd_compare(cfg: RunConfig, args) -> int:
         all_pass &= entry["pass_mutual"] and entry["pass_oracle"]
         report["modes"].append(entry)
     report["all_pass"] = bool(all_pass)
+    report["timings"] = {"total_s": time.perf_counter() - t0, "oracle_s": oracle_s}
     path = out / "compare.json"
     _write_json(path, report)
     for entry in report["modes"]:

@@ -15,15 +15,22 @@ A E_p = E_p B_p with B_p = (A E_p) on the half rows, and each eigenvector v
 of B_p gives the exactly even or odd mode E_p v.  A's spectrum is the union
 of the two blocks', and each block is solved for num_modes of its parity.
 
-Each block is solved by shift-invert Arnoldi around a shift sigma, with one
-sparse LU of B_p - sigma I.  The coarse grid of a Richardson pair starts
-from sigma = 0 and an all-ones vector.  The fine grid starts from the
-coarse solve: its Arnoldi start vector is the sum of the parity's coarse
-fields interpolated onto the fine grid, and sigma is 0.9 times the lowest
-coarse eigenvalue of that parity.  The O(h^2) change between the grids is
-far under 10 %, so every eigenvalue of the fine block lies above sigma and
-the eigenvalues nearest sigma are still the lowest.  The start changes how
-many solves Arnoldi needs, not the eigenvalues it converges to.
+Each block is solved by shift-invert Arnoldi around a shift sigma.  Below
+y = 0 the composite's walls are straight, so there (and everywhere in a
+Rectangle) the grid rows form a Kronecker sum Tx (x) I + I (x) Ty of two
+tridiagonals.  Each solve with B_p - sigma I eliminates those tensor rows
+by fast diagonalization (Lynch, Rice & Thomas 1964) and solves their Schur
+complement on the semicircle and the y = 0 row (Buzbee, Dorr, George &
+Golub 1971) with that complement's one sparse LU.
+
+The coarse grid of a Richardson pair starts from sigma = 0 and an all-ones
+vector.  The fine grid starts from the coarse solve: its Arnoldi start
+vector is the sum of the parity's coarse fields interpolated onto the fine
+grid, and sigma is 0.9 times the lowest coarse eigenvalue of that parity.
+The O(h^2) change between the grids is far under 10 %, so every eigenvalue
+of the fine block lies above sigma and the eigenvalues nearest sigma are
+still the lowest.  The start changes how many solves Arnoldi needs, not
+the eigenvalues it converges to.
 
 Deliberately unrelated to the embedding pipeline: different discretization,
 different eigensolver (sparse shift-invert Arnoldi), no shared code paths.
@@ -36,6 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.blas import dgemm, dgemv
 
 from .errors import GridTooCoarse, IterationStalled
 from .geometry import CompositeDomain
@@ -194,15 +203,136 @@ def _coarse_start(problem: FdmProblem, start, parity: str, rows: np.ndarray):
     return fine[problem.mask][rows], 0.9 * min(ks) ** 2
 
 
-def _block_modes(problem: FdmProblem, A: sp.csr_matrix, parity: str, num_modes: int, start=None):
+def _tensor_grid(shape, problem: FdmProblem, rows: np.ndarray) -> np.ndarray:
+    """Positions in a parity block of its tensor nodes, as an (n_x, n_y) array in grid order.
+
+    The tensor rows are every grid row below y = 0 of the composite domain,
+    whose walls there are straight, and every row of a Rectangle.
+    """
+    ii, jj = (index[rows] for index in np.nonzero(problem.mask))
+    below = problem.ys[jj] < 0.0 if isinstance(shape, CompositeDomain) else np.ones(rows.size, bool)
+    nodes = np.flatnonzero(below)
+    return nodes.reshape(np.unique(ii[nodes]).size, -1)
+
+
+def _kronecker_factors(T: sp.csr_matrix, n_x: int, n_y: int):
+    """Tx and Ty, each as (lower, diagonal, upper), with T = Tx (x) I + I (x) Ty in grid order.
+
+    Raises ValueError if there are none.  Each coupling must be the same
+    along its grid line, exactly, and T may hold no other entries.  The
+    diagonal splits at the node where it is smallest, whose arms are all
+    uncut: half of its diagonal goes to each factor, so each keeps its own
+    axis's diagonal and neither factor's low eigenvalues come from cancelling
+    large ones.  That split holds only up to rounding.  Each factor's
+    off-diagonal products must be positive, so that it is similar to a
+    symmetric tridiagonal.
+    """
+    diag = T.diagonal().reshape(n_x, n_y)
+    x_lo, x_up = (T.diagonal(k).reshape(n_x - 1, n_y) for k in (-n_y, n_y))
+    # the first sub- and superdiagonals also pair (i, n_y - 1) with (i + 1, 0);
+    # those entries are dropped here, so the count of nonzeros requires them empty
+    y_lo, y_up = (np.append(T.diagonal(k), 0.0).reshape(n_x, n_y)[:, :-1] for k in (-1, 1))
+    i, j = np.unravel_index(np.argmin(diag), diag.shape)
+    half = 0.5 * diag[i, j]
+    Tx, Ty = (x_lo[:, 0], diag[:, j] - half, x_up[:, 0]), (y_lo[0], diag[i] - half, y_up[0])
+    rounding = 4.0 * np.finfo(float).eps * (diag[:, j:j + 1] + diag[i])
+    if not (all(np.all(c == c[:, :1]) for c in (x_lo, x_up))
+            and all(np.all(c == c[:1]) for c in (y_lo, y_up))
+            and np.all(abs(diag - Tx[1][:, None] - Ty[1]) <= rounding)
+            and T.count_nonzero() == sum(map(np.count_nonzero, (diag, x_lo, x_up, y_lo, y_up)))
+            and all(np.all(lo * up > 0.0) for lo, _, up in (Tx, Ty))):
+        raise ValueError("the tensor rows are not a Kronecker sum of two symmetrizable tridiagonals")
+    return Tx, Ty
+
+
+def _eig(lo, d, up):
+    """(lambda, V, V^-1) of the tridiagonal M = (lo, d, up), whose off-diagonal products are positive.
+
+    With S = diag(s), s_{i+1} / s_i = sqrt(M_{i,i+1} / M_{i+1,i}), S M S^-1 is
+    symmetric, its off-diagonal +-sqrt(M_{i,i+1} M_{i+1,i}) with M_{i,i+1}'s
+    sign; for its orthonormal eigenvectors Q, V = S^-1 Q and V^-1 = Q^T S.
+    """
+    s = np.cumprod(np.r_[1.0, np.sqrt(up / lo)])
+    lam, Q = eigh_tridiagonal(d, np.copysign(np.sqrt(lo * up), up))
+    return lam, Q / s[:, None], Q.T * s
+
+
+def _shift_invert(B: sp.csr_matrix, grid: np.ndarray, sigma: float) -> spla.LinearOperator:
+    """r -> (B - sigma I)^-1 r for a parity block B whose tensor nodes sit at grid.
+
+    The tensor block T = B[grid, grid] is Tx (x) I + I (x) Ty (checked), so
+    (T - sigma I)^-1 = (Vx (x) Vy) diag(1 / (lx + ly - sigma)) (Vx^-1 (x) Vy^-1)
+    from the two 1-D eigendecompositions (fast diagonalization).  The tensor
+    rows meet the remaining nodes only through their top row, y = -h, so the
+    Schur complement on the remainder R is R - sigma I less one dense block
+    C G D: G is the top row's own block of (T - sigma I)^-1, and C and D are
+    the couplings to and from that row.  sigma lies below every eigenvalue of
+    B, so also below every lx + ly (T is a principal submatrix of an
+    M-matrix).  A Rectangle has no remainder, and its LU is empty.
+    """
+    tensor, top = grid.ravel(), grid[:, -1]
+    rest = np.delete(np.arange(B.shape[0]), tensor)
+    B_rest = B[rest]
+    T, R = B[tensor][:, tensor], B_rest[:, rest]
+    C, D = B_rest[:, top], B[top][:, rest]
+    if B.count_nonzero() != sum(M.count_nonzero() for M in (T, R, C, D)):
+        raise ValueError("the tensor rows meet the remaining nodes beyond their top row")
+    Tx, Ty = _kronecker_factors(T, *grid.shape)
+    (lam_x, Vx, Vx_inv), (lam_y, Vy, Vy_inv) = _eig(*Tx), _eig(*Ty)
+    scale = 1.0 / (lam_x[:, None] + lam_y - sigma)
+    G = (Vx * (scale @ (Vy[-1] * Vy_inv[:, -1]))) @ Vx_inv
+    schur = R - sigma * sp.identity(rest.size) - C @ sp.csr_matrix(G) @ D
+    # The sparsity pattern is symmetric: ordering on S + S^T halves the LU fill
+    # of SuperLU's default (COLAMD), 574,596 against 1,158,282 L+U nonzeros on
+    # the b = 1.5, h = 1/128 even block, and with it the solves.  Smaller
+    # supernodes than SuperLU's default factor it faster at the same fill.
+    # Scan on the six h = 1/128 blocks at b = 1.2, 1.5, 1.8 (12,985 even and
+    # 12,857 odd unknowns; 1 BLAS thread, 15 interleaved repeats; per-block
+    # medians over the default of 36-41 ms per factorization and 1.1-1.3 ms
+    # per solve):
+    #   relax, panel_size   factor      solve
+    #   1, 2                0.66-0.75   0.81-0.99
+    #   2, 2                0.66-0.76   0.87-1.12
+    #   3, 2                0.66-0.74   0.85-0.98
+    #   1, 4                0.66-0.78   0.80-0.97
+    #   3, 4                0.74-0.90   0.90-1.15
+    #   4, 4                0.66-0.79   0.84-0.98
+    #   6, 4                0.67-0.77   0.81-1.06
+    #   3, 8                0.77-0.84   0.82-0.99
+    #   6, 8                0.74-0.83   0.85-1.18
+    # richardson_eigen at h = 1/64, 2 modes, over the same three depths took
+    # 0.42-0.48 s (medians of 12) with (2, 2), 0.42-0.49 s with (3, 4) and
+    # 0.45-0.52 s at the default.
+    lu = spla.splu(schur.tocsc(), permc_spec="MMD_AT_PLUS_A", relax=2, panel_size=2)
+
+    # The transforms call scipy's BLAS, which ARPACK and SuperLU use too.
+    # numpy's wheel bundles its own OpenBLAS, and with numpy's matmul here the
+    # switches between the two thread pools made richardson_eigen at b = 1.5,
+    # h = 1/64, 8 modes, take 1.6-1.8 s at 2 BLAS threads against 0.8 s at 1
+    # (0.87 s at 2 threads with scipy's BLAS).
+    def solve(rhs):
+        x = np.empty_like(rhs)
+        z = dgemm(1.0, dgemm(1.0, Vx_inv, rhs[grid]), Vy_inv, trans_b=1) * scale
+        x[rest] = x_rest = lu.solve(rhs[rest] - C @ dgemv(1.0, Vx, dgemv(1.0, z, Vy[-1])))
+        z -= np.outer(dgemv(1.0, Vx_inv, D @ x_rest), Vy_inv[:, -1]) * scale
+        x[grid] = dgemm(1.0, dgemm(1.0, Vx, z), Vy, trans_b=1)
+        return x
+
+    return spla.LinearOperator(B.shape, matvec=solve, dtype=float)
+
+
+def _block_modes(shape, problem: FdmProblem, A: sp.csr_matrix, parity: str, num_modes: int,
+                 start=None):
     """The num_modes lowest (k, parity, field) of one parity's block B = (A E)[rows].
 
     A coarse start (problem, modes) gives v0, the shift and a basis of
     2 num_modes + 2 Arnoldi vectors; without one, shift 0, v0 = ones and
-    ARPACK's default basis.  The block's LU is freed on return, before the
-    next block is factored."""
+    ARPACK's default basis.  Each shift-invert solve is _shift_invert's:
+    one transform of the tensor rows, one solve with the Schur complement's
+    sparse LU and one back transform.  That LU is freed on return, before
+    the next block is factored."""
     E, rows = _extension(problem, parity)
-    B = (A[rows] @ E).tocsc()
+    B = (A[rows] @ E).tocsr()
     n = B.shape[0]
     if num_modes >= n - 1:  # ARPACK finds at most n - 2 eigenvalues
         raise GridTooCoarse(f"the {parity} block has {n} unknowns, too few for "
@@ -211,30 +341,7 @@ def _block_modes(problem: FdmProblem, A: sp.csr_matrix, parity: str, num_modes: 
     if start is not None:
         v0, sigma = _coarse_start(problem, start, parity, rows)
         ncv = min(n - 1, 2 * num_modes + 2)
-    # The sparsity pattern is symmetric: ordering on B + B^T roughly halves the
-    # LU fill of eigs' default (COLAMD), and with it the shift-invert solves.
-    # Smaller supernodes than SuperLU's default factor these blocks faster at
-    # the same fill (925,079 L and 925,079 U nonzeros on the b = 1.5, h = 1/128
-    # even block).  Scan on the six h = 1/128 blocks at b = 1.2, 1.5, 1.8
-    # (1 BLAS thread, 9 interleaved repeats; per-block medians over the default
-    # of 121-178 ms per factorization and 3.6-5.3 ms per solve):
-    #   relax, panel_size   factor      solve
-    #   1, 2                0.68-0.73   0.97-1.21
-    #   2, 2                0.64-0.81   0.98-1.11
-    #   3, 2                0.67-0.73   1.01-1.07
-    #   1, 4                0.72-0.83   0.95-1.21
-    #   3, 4                0.72-0.84   1.04-1.20
-    #   4, 4                0.70-0.80   1.03-1.20
-    #   6, 4                0.69-0.76   0.99-1.15
-    #   3, 8                0.78-1.01   0.99-1.17
-    #   6, 8                0.73-0.89   0.95-1.12
-    # A fine block needs about 15 solves per factorization, so the factor time
-    # decides; richardson_eigen at h = 1/64, 2 modes, over the same three
-    # depths took 1.77-1.82 s (medians of 8) with any of (2, 2), (3, 2),
-    # (3, 4), (4, 4), against 2.27 s at the default.
-    lu = spla.splu(B - sigma * sp.identity(n, format="csc"), permc_spec="MMD_AT_PLUS_A",
-                   relax=3, panel_size=4)
-    inverse = spla.LinearOperator(B.shape, matvec=lu.solve, dtype=float)
+    inverse = _shift_invert(B, _tensor_grid(shape, problem, rows), sigma)
     try:
         lam, vecs = spla.eigs(B, k=num_modes, sigma=sigma, which="LM", v0=v0, ncv=ncv,
                               OPinv=inverse)
@@ -269,8 +376,8 @@ def fdm_eigen(shape, h: float, num_modes: int, start=None):
     """
     problem = build_fdm_problem(shape, h)
     A = _laplacian(shape, problem)
-    modes = (_block_modes(problem, A, "even", num_modes, start)
-             + _block_modes(problem, A, "odd", num_modes, start))
+    modes = (_block_modes(shape, problem, A, "even", num_modes, start)
+             + _block_modes(shape, problem, A, "odd", num_modes, start))
     return problem, sorted(modes, key=lambda mode: mode[0])
 
 

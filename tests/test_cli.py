@@ -332,6 +332,7 @@ def test_compare_all_pass(tmp_path):
     k_fdm = {entry["mode"]: entry["k_fdm"] for entry in doc["modes"]}
     assert k_fdm == {"even,1": 2.061071395, "even,2": 3.073017257,
                      "odd,1": 3.450614741, "odd,2": 4.218866332}
+    assert 0.0 < doc["timings"]["oracle_s"] <= doc["timings"]["total_s"]
 
 
 def _count_contexts(monkeypatch):

@@ -5,8 +5,8 @@ import scipy.sparse.linalg as spla
 
 from helmbound import make_domain, oracle
 from helmbound.errors import GridTooCoarse, IterationStalled
-from helmbound.oracle import (Rectangle, _extension, _laplacian, build_fdm_problem, fdm_eigen,
-                               richardson_eigen)
+from helmbound.oracle import (Rectangle, _extension, _laplacian, _shift_invert, _tensor_grid,
+                               build_fdm_problem, fdm_eigen, richardson_eigen)
 
 RECT_SEEDS = [2.0116, 2.9638, 3.3836, 4.0232]  # 2 x 2.5 rectangle, 4 lowest
 LABELS = ("even,1", "even,2", "odd,1", "odd,2")
@@ -199,18 +199,36 @@ def test_seeded_fine_solve_needs_fewer_inverse_applications(domain, monkeypatch)
     [
         (make_domain(1.0, 1.5078125), 0.03),
         (Rectangle(0.9, 0.7), 1.0 / 16.0),  # walls off the grid lines
+        (make_domain(1.0, 1.5), 1.0 / 64.0),
+        (make_domain(1.0, 1.0078125), 1.0 / 64.0),  # bottom wall off the grid lines
+        (make_domain(0.9, 1.3), 1.0 / 64.0),  # side walls off the grid lines
     ],
 )
 def test_mirror_blocks_are_exact(shape, h):
-    # A E_p = E_p B_p: each block carries its parity's part of the spectrum
+    # A E_p = E_p B_p: each block carries its parity's part of the spectrum,
+    # and the shift-invert solve of each block is exact to rounding
     problem = build_fdm_problem(shape, h)
     A = _laplacian(shape, problem)
+    rng = np.random.default_rng(7)
+    sigma = 4.0  # below the lowest eigenvalue of every shape here (4.25 at b = 1.5)
     sizes = 0
     for parity in ("even", "odd"):
         E, rows = _extension(problem, parity)
-        B = A[rows] @ E
+        B = (A[rows] @ E).tocsr()
         assert abs(A @ E - E @ B).max() <= 1e-12 * abs(A).max(), parity
         sizes += rows.size
+        grid = _tensor_grid(shape, problem, rows)
+        rhs = rng.standard_normal(rows.size)
+        x = _shift_invert(B, grid, sigma).matvec(rhs)
+        residual = np.linalg.norm(B @ x - sigma * x - rhs) / np.linalg.norm(rhs)
+        assert residual <= 1e-11, (parity, residual)
+        # the tensor rows are checked to be a Kronecker sum, not assumed to be one
+        for node, neighbour, factor in ((grid[1, 1], grid[1, 1], 1.0 + 1e-12),
+                                        (grid[1, 1], grid[2, 1], 1.001)):
+            mutated = B.copy()
+            mutated[node, neighbour] *= factor
+            with pytest.raises(ValueError, match="Kronecker sum"):
+                _shift_invert(mutated, grid, sigma)
     assert sizes == problem.n_unknowns
 
 
