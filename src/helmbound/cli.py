@@ -169,9 +169,9 @@ def cmd_field(cfg: RunConfig, args) -> int:
         # After a parity's last label, neither the dict nor the estimate keeps
         # its context through the export and the next build.  With this
         # release and without it, a fresh `field --mode even,1 --mode odd,1`
-        # (15x15, 401x701 grid, 1 BLAS thread) peaks at 48.0-48.1 and 48.7 MB,
-        # and the benchmark's field-export round (seeds 1-3) at 61.2-62.2 and
-        # 62.1-63.1 MB
+        # (15x15, 401x701 grid, 1 BLAS thread) peaks at 48.1-48.2 and 48.8-48.9
+        # MB, and the benchmark's field-export round (seeds 1-3) at 61.1-62.0
+        # and 62.6-63.0 MB
         if parity not in parities[i + 1:]:
             del contexts[parity]
         grid, k = sample_field(estimate, cfg.grid), estimate.k_estimate

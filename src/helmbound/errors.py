@@ -72,7 +72,7 @@ class NotConverged(HelmboundError):
 
 
 class GridTooCoarse(HelmboundError):
-    """Finite-difference grid does not resolve the domain."""
+    """A finite-difference or field grid does not resolve the domain."""
 
 
 class IterationStalled(HelmboundError):

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import assembly as _assembly
 from .basis import BasisSpec, family_factors
-from .errors import IoFailure
+from .errors import GridTooCoarse, IoFailure
 from .geometry import INTERFACE_TOL, CompositeDomain, cartesian_to_polar
 from .steklov import _guard_neumann, steklov_profile, steklov_table, steklov_trace
 
@@ -116,29 +116,38 @@ def sample_field(estimate: ModeEstimate, grid: GridSpec = GridSpec()) -> FieldGr
     factors R, A of ``family_factors``; the rectangle block is one product
     (X^T c) Y of the Steklov traces X (modes x columns) and the y-profiles Y
     (modes x rows), over the modes with c_n != 0.
+
+    The x nodes a (2i - (nx-1)) / (nx-1) are exact mirror pairs (nx = 1
+    samples x = 0), and every mode is even or odd in x, so the x < 0 rows
+    are copied from their mirrors: the density is exactly even in x.  A grid
+    with no node inside the domain (nx = 2, or ny = 1: the wall y = -b)
+    raises GridTooCoarse.
     """
     ctx = estimate.context
     domain = ctx.domain
     a, b = domain.a, domain.b
-    xs = np.linspace(-a, a, grid.nx)
+    xs = a * (2 * np.arange(grid.nx) - (grid.nx - 1)) / max(grid.nx - 1, 1)
     ys = np.linspace(-b, a, grid.ny)
     values = np.zeros((grid.nx, grid.ny))
 
     x = xs[:, None]
     i, j = np.nonzero((ys > -INTERFACE_TOL) & (x * x + ys * ys < a * a))
+    rect_rows = ys < -INTERFACE_TOL
+    y_rect = ys[rect_rows]
+    in_x = np.abs(xs) < a
+    if not (i.size or (in_x.any() and np.any(y_rect > -b))):
+        raise GridTooCoarse(f"the {grid.nx}x{grid.ny} field grid has no node inside the domain")
     if i.size:
         field = _semicircle_field(ctx.spec, domain, ctx.factor_grid(estimate.a), xs[i], ys[j])
         values[i, j] = field**2
 
-    rect_rows = ys < -INTERFACE_TOL
-    y_rect = ys[rect_rows]
-    in_x = np.abs(xs) < a
     if np.any(rect_rows):
         c = estimate.gamma2
         n = np.flatnonzero(c) + 1
         traces = steklov_trace(n[:, None], domain, xs[in_x][None, :])
         block = (traces.T * c[n - 1]) @ steklov_profile(estimate.k_estimate, n, domain, y_rect)
         values[np.ix_(in_x, rect_rows)] = block**2
+    values[: grid.nx // 2] = values[::-1][: grid.nx // 2]
 
     dx = xs[1] - xs[0] if grid.nx > 1 else 2 * a
     dy = ys[1] - ys[0] if grid.ny > 1 else a + b
@@ -158,7 +167,10 @@ def export_grid(grid: FieldGrid, fmt: str, path) -> None:
 
     Both writers format a whole grid row per call: the x/y labels are
     printed once per grid, each row's line template is assembled from them,
-    and the row's values are filled in with one ``%`` substitution.
+    and the row's values are filled in with one ``%`` substitution.  A CSV
+    row j > nx - 1 - j equal bit for bit to its mirror row is not formatted:
+    the mirror's text is read back from the file with the x label at each
+    line start swapped, so one row's text is held at a time.
 
     A grid with a NaN or infinite cell raises IoFailure before the file is
     opened, so no partial file is left.
@@ -173,10 +185,23 @@ def export_grid(grid: FieldGrid, fmt: str, path) -> None:
         if fmt == "csv":
             # x.join(tails) = x,y_0,%.9g\n x,y_1,%.9g\n ... for one x-row
             tails = [""] + [f",{y:.9g},%.9g\n" for y in grid.ys.tolist()]
-            with open(path, "w", newline="\n") as fh:
-                fh.write("x,y,value\n")
-                for x, row in zip(grid.xs.tolist(), grid.values):
-                    fh.write(f"{x:.9g}".join(tails) % tuple(row.tolist()))
+            labels = [f"{x:.9g}" for x in grid.xs.tolist()]
+            copies = {}  # row -> offset, length and line start of the earlier row it repeats
+            with open(path, "w+b") as fh:
+                fh.write(b"x,y,value\n")
+                for i, (label, row) in enumerate(zip(labels, grid.values)):
+                    if i in copies:
+                        offset, length, start = copies.pop(i)
+                        fh.seek(offset)  # flushes the pending writes first
+                        text = b"\n" + fh.read(length)
+                        fh.seek(0, 2)  # back to the end of the file
+                        fh.write(text.replace(start, f"\n{label},".encode())[1:])
+                    else:
+                        offset = fh.tell()
+                        length = fh.write((label.join(tails) % tuple(row.tolist())).encode())
+                        mirror = grid.nx - 1 - i
+                        if i < mirror and row.tobytes() == grid.values[mirror].tobytes():
+                            copies[mirror] = offset, length, f"\n{label},".encode()
         else:
             vmax = float(grid.values.max())
             scale = 65535.0 / vmax if vmax > 0 else 0.0

@@ -243,6 +243,18 @@ def test_field_outputs(tmp_path, read_grid_csv):
     assert -1.5 < grid.ys[j_max] < 1.0
 
 
+@pytest.mark.parametrize("nx, ny", [(2, 7), (3, 1)])
+def test_field_grid_without_inside_node_is_config_error(tmp_path, capsys, nx, ny):
+    # every node on the boundary: no density to normalize, so no file either
+    cfg_path = _write_config(tmp_path, basis={"parity": "even", "n_max": 5, "m_max": 5},
+                             grid={"nx": nx, "ny": ny})
+    assert main(["--config", str(cfg_path), "field", "--mode", "even,1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: the {nx}x{ny} field grid has no node inside the domain")
+    assert err.count("\n") == 1
+    assert not list((tmp_path / "out").glob("field_*"))
+
+
 @pytest.mark.parametrize("argv, name", [
     (["field", "--mode", "even,1"], "field_dtn_even_1.csv"),
     (["solve"], "solve_dtn_even.json"),

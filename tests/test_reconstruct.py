@@ -19,7 +19,7 @@ from helmbound import (
     steklov_table,
     steklov_trace,
 )
-from helmbound.errors import IoFailure
+from helmbound.errors import GridTooCoarse, IoFailure
 from helmbound.reconstruct import interface_mismatch
 
 # Steklov indices checked against adaptive quadrature
@@ -132,6 +132,36 @@ def test_field_odd_parity_kills_axis(converged):
     assert grid.values == pytest.approx(grid.values[::-1, :], abs=1e-10)
 
 
+@pytest.mark.parametrize("nx", [1, 3, 80, 81, 401])
+def test_field_nodes_are_exact_mirror_pairs(converged, nx):
+    est, _ = converged(Method.DTN, "even,1")
+    xs = sample_field(est, GridSpec(nx=nx, ny=9)).xs
+    assert xs.size == nx
+    assert np.array_equal(xs, -xs[::-1])
+    assert xs[0] == (-1.0 if nx > 1 else 0.0)
+
+
+@pytest.mark.parametrize("label", ["even,1", "odd,1"])
+def test_field_is_exactly_mirror_even(converged, label):
+    grid = _grid(converged, Method.DTN, label)
+    assert np.array_equal(grid.values, grid.values[::-1])
+
+
+@pytest.mark.parametrize("nx, ny", [(2, 7), (3, 1), (1, 1), (2, 1)])
+def test_field_grid_without_inside_node_is_too_coarse(converged, nx, ny):
+    # nx = 2 samples only |x| = a, ny = 1 only the wall y = -b
+    est, _ = converged(Method.DTN, "even,1")
+    with pytest.raises(GridTooCoarse, match=f"{nx}x{ny} field grid has no node inside"):
+        sample_field(est, GridSpec(nx=nx, ny=ny))
+
+
+def test_field_single_column_samples_the_axis(converged):
+    est, _ = converged(Method.DTN, "even,1")
+    grid = sample_field(est, GridSpec(nx=1, ny=36))
+    assert grid.xs.tolist() == [0.0]
+    assert grid.values.sum() * 2.0 * (grid.ys[1] - grid.ys[0]) == pytest.approx(1.0, rel=1e-12)
+
+
 def test_field_outside_zero_and_normalized(converged):
     grid = _grid(converged, Method.DTN, "even,1")
     X, Y = np.meshgrid(grid.xs, grid.ys, indexing="ij")
@@ -228,6 +258,39 @@ def test_csv_lines_per_cell(tmp_path, rng):
         f"{x:.9g},{y:.9g},{values[i, j]:.9g}" for i, x in enumerate(xs) for j, y in enumerate(ys)
     ]
     assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
+
+
+def _csv_grid(kind, nx, ny, rng):
+    """A grid of values over 1e-300 to 1e300 on mirror-pair x nodes, shaped by ``kind``."""
+    xs = 1.3 * (2 * np.arange(nx) - (nx - 1)) / max(nx - 1, 1)
+    ys = np.array([-1.5, -1e-17, 0.25, 1.0, 123456.789])[:ny]
+    values = rng.random((nx, ny)) * 10.0 ** rng.integers(-300, 300, size=(nx, ny))
+    if kind == "all zero":
+        values[:] = 0.0
+    elif kind != "unrelated":
+        values[: nx // 2] = values[::-1][: nx // 2]
+    if kind == "one cell changed" and nx > 1:
+        values[nx // 3, ny // 2] *= 3.0
+    elif kind == "signed zero" and nx > 1:
+        # equal to its mirror row, but -0.0 prints as "-0"
+        values[0, 0], values[-1, 0] = -0.0, 0.0
+    elif kind == "uneven x":
+        xs = np.sort(rng.normal(size=nx))
+    return FieldGrid(xs=xs, ys=ys, values=values)
+
+
+@pytest.mark.parametrize("kind", ["mirrored", "one cell changed", "signed zero", "unrelated",
+                                  "all zero", "uneven x"])
+def test_csv_matches_per_cell_loop(tmp_path, rng, kind):
+    # rows equal to their mirror are copied from the file; the text must not change
+    for nx in (1, 2, 3, 4, 7, 10, 11):
+        for ny in (1, 2, 5):
+            grid = _csv_grid(kind, nx, ny, rng)
+            path = tmp_path / f"{nx}x{ny}.csv"
+            export_grid(grid, "csv", path)
+            expected = ["x,y,value"] + [f"{x:.9g},{y:.9g},{grid.values[i, j]:.9g}"
+                                        for i, x in enumerate(grid.xs) for j, y in enumerate(grid.ys)]
+            assert path.read_bytes() == ("\n".join(expected) + "\n").encode(), (nx, ny)
 
 
 def test_pgm_rows_top_to_bottom(tmp_path, rng):
