@@ -8,19 +8,23 @@ eigenvalue errors are O(h^2), and Richardson extrapolation from the
 spacings (h, h/2) cancels the leading term.  On a grid-aligned wall the
 stencil is the plain 5-point one.
 
-The grid is mirror-symmetric in x, so A = -Lap_h commutes with x -> -x.
-E_p copies a half-grid vector (x >= 0 even, x > 0 odd) to the mirror nodes
-with sign +1 (even) or -1 (odd); A E_p is again of parity p, so
-A E_p = E_p B_p with B_p = (A E_p) on the half rows, and each eigenvector v
-of B_p gives the exactly even or odd mode E_p v.  A's spectrum is the union
-of the two blocks', and each block is solved for num_modes of its parity.
+The grid is mirror-symmetric in x, so A = -Lap_h splits exactly into an
+even and an odd block on the half grid (the columns from the axis, or from
+the axis + h), whose rows are A's rows of the half nodes: the even block
+folds the neighbour across the axis onto column 1, and the odd block, whose
+modes vanish on the axis, meets the axis as a wall at distance h.  Mirrored
+with its parity's sign, each eigenvector of a block is an exactly even or
+odd mode of A.  Each block is solved for num_modes of its parity; A itself
+is never built.
 
-Each block is solved by shift-invert Arnoldi around a shift sigma.  Below
-y = 0 the composite's walls are straight, so there (and everywhere in a
-Rectangle) the grid rows form a Kronecker sum Tx (x) I + I (x) Ty of two
-tridiagonals.  Each solve with B_p - sigma I eliminates those tensor rows
-by fast diagonalization (Lynch, Rice & Thomas 1964) and solves their Schur
-complement on the semicircle and the y = 0 row (Buzbee, Dorr, George &
+Below y = 0 the composite's walls are straight, so there (and everywhere in
+a Rectangle) a block's rows form a Kronecker sum Tx (x) I + I (x) Ty of two
+tridiagonals, each with its own axis's arms and diagonal.  A block orders
+its unknowns [these tensor rows | the rest (the semicircle and the y = 0
+row)], each part x-major, and keeps the tensor rows only as Tx and Ty, which
+meet the rest only through their top row, y = -h.  Each shift-invert solve
+eliminates the tensor rows by fast diagonalization (Lynch, Rice & Thomas
+1964) and solves their Schur complement on the rest (Buzbee, Dorr, George &
 Golub 1971) with that complement's one sparse LU.
 
 The coarse grid of a Richardson pair starts from sigma = 0 and an all-ones
@@ -39,6 +43,7 @@ different eigensolver (sparse shift-invert Arnoldi), no shared code paths.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -82,6 +87,17 @@ class FdmProblem:
     @property
     def n_unknowns(self) -> int:
         return int(self.mask.sum())
+
+
+class _Block(NamedTuple):
+    """A parity block, unknowns [tensor rows | rest], each part x-major (see the module docstring)."""
+
+    nodes: np.ndarray  # flat full-grid position of each unknown
+    tx: tuple  # Tx as (lower, diagonal, upper), over the n_x tensor columns
+    ty: tuple  # Ty likewise, over the n_y tensor rows
+    rest: sp.csr_matrix  # the rest's rows on the rest
+    to_top: sp.csr_matrix  # the rest's rows on the tensor top row (n_rest x n_x)
+    from_top: sp.csr_matrix  # the tensor top row's rows on the rest (n_x x n_rest)
 
 
 def _frame(shape):
@@ -133,63 +149,72 @@ def build_fdm_problem(shape, h: float) -> FdmProblem:
     return FdmProblem(h=h, xs=xs, ys=ys, mask=mask)
 
 
-def _laplacian(shape, problem: FdmProblem) -> sp.csr_matrix:
-    """Positive Shortley-Weller operator -Lap_h with Dirichlet walls built in.
+def _weights(h: float, lo, hi, pos):
+    """Shortley-Weller weights along one axis, (diagonal, lower neighbour, upper neighbour).
 
-    Per axis, with arms h- and h+ to the neighbouring node or, where that
-    lies outside, to the wall: diagonal 2/(h- h+), the neighbour on the h-
-    side -2/(h- (h- + h+)), likewise on the h+ side; wall neighbours drop out.
+    With arms h- and h+ to the neighbouring node or, where that lies
+    outside, to the wall: 2/(h- h+), -2/(h- (h- + h+)) and -2/(h+ (h- + h+)).
     """
-    h = problem.h
-    mask = problem.mask
-    nx, ny = mask.shape
-    index = np.full((nx + 2, ny + 2), -1, dtype=np.int64)  # padded: off-grid reads -1
-    ii, jj = np.nonzero(mask)
-    n = ii.size
-    rows_all = np.arange(n)
-    index[ii + 1, jj + 1] = rows_all
-    x, y = problem.xs[ii], problem.ys[jj]
-    diag = np.zeros(n)
-    rows, cols, vals = [], [], []
-    for (lo, hi), pos, (di, dj) in (
-        (_x_walls(shape, y), x, (1, 0)),
-        (_y_walls(shape, x), y, (0, 1)),
-    ):
-        arm_lo = np.minimum(h, pos - lo)
-        arm_hi = np.minimum(h, hi - pos)
-        diag += 2.0 / (arm_lo * arm_hi)
-        for step, arm in ((-1, arm_lo), (1, arm_hi)):
+    arm_lo = np.minimum(h, pos - lo)
+    arm_hi = np.minimum(h, hi - pos)
+    span = arm_lo + arm_hi
+    return 2.0 / (arm_lo * arm_hi), -2.0 / (arm_lo * span), -2.0 / (arm_hi * span)
+
+
+def _factor(h: float, walls, pos):
+    """(lower, diagonal, upper) of one axis's tridiagonal along a full line of nodes at pos."""
+    diag, lower, upper = _weights(h, *walls, pos)
+    return lower[1:], diag, upper[:-1]
+
+
+def _block(shape, problem: FdmProblem, parity: str) -> _Block:
+    """One parity's block of A, built on its half grid (see the module docstring)."""
+    h, xs, ys = problem.h, problem.xs, problem.ys
+    first = xs.size // 2 + (parity == "odd")  # the half grid's first column
+    half = problem.mask[first:]
+    below = ys < 0.0 if isinstance(shape, CompositeDomain) else np.ones(ys.size, bool)
+    tensor = half & below
+    order = np.concatenate((np.flatnonzero(tensor), np.flatnonzero(half & ~below)))
+    cols, rows = np.flatnonzero(tensor.any(axis=1)), np.flatnonzero(tensor.any(axis=0))
+    n_x, n_y = cols.size, rows.size
+    n_t, n_r = n_x * n_y, order.size - n_x * n_y
+    x = xs[first:]
+    tx = _factor(h, _x_walls(shape, ys[rows[:1]]), x[cols])
+    ty = _factor(h, _y_walls(shape, x[cols[:1]]), ys[rows])
+    # block position of each half node, padded all round by one off-grid (-1) node
+    index = np.full((half.shape[0] + 2, half.shape[1] + 2), -1)
+    index[1:-1, 1:-1].flat[order] = np.arange(order.size)
+    if parity == "even":  # the neighbour across the axis is column 1's mirror
+        tx[2][0] *= 2.0  # an axis node's two arms are equal
+        index[0] = index[2]
+    # the rows of the tensor top row and of the rest, in that order
+    ii, jj = np.unravel_index(np.concatenate((order[n_y - 1:n_t:n_y], order[n_t:])), half.shape)
+    diag = 0.0
+    r, c, w = [], [], []
+    for walls, pos, (di, dj) in ((_x_walls(shape, ys[jj]), x[ii], (1, 0)),
+                                 (_y_walls(shape, x[ii]), ys[jj], (0, 1))):
+        d, *sides = _weights(h, *walls, pos)
+        diag = diag + d
+        for step, weight in zip((-1, 1), sides):
             neighbour = index[ii + 1 + step * di, jj + 1 + step * dj]
             ok = neighbour >= 0
-            rows.append(rows_all[ok])
-            cols.append(neighbour[ok])
-            vals.append(-2.0 / (arm[ok] * (arm_lo[ok] + arm_hi[ok])))
-    rows.append(rows_all)
-    cols.append(rows_all)
-    vals.append(diag)
-    return sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
-    )
+            r.append(np.flatnonzero(ok))
+            c.append(neighbour[ok])
+            w.append(weight[ok])
+    r, c, w = map(np.concatenate, (r, c, w))
+    in_rest, on_rest = r >= n_x, c >= n_t
+    own, up, down = in_rest & on_rest, in_rest & ~on_rest, ~in_rest & on_rest
+    diagonal = np.arange(n_r)
+    rest = sp.csr_matrix((np.concatenate((w[own], diag[n_x:])),
+                          (np.concatenate((r[own] - n_x, diagonal)),
+                           np.concatenate((c[own] - n_t, diagonal)))), shape=(n_r, n_r))
+    # a rest node meets only the tensor top row, whose node in column i is i n_y + n_y - 1
+    to_top = sp.csr_matrix((w[up], (r[up] - n_x, c[up] // n_y)), shape=(n_r, n_x))
+    from_top = sp.csr_matrix((w[down], (r[down], c[down] - n_t)), shape=(n_x, n_r))
+    return _Block(order + first * ys.size, tx, ty, rest, to_top, from_top)
 
 
-def _extension(problem: FdmProblem, parity: str):
-    """Mirror extension E (full grid x half grid) of one parity, and the half's rows.
-
-    Column q of E is 1 at half node q and the parity's sign at its mirror.
-    """
-    ii, jj = np.nonzero(problem.mask)
-    index = np.zeros(problem.mask.shape, dtype=np.int64)
-    index[ii, jj] = np.arange(ii.size)
-    centre = problem.mask.shape[0] // 2
-    rows = np.flatnonzero(ii >= centre if parity == "even" else ii > centre)
-    off = np.flatnonzero(ii[rows] > centre)  # half nodes whose mirror is another node
-    mirror = index[-1 - ii[rows[off]], jj[rows[off]]]  # grid column -1 - i mirrors column i
-    vals = np.r_[np.ones(rows.size), np.full(off.size, 1.0 if parity == "even" else -1.0)]
-    cols = np.r_[np.arange(rows.size), off]
-    return sp.csc_matrix((vals, (np.r_[rows, mirror], cols)), shape=(ii.size, rows.size)), rows
-
-
-def _coarse_start(problem: FdmProblem, start, parity: str, rows: np.ndarray):
+def _coarse_start(problem: FdmProblem, start, parity: str, nodes: np.ndarray):
     """(v0, sigma) of one block from a coarser solve of the shape (see the module docstring).
 
     The coarse fields are interpolated bilinearly onto this grid: both grids
@@ -200,49 +225,7 @@ def _coarse_start(problem: FdmProblem, start, parity: str, rows: np.ndarray):
     total = np.sum(fields, axis=0)
     along_x = np.array([np.interp(problem.xs, coarse.xs, column) for column in total.T])
     fine = np.array([np.interp(problem.ys, coarse.ys, row) for row in along_x.T])
-    return fine[problem.mask][rows], 0.9 * min(ks) ** 2
-
-
-def _tensor_grid(shape, problem: FdmProblem, rows: np.ndarray) -> np.ndarray:
-    """Positions in a parity block of its tensor nodes, as an (n_x, n_y) array in grid order.
-
-    The tensor rows are every grid row below y = 0 of the composite domain,
-    whose walls there are straight, and every row of a Rectangle.
-    """
-    ii, jj = (index[rows] for index in np.nonzero(problem.mask))
-    below = problem.ys[jj] < 0.0 if isinstance(shape, CompositeDomain) else np.ones(rows.size, bool)
-    nodes = np.flatnonzero(below)
-    return nodes.reshape(np.unique(ii[nodes]).size, -1)
-
-
-def _kronecker_factors(T: sp.csr_matrix, n_x: int, n_y: int):
-    """Tx and Ty, each as (lower, diagonal, upper), with T = Tx (x) I + I (x) Ty in grid order.
-
-    Raises ValueError if there are none.  Each coupling must be the same
-    along its grid line, exactly, and T may hold no other entries.  The
-    diagonal splits at the node where it is smallest, whose arms are all
-    uncut: half of its diagonal goes to each factor, so each keeps its own
-    axis's diagonal and neither factor's low eigenvalues come from cancelling
-    large ones.  That split holds only up to rounding.  Each factor's
-    off-diagonal products must be positive, so that it is similar to a
-    symmetric tridiagonal.
-    """
-    diag = T.diagonal().reshape(n_x, n_y)
-    x_lo, x_up = (T.diagonal(k).reshape(n_x - 1, n_y) for k in (-n_y, n_y))
-    # the first sub- and superdiagonals also pair (i, n_y - 1) with (i + 1, 0);
-    # those entries are dropped here, so the count of nonzeros requires them empty
-    y_lo, y_up = (np.append(T.diagonal(k), 0.0).reshape(n_x, n_y)[:, :-1] for k in (-1, 1))
-    i, j = np.unravel_index(np.argmin(diag), diag.shape)
-    half = 0.5 * diag[i, j]
-    Tx, Ty = (x_lo[:, 0], diag[:, j] - half, x_up[:, 0]), (y_lo[0], diag[i] - half, y_up[0])
-    rounding = 4.0 * np.finfo(float).eps * (diag[:, j:j + 1] + diag[i])
-    if not (all(np.all(c == c[:, :1]) for c in (x_lo, x_up))
-            and all(np.all(c == c[:1]) for c in (y_lo, y_up))
-            and np.all(abs(diag - Tx[1][:, None] - Ty[1]) <= rounding)
-            and T.count_nonzero() == sum(map(np.count_nonzero, (diag, x_lo, x_up, y_lo, y_up)))
-            and all(np.all(lo * up > 0.0) for lo, _, up in (Tx, Ty))):
-        raise ValueError("the tensor rows are not a Kronecker sum of two symmetrizable tridiagonals")
-    return Tx, Ty
+    return fine.ravel()[nodes], 0.9 * min(ks) ** 2
 
 
 def _eig(lo, d, up):
@@ -251,37 +234,36 @@ def _eig(lo, d, up):
     With S = diag(s), s_{i+1} / s_i = sqrt(M_{i,i+1} / M_{i+1,i}), S M S^-1 is
     symmetric, its off-diagonal +-sqrt(M_{i,i+1} M_{i+1,i}) with M_{i,i+1}'s
     sign; for its orthonormal eigenvectors Q, V = S^-1 Q and V^-1 = Q^T S.
+    Raises ValueError if a product is not positive.
     """
+    if not np.all(lo * up > 0.0):
+        raise ValueError("a tensor factor is not similar to a symmetric tridiagonal")
     s = np.cumprod(np.r_[1.0, np.sqrt(up / lo)])
     lam, Q = eigh_tridiagonal(d, np.copysign(np.sqrt(lo * up), up))
     return lam, Q / s[:, None], Q.T * s
 
 
-def _shift_invert(B: sp.csr_matrix, grid: np.ndarray, sigma: float) -> spla.LinearOperator:
-    """r -> (B - sigma I)^-1 r for a parity block B whose tensor nodes sit at grid.
+def _shift_invert(block: _Block, sigma: float) -> spla.LinearOperator:
+    """r -> (B - sigma I)^-1 r for a parity block B.
 
-    The tensor block T = B[grid, grid] is Tx (x) I + I (x) Ty (checked), so
     (T - sigma I)^-1 = (Vx (x) Vy) diag(1 / (lx + ly - sigma)) (Vx^-1 (x) Vy^-1)
-    from the two 1-D eigendecompositions (fast diagonalization).  The tensor
-    rows meet the remaining nodes only through their top row, y = -h, so the
-    Schur complement on the remainder R is R - sigma I less one dense block
-    C G D: G is the top row's own block of (T - sigma I)^-1, and C and D are
-    the couplings to and from that row.  sigma lies below every eigenvalue of
-    B, so also below every lx + ly (T is a principal submatrix of an
-    M-matrix).  A Rectangle has no remainder, and its LU is empty.
+    for the tensor rows' block T = Tx (x) I + I (x) Ty, from the two 1-D
+    eigendecompositions (fast diagonalization).  The Schur complement on the
+    rest R is R - sigma I less one dense block C G D: G is the top row's own
+    block of (T - sigma I)^-1, and C and D are the couplings to and from that
+    row.  sigma lies below every eigenvalue of B, so also below every
+    lx + ly (T is a principal submatrix of an M-matrix).  A Rectangle has no
+    rest, and its LU is empty.  The transforms are accurate to about eps
+    times T's largest entry, not componentwise: k of a 2 x 2.5 rectangle at
+    h = 1/128 lie 1.7e-12 from exact, against 1.4e-13 for a whole-block LU.
     """
-    tensor, top = grid.ravel(), grid[:, -1]
-    rest = np.delete(np.arange(B.shape[0]), tensor)
-    B_rest = B[rest]
-    T, R = B[tensor][:, tensor], B_rest[:, rest]
-    C, D = B_rest[:, top], B[top][:, rest]
-    if B.count_nonzero() != sum(M.count_nonzero() for M in (T, R, C, D)):
-        raise ValueError("the tensor rows meet the remaining nodes beyond their top row")
-    Tx, Ty = _kronecker_factors(T, *grid.shape)
-    (lam_x, Vx, Vx_inv), (lam_y, Vy, Vy_inv) = _eig(*Tx), _eig(*Ty)
+    (lam_x, Vx, Vx_inv), (lam_y, Vy, Vy_inv) = _eig(*block.tx), _eig(*block.ty)
+    n_x, n_y = lam_x.size, lam_y.size
+    n_t, n_r = n_x * n_y, block.rest.shape[0]
+    C, D = block.to_top, block.from_top
     scale = 1.0 / (lam_x[:, None] + lam_y - sigma)
     G = (Vx * (scale @ (Vy[-1] * Vy_inv[:, -1]))) @ Vx_inv
-    schur = R - sigma * sp.identity(rest.size) - C @ sp.csr_matrix(G) @ D
+    schur = block.rest - sigma * sp.identity(n_r) - C @ sp.csr_matrix(G) @ D
     # The sparsity pattern is symmetric: ordering on S + S^T halves the LU fill
     # of SuperLU's default (COLAMD), 574,596 against 1,158,282 L+U nonzeros on
     # the b = 1.5, h = 1/128 even block, and with it the solves.  Smaller
@@ -309,21 +291,19 @@ def _shift_invert(B: sp.csr_matrix, grid: np.ndarray, sigma: float) -> spla.Line
     # numpy's wheel bundles its own OpenBLAS, and with numpy's matmul here the
     # switches between the two thread pools made richardson_eigen at b = 1.5,
     # h = 1/64, 8 modes, take 1.6-1.8 s at 2 BLAS threads against 0.8 s at 1
-    # (0.87 s at 2 threads with scipy's BLAS).
+    # (0.87 s at 2 threads with scipy's BLAS).  Both parts of rhs are
+    # contiguous views: the tensor rows as an n_x x n_y grid, then the rest.
     def solve(rhs):
-        x = np.empty_like(rhs)
-        z = dgemm(1.0, dgemm(1.0, Vx_inv, rhs[grid]), Vy_inv, trans_b=1) * scale
-        x[rest] = x_rest = lu.solve(rhs[rest] - C @ dgemv(1.0, Vx, dgemv(1.0, z, Vy[-1])))
+        z = dgemm(1.0, dgemm(1.0, Vx_inv, rhs[:n_t].reshape(n_x, n_y)), Vy_inv, trans_b=1) * scale
+        x_rest = lu.solve(rhs[n_t:] - C @ dgemv(1.0, Vx, dgemv(1.0, z, Vy[-1])))
         z -= np.outer(dgemv(1.0, Vx_inv, D @ x_rest), Vy_inv[:, -1]) * scale
-        x[grid] = dgemm(1.0, dgemm(1.0, Vx, z), Vy, trans_b=1)
-        return x
+        return np.concatenate((dgemm(1.0, dgemm(1.0, Vx, z), Vy, trans_b=1).ravel(), x_rest))
 
-    return spla.LinearOperator(B.shape, matvec=solve, dtype=float)
+    return spla.LinearOperator((n_t + n_r, n_t + n_r), matvec=solve, dtype=float)
 
 
-def _block_modes(shape, problem: FdmProblem, A: sp.csr_matrix, parity: str, num_modes: int,
-                 start=None):
-    """The num_modes lowest (k, parity, field) of one parity's block B = (A E)[rows].
+def _block_modes(shape, problem: FdmProblem, parity: str, num_modes: int, start=None):
+    """The num_modes lowest (k, parity, field) of one parity's block.
 
     A coarse start (problem, modes) gives v0, the shift and a basis of
     2 num_modes + 2 Arnoldi vectors; without one, shift 0, v0 = ones and
@@ -331,19 +311,20 @@ def _block_modes(shape, problem: FdmProblem, A: sp.csr_matrix, parity: str, num_
     one transform of the tensor rows, one solve with the Schur complement's
     sparse LU and one back transform.  That LU is freed on return, before
     the next block is factored."""
-    E, rows = _extension(problem, parity)
-    B = (A[rows] @ E).tocsr()
-    n = B.shape[0]
+    block = _block(shape, problem, parity)
+    n = block.nodes.size
     if num_modes >= n - 1:  # ARPACK finds at most n - 2 eigenvalues
         raise GridTooCoarse(f"the {parity} block has {n} unknowns, too few for "
                             f"{num_modes} modes (need more than num_modes + 1)")
     v0, sigma, ncv = np.ones(n), 0.0, None
     if start is not None:
-        v0, sigma = _coarse_start(problem, start, parity, rows)
+        v0, sigma = _coarse_start(problem, start, parity, block.nodes)
         ncv = min(n - 1, 2 * num_modes + 2)
-    inverse = _shift_invert(B, _tensor_grid(shape, problem, rows), sigma)
+    inverse = _shift_invert(block, sigma)
+    # With a real shift and OPinv, eigs never multiplies by its first
+    # argument, whose shape and dtype alone it reads.
     try:
-        lam, vecs = spla.eigs(B, k=num_modes, sigma=sigma, which="LM", v0=v0, ncv=ncv,
+        lam, vecs = spla.eigs(inverse, k=num_modes, sigma=sigma, which="LM", v0=v0, ncv=ncv,
                               OPinv=inverse)
     except spla.ArpackNoConvergence as exc:
         raise IterationStalled(f"eigensolve stalled: {exc}") from exc
@@ -351,12 +332,14 @@ def _block_modes(shape, problem: FdmProblem, A: sp.csr_matrix, parity: str, num_
     if imag > IMAG_TOL:
         raise IterationStalled(f"eigensolve returned complex eigenvalues ({parity} block, "
                                f"largest |Im lambda| / |lambda|max = {imag:.2e})")
+    centre = problem.xs.size // 2
     modes = []
     for j in np.argsort(lam.real):
         vec = vecs[:, j]
         peak = vec[np.argmax(np.abs(vec))]
         field = np.zeros(problem.mask.shape)
-        field[problem.mask] = E @ (vec * (abs(peak) / peak)).real  # peak onto the positive axis
+        field.flat[block.nodes] = (vec * (abs(peak) / peak)).real  # peak onto the positive axis
+        field[:centre] = (1.0 if parity == "even" else -1.0) * field[:centre:-1]
         modes.append((float(np.sqrt(lam[j].real)), parity, field))
     return modes
 
@@ -375,9 +358,8 @@ def fdm_eigen(shape, h: float, num_modes: int, start=None):
     eigenvalues that are not real.
     """
     problem = build_fdm_problem(shape, h)
-    A = _laplacian(shape, problem)
-    modes = (_block_modes(shape, problem, A, "even", num_modes, start)
-             + _block_modes(shape, problem, A, "odd", num_modes, start))
+    modes = (_block_modes(shape, problem, "even", num_modes, start)
+             + _block_modes(shape, problem, "odd", num_modes, start))
     return problem, sorted(modes, key=lambda mode: mode[0])
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -5,11 +7,86 @@ import scipy.sparse.linalg as spla
 
 from helmbound import make_domain, oracle
 from helmbound.errors import GridTooCoarse, IterationStalled
-from helmbound.oracle import (Rectangle, _extension, _laplacian, _shift_invert, _tensor_grid,
+from helmbound.oracle import (Rectangle, _block, _shift_invert, _x_walls, _y_walls,
                                build_fdm_problem, fdm_eigen, richardson_eigen)
 
 RECT_SEEDS = [2.0116, 2.9638, 3.3836, 4.0232]  # 2 x 2.5 rectangle, 4 lowest
 LABELS = ("even,1", "even,2", "odd,1", "odd,2")
+
+
+def _laplacian(shape, problem):
+    """Reference: the positive Shortley-Weller operator -Lap_h on the whole grid.
+
+    Per axis, with arms h- and h+ to the neighbouring node or, where that
+    lies outside, to the wall: diagonal 2/(h- h+), the neighbour on the h-
+    side -2/(h- (h- + h+)), likewise on the h+ side; wall neighbours drop out.
+    """
+    h = problem.h
+    mask = problem.mask
+    nx, ny = mask.shape
+    index = np.full((nx + 2, ny + 2), -1, dtype=np.int64)  # padded: off-grid reads -1
+    ii, jj = np.nonzero(mask)
+    n = ii.size
+    rows_all = np.arange(n)
+    index[ii + 1, jj + 1] = rows_all
+    x, y = problem.xs[ii], problem.ys[jj]
+    diag = np.zeros(n)
+    rows, cols, vals = [], [], []
+    for (lo, hi), pos, (di, dj) in (
+        (_x_walls(shape, y), x, (1, 0)),
+        (_y_walls(shape, x), y, (0, 1)),
+    ):
+        arm_lo = np.minimum(h, pos - lo)
+        arm_hi = np.minimum(h, hi - pos)
+        diag += 2.0 / (arm_lo * arm_hi)
+        for step, arm in ((-1, arm_lo), (1, arm_hi)):
+            neighbour = index[ii + 1 + step * di, jj + 1 + step * dj]
+            ok = neighbour >= 0
+            rows.append(rows_all[ok])
+            cols.append(neighbour[ok])
+            vals.append(-2.0 / (arm[ok] * (arm_lo[ok] + arm_hi[ok])))
+    rows.append(rows_all)
+    cols.append(rows_all)
+    vals.append(diag)
+    return sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
+    )
+
+
+def _extension(problem, parity):
+    """Reference: mirror extension E (full grid x half grid) of one parity, and the half's rows.
+
+    Column q of E is 1 at half node q and the parity's sign at its mirror.
+    """
+    ii, jj = np.nonzero(problem.mask)
+    index = np.zeros(problem.mask.shape, dtype=np.int64)
+    index[ii, jj] = np.arange(ii.size)
+    centre = problem.mask.shape[0] // 2
+    rows = np.flatnonzero(ii >= centre if parity == "even" else ii > centre)
+    off = np.flatnonzero(ii[rows] > centre)  # half nodes whose mirror is another node
+    mirror = index[-1 - ii[rows[off]], jj[rows[off]]]  # grid column -1 - i mirrors column i
+    vals = np.r_[np.ones(rows.size), np.full(off.size, 1.0 if parity == "even" else -1.0)]
+    cols = np.r_[np.arange(rows.size), off]
+    return sp.csc_matrix((vals, (np.r_[rows, mirror], cols)), shape=(ii.size, rows.size)), rows
+
+
+def _reference_block(A, problem, parity, nodes):
+    """(E, B) with B = (A E)[half rows] of the full-grid operator A, in a production block's order.
+
+    nodes are the block's unknowns as flat positions in the full grid.
+    """
+    E, rows = _extension(problem, parity)
+    half = np.searchsorted(rows, np.searchsorted(np.flatnonzero(problem.mask), nodes))
+    return E[:, half], (A[rows] @ E).tocsr()[half][:, half]
+
+
+def _assembled(block):
+    """A production block as one sparse matrix: [[Tx (x) I + I (x) Ty, D on the top row], [C, R]]."""
+    Tx, Ty = (sp.diags([lo, d, up], [-1, 0, 1]) for lo, d, up in (block.tx, block.ty))
+    n_x, n_y = Tx.shape[0], Ty.shape[0]
+    top = sp.identity(n_x * n_y, format="csr")[n_y - 1::n_y]  # picks the top row, y = -h
+    T = sp.kron(Tx, sp.identity(n_y)) + sp.kron(sp.identity(n_x), Ty)
+    return sp.bmat([[T, top.T @ block.from_top], [block.to_top @ top, block.rest]], format="csr")
 
 
 def _labels(pairs):
@@ -93,6 +170,11 @@ def test_aligned_walls_give_five_point_stencil(shape, h):
 
     five = (sp.kron(second_difference(nx), sp.eye(ny)) + sp.kron(sp.eye(nx), second_difference(ny))) / h**2
     assert abs(_laplacian(shape, problem) - five).max() < 1e-12 / h**2
+    for parity in ("even", "odd"):
+        block = _block(shape, problem, parity)
+        assert block.rest.shape == (0, 0)  # a Rectangle is all tensor rows
+        _, reference = _reference_block(five.tocsr(), problem, parity, block.nodes)
+        assert abs(_assembled(block) - reference).max() < 1e-12 / h**2, parity
 
 
 def test_cut_cell_stencil_exact_for_quadratics():
@@ -103,9 +185,10 @@ def test_cut_cell_stencil_exact_for_quadratics():
     X, Y = np.meshgrid(problem.xs, problem.ys, indexing="ij")
     u = X * (0.9 - X) * Y * (0.7 - Y)
     minus_lap = 2.0 * Y * (0.7 - Y) + 2.0 * X * (0.9 - X)
-    mask = problem.mask
-    got = _laplacian(shape, problem) @ u[mask]
-    assert np.max(np.abs(got - minus_lap[mask])) < 1e-10
+    # u is even about the axis x = 0.45, so the even block applies to it
+    block = _block(shape, problem, "even")
+    got = _assembled(block) @ u.ravel()[block.nodes]
+    assert np.max(np.abs(got - minus_lap.ravel()[block.nodes])) < 1e-10
     assert problem.xs[0] == pytest.approx(0.0125) and problem.ys[-1] == pytest.approx(0.6875)
 
 
@@ -205,42 +288,59 @@ def test_seeded_fine_solve_needs_fewer_inverse_applications(domain, monkeypatch)
     ],
 )
 def test_mirror_blocks_are_exact(shape, h):
-    # A E_p = E_p B_p: each block carries its parity's part of the spectrum,
-    # and the shift-invert solve of each block is exact to rounding
+    # A E_p = E_p B_p for the full-grid reference A, each production block
+    # equals its B_p entry by entry, and each block's shift-invert solve is
+    # exact to rounding
     problem = build_fdm_problem(shape, h)
     A = _laplacian(shape, problem)
+    tol = 1e-12 * abs(A).max()
     rng = np.random.default_rng(7)
     sigma = 4.0  # below the lowest eigenvalue of every shape here (4.25 at b = 1.5)
     sizes = 0
     for parity in ("even", "odd"):
-        E, rows = _extension(problem, parity)
-        B = (A[rows] @ E).tocsr()
-        assert abs(A @ E - E @ B).max() <= 1e-12 * abs(A).max(), parity
-        sizes += rows.size
-        grid = _tensor_grid(shape, problem, rows)
-        rhs = rng.standard_normal(rows.size)
-        x = _shift_invert(B, grid, sigma).matvec(rhs)
+        block = _block(shape, problem, parity)
+        E, reference = _reference_block(A, problem, parity, block.nodes)
+        assert abs(A @ E - E @ reference).max() <= tol, parity
+        B = _assembled(block)
+        assert abs(B - reference).max() <= tol, parity
+        sizes += block.nodes.size
+        rhs = rng.standard_normal(block.nodes.size)
+        x = _shift_invert(block, sigma).matvec(rhs)
         residual = np.linalg.norm(B @ x - sigma * x - rhs) / np.linalg.norm(rhs)
         assert residual <= 1e-11, (parity, residual)
-        # the tensor rows are checked to be a Kronecker sum, not assumed to be one
-        for node, neighbour, factor in ((grid[1, 1], grid[1, 1], 1.0 + 1e-12),
-                                        (grid[1, 1], grid[2, 1], 1.001)):
-            mutated = B.copy()
-            mutated[node, neighbour] *= factor
-            with pytest.raises(ValueError, match="Kronecker sum"):
-                _shift_invert(mutated, grid, sigma)
+        # the comparison is entry-wise: a changed coupling of the x factor
+        # (at the even block's fold) or of the rest shows
+        lo, d, up = block.tx
+        mutations = [block._replace(tx=(lo, d, np.r_[1.001 * up[0], up[1:]]))]
+        if block.rest.nnz:  # a Rectangle has no rest
+            rest = block.rest.copy()
+            rest.data[np.flatnonzero(rest.data < 0.0)[0]] *= 1.001
+            mutations.append(block._replace(rest=rest))
+        for mutated in mutations:
+            assert abs(_assembled(mutated) - reference).max() > tol, parity
+        # each factor must be similar to a symmetric tridiagonal, checked at run time
+        with pytest.raises(ValueError, match="symmetric tridiagonal"):
+            _shift_invert(block._replace(ty=(-block.ty[0], *block.ty[1:])), sigma)
     assert sizes == problem.n_unknowns
 
 
 def test_blocks_reproduce_full_spectrum(domain):
+    # the two production blocks' spectra make up the full-grid operator's
     h = 1.0 / 32.0
-    _, modes = fdm_eigen(domain, h, 8)
     problem = build_fdm_problem(domain, h)
     A = _laplacian(domain, problem).tocsc()
-    lam = spla.eigs(A, k=8, sigma=0.0, which="LM", v0=np.ones(A.shape[0]))[0]
-    full = np.sort(np.sqrt(lam.real))
-    blocks = np.array([k for k, _, _ in modes[:8]])
+
+    def lowest(M):
+        lam = spla.eigs(M.tocsc(), k=8, sigma=0.0, which="LM", v0=np.ones(M.shape[0]))[0]
+        return np.sqrt(lam.real)
+
+    full = np.sort(lowest(A))
+    blocks = np.sort(np.concatenate([lowest(_assembled(_block(domain, problem, p)))
+                                     for p in ("even", "odd")]))[:8]
+    _, modes = fdm_eigen(domain, h, 8)
+    solved = np.array([k for k, _, _ in modes[:8]])
     assert np.max(np.abs(blocks - full) / full) < 1e-10
+    assert np.max(np.abs(solved - full) / full) < 1e-10
 
 
 def test_fields_are_exactly_even_or_odd(domain):
@@ -301,3 +401,51 @@ def test_cross_validation_off_reference_geometry():
     est_n, _ = iterate_mode(Method.NTD, seeds["even,1"], ctx)
     assert abs(est_d.k_estimate - est_n.k_estimate) < 1e-4
     assert abs(est_d.k_estimate - fdm_even1) < 1e-2
+
+
+@pytest.mark.parametrize("width, height, h", [(2.0, 2.5, 1.0 / 128.0), (1.0, 1.0, 1.0 / 256.0)])
+def test_aligned_rectangle_matches_exact_discrete_eigenvalues(width, height, h):
+    # on grid-aligned walls the operator is the 5-point Laplacian, whose
+    # eigenvalues are (4/h^2)(sin^2(p pi h / 2W) + sin^2(q pi h / 2H)); p odd
+    # is even in x.  The fast-diagonalization solve is accurate to about eps
+    # times the largest entry, not componentwise: 1.7e-12 and 2.2e-12 measured
+    _, modes = fdm_eigen(Rectangle(width, height), h, 3)
+    p, q = np.meshgrid(np.arange(1, round(width / h)), np.arange(1, round(height / h)), indexing="ij")
+    lam = 4.0 / h**2 * (np.sin(p * np.pi * h / (2 * width)) ** 2 + np.sin(q * np.pi * h / (2 * height)) ** 2)
+    for parity, odd_p in (("even", True), ("odd", False)):
+        exact = np.sqrt(np.sort(lam[(p % 2 == 1) == odd_p])[:3])
+        got = np.array([k for k, mode_parity, _ in modes if mode_parity == parity])
+        assert np.max(np.abs(got - exact)) < 3e-12, (parity, got - exact)
+
+
+def test_fdm_eigen_peak_memory():
+    # each block lives on its half grid and keeps its tensor rows as two 1-D
+    # factors: 13.1 MB traced peak at b = 1.5, h = 1/128, against 29.7 MB when
+    # the full-grid operator was assembled and sliced into blocks
+    tracemalloc.start()
+    try:
+        fdm_eigen(make_domain(1.0, 1.5), 1.0 / 128.0, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak / 2**20
+
+
+def test_richardson_reaches_fdm_eigen_by_module_attribute(domain, monkeypatch):
+    # the benchmark's tracer wraps oracle.fdm_eigen by module attribute and
+    # reads result[0].n_unknowns as the full grid's count of unknowns
+    unpatched = oracle.fdm_eigen
+    seen = []
+
+    def recorded(shape, h, num_modes, start=None):
+        result = unpatched(shape, h, num_modes, start=start)
+        seen.append((h, result[0].n_unknowns))
+        return result
+
+    monkeypatch.setattr(oracle, "fdm_eigen", recorded)
+    richardson_eigen(domain, 1.0 / 32.0, 2)
+    assert [h for h, _ in seen] == [1.0 / 32.0, 1.0 / 64.0]
+    for h, n_unknowns in seen:
+        problem = build_fdm_problem(domain, h)
+        halves = [_block(domain, problem, parity).nodes.size for parity in ("even", "odd")]
+        assert n_unknowns == sum(halves) == np.count_nonzero(problem.mask)
