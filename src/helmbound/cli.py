@@ -87,22 +87,18 @@ def cmd_solve(cfg: RunConfig, args) -> int:
     try:
         estimate, trace = iterate_mode(cfg.method, cfg.kappa0, ctx, tol=cfg.tol,
                                        max_iter=cfg.max_iter)
+        doc.update(converged=True, converged_k=round(estimate.k_estimate, 12))
     except NotConverged as exc:
-        doc.update(
-            iterations=[round(k, 12) for k in exc.trace.estimates],
-            converged=False,
-            timings={"total_s": time.perf_counter() - t0},
-        )
-        _write_json(path, doc)
-        print(f"not converged after {exc.trace.iterations} iterations", file=sys.stderr)
-        return EXIT_NOT_CONVERGED
+        estimate, trace = None, exc.trace
+        doc.update(converged=False)
     doc.update(
         iterations=[round(k, 12) for k in trace.estimates],
-        converged=True,
-        converged_k=round(estimate.k_estimate, 12),
         timings={"total_s": time.perf_counter() - t0},
     )
     _write_json(path, doc)
+    if estimate is None:
+        print(f"not converged after {trace.iterations} iterations", file=sys.stderr)
+        return EXIT_NOT_CONVERGED
     print(f"{method} {parity}: k = {estimate.k_estimate:.4f} "
           f"({trace.iterations} iterations) -> {path}")
     return EXIT_OK
@@ -191,19 +187,21 @@ def cmd_oracle(cfg: RunConfig, args) -> int:
     dom, oracle = cfg.geometry, cfg.oracle
     shape = Rectangle(2.0 * dom.a, dom.a + dom.b) if oracle.shape == "bounding_rectangle" else dom
     # num_modes per parity hold the num_modes lowest overall
-    results, raw = (x[: oracle.num_modes] for x in richardson_eigen(shape, oracle.h, oracle.num_modes))
+    fdm = richardson_eigen(shape, oracle.h, oracle.num_modes)
+    modes = sorted((k, parity, k1, k2) for parity, pairs in fdm.items() for k, k1, k2 in pairs)
+    modes = modes[: oracle.num_modes]
     doc = {
         "shape": oracle.shape,
         "h": oracle.h,
         "modes": [
             {"k": round(k, 9), "parity": parity, "k_coarse": round(k1, 9), "k_fine": round(k2, 9)}
-            for (k, parity), (k1, k2) in zip(results, raw)
+            for k, parity, k1, k2 in modes
         ],
         "timings": {"total_s": time.perf_counter() - t0},
     }
     path = out / "oracle.json"
     _write_json(path, doc)
-    print(f"wrote {path}: k = " + ", ".join(f"{k:.5f}" for k, _ in results))
+    print(f"wrote {path}: k = " + ", ".join(f"{k:.5f}" for k, *_ in modes))
     return EXIT_OK
 
 
@@ -227,9 +225,8 @@ def cmd_compare(cfg: RunConfig, args) -> int:
     out = _outdir(cfg)
     seeds = mode_seeds(cfg.geometry)
     max_rank = max(parse_mode_label(label)[1] for label in MODE_LABELS)
-    results, _raw = richardson_eigen(cfg.geometry, cfg.oracle.h, max_rank)
+    fdm = richardson_eigen(cfg.geometry, cfg.oracle.h, max_rank)
     oracle_s = time.perf_counter() - t0
-    by_parity = {p: [k for k, parity in results if parity == p] for p in ("even", "odd")}
     contexts = _contexts(cfg, Parity)
     report = {"modes": [], "mutual_tol": MUTUAL_TOL, "oracle_tol": ORACLE_TOL}
     all_pass = True
@@ -239,7 +236,7 @@ def cmd_compare(cfg: RunConfig, args) -> int:
         est_d, _ = iterate_mode(Method.DTN, seeds[label], ctx, tol=cfg.tol, max_iter=cfg.max_iter)
         est_n, _ = iterate_mode(Method.NTD, est_d.k_estimate, ctx, tol=cfg.tol,
                                 max_iter=cfg.max_iter)
-        k_fdm = by_parity[parity][rank - 1]
+        k_fdm = fdm[parity][rank - 1][0]
         mutual = abs(est_d.k_estimate - est_n.k_estimate)
         delta = abs(est_d.k_estimate - k_fdm)
         entry = {

@@ -59,23 +59,10 @@ class RunConfig:
     oracle: OracleConfig = OracleConfig()
 
     def __post_init__(self):
-        quad = self.quadrature
-        positives = {
-            "steklov_truncation": self.steklov_truncation,
-            "kappa0": self.kappa0,
-            "tol": self.tol,
-            "max_iter": self.max_iter,
-            "grid.nx": self.grid.nx,
-            "grid.ny": self.grid.ny,
-            "oracle.h": self.oracle.h,
-            "oracle.num_modes": self.oracle.num_modes,
-            "quadrature.n_r": quad.n_r,
-            "quadrature.n_phi": quad.n_phi,
-            "quadrature.n_s": quad.n_s,
-        }
-        for name, value in positives.items():
+        for name, value in _numbers(self):
             if not value > 0:
                 raise ConfigError(f"{name} must be positive, got {value}")
+        quad = self.quadrature
         if self.steklov_truncation > 2 * quad.n_s:
             raise ConfigError(
                 f"steklov_truncation={self.steklov_truncation} is not resolved by "
@@ -96,6 +83,17 @@ class RunConfig:
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         return cls.from_dict(data)
+
+
+def _numbers(section, prefix: str = ""):
+    """(dotted name, value) of every int or float field of a config section,
+    nested sections included; a bool is not a number.  Every one must be positive."""
+    for field in dataclasses.fields(section):
+        value = getattr(section, field.name)
+        if dataclasses.is_dataclass(value):
+            yield from _numbers(value, f"{prefix}{field.name}.")
+        elif isinstance(value, numbers.Real) and not isinstance(value, bool):
+            yield f"{prefix}{field.name}", value
 
 
 def _replace(default, data, where: str):

@@ -15,7 +15,9 @@ folds the neighbour across the axis onto column 1, and the odd block, whose
 modes vanish on the axis, meets the axis as a wall at distance h.  Mirrored
 with its parity's sign, each eigenvector of a block is an exactly even or
 odd mode of A.  Each block is solved for num_modes of its parity; A itself
-is never built.
+is never built.  A mode is known by its (parity, rank): each parity's modes
+stay in their own list, ascending in k, from the block that solves them to
+the Richardson pairs, so rank r of a parity sits at index r - 1.
 
 Below y = 0 the composite's walls are straight, so there (and everywhere in
 a Rectangle) a block's rows form a Kronecker sum Tx (x) I + I (x) Ty of two
@@ -221,7 +223,7 @@ def _coarse_start(problem: FdmProblem, start, parity: str, nodes: np.ndarray):
     hang from the x-symmetry axis and y = 0.
     """
     coarse, modes = start
-    ks, fields = zip(*((k, field) for k, p, field in modes if p == parity))
+    ks, fields = zip(*modes[parity])
     total = np.sum(fields, axis=0)
     along_x = np.array([np.interp(problem.xs, coarse.xs, column) for column in total.T])
     fine = np.array([np.interp(problem.ys, coarse.ys, row) for row in along_x.T])
@@ -303,7 +305,7 @@ def _shift_invert(block: _Block, sigma: float) -> spla.LinearOperator:
 
 
 def _block_modes(shape, problem: FdmProblem, parity: str, num_modes: int, start=None):
-    """The num_modes lowest (k, parity, field) of one parity's block.
+    """The num_modes lowest (k, field) of one parity's block, ascending in k.
 
     A coarse start (problem, modes) gives v0, the shift and a basis of
     2 num_modes + 2 Arnoldi vectors; without one, shift 0, v0 = ones and
@@ -340,14 +342,15 @@ def _block_modes(shape, problem: FdmProblem, parity: str, num_modes: int, start=
         field = np.zeros(problem.mask.shape)
         field.flat[block.nodes] = (vec * (abs(peak) / peak)).real  # peak onto the positive axis
         field[:centre] = (1.0 if parity == "even" else -1.0) * field[:centre:-1]
-        modes.append((float(np.sqrt(lam[j].real)), parity, field))
+        modes.append((float(np.sqrt(lam[j].real)), field))
     return modes
 
 
 def fdm_eigen(shape, h: float, num_modes: int, start=None):
     """num_modes smallest eigenpairs of -Lap_h per parity; returns (problem, modes).
 
-    modes is [(k, parity, field), ...], ascending in k.  Fields come back on
+    modes is {"even": [(k, field), ...], "odd": [...]}, each list ascending
+    in k, so a parity's rank r sits at index r - 1.  Fields come back on
     the full grid (zeros outside the mask), exactly even or odd in x, with
     their largest-magnitude half-grid entry positive.  start, the (problem,
     modes) of a coarser fdm_eigen of the same shape, seeds each block's
@@ -358,9 +361,8 @@ def fdm_eigen(shape, h: float, num_modes: int, start=None):
     eigenvalues that are not real.
     """
     problem = build_fdm_problem(shape, h)
-    modes = (_block_modes(shape, problem, "even", num_modes, start)
-             + _block_modes(shape, problem, "odd", num_modes, start))
-    return problem, sorted(modes, key=lambda mode: mode[0])
+    return problem, {parity: _block_modes(shape, problem, parity, num_modes, start)
+                     for parity in ("even", "odd")}
 
 
 def richardson_eigen(shape, h: float, num_modes: int):
@@ -371,15 +373,11 @@ def richardson_eigen(shape, h: float, num_modes: int):
     the r-th of that parity on the fine grid, so a near-degenerate pair that
     swaps order between the grids is never mixed.  The fine solve starts
     from the coarse one (fdm_eigen's start): same eigenvalues, fewer
-    shift-invert solves.  Returns a list of
-    (k_extrapolated, parity), ascending in k, plus the matching raw
-    (k_h, k_{h/2}) list.
+    shift-invert solves.  Returns {"even": [(k_extrapolated, k_h, k_{h/2}),
+    ...], "odd": [...]}, each list in rank order.
     """
     start = fdm_eigen(shape, h, num_modes)
-    coarse, fine = start[1], fdm_eigen(shape, h / 2.0, num_modes, start=start)[1]
-    paired = []
-    for parity in ("even", "odd"):
-        ks = [[k for k, p, _ in modes if p == parity] for modes in (coarse, fine)]
-        paired += [(float(np.sqrt((4.0 * k2 * k2 - k1 * k1) / 3.0)), parity, k1, k2) for k1, k2 in zip(*ks)]
-    paired.sort()
-    return [(k, parity) for k, parity, _, _ in paired], [(k1, k2) for _, _, k1, k2 in paired]
+    fine = fdm_eigen(shape, h / 2.0, num_modes, start=start)[1]
+    return {parity: [(float(np.sqrt((4.0 * k2 * k2 - k1 * k1) / 3.0)), k1, k2)
+                     for (k1, _), (k2, _) in zip(coarse, fine[parity])]
+            for parity, coarse in start[1].items()}

@@ -29,8 +29,8 @@ Root.  The pencil's eigenvalues are the F where E(F) is singular.  Since A2
 (the rectangle's norm) and U'^T D^-2 U' are positive semidefinite, every
 eigenvalue of E increases with F between the poles Theta and the zeros of
 det C, and falls from +inf to -inf across each.  ``_nearest`` takes the
-positive eigenvalue nearest the target (``select_mode``'s rule, ties to the
-smaller): it runs Newton on the branch of E whose zero is nearest in the
+positive eigenvalue nearest the target, ties going to the smaller: it
+runs Newton on the branch of E whose zero is nearest in the
 direction the branches point, keeps it inside a bracket that the counts
 maintain, bisects where it leaves the bracket or fails to halve its step
 (it can cycle across a pole), confirms the root by the count COUNT_GAP
@@ -156,19 +156,6 @@ def solve_generalized(pair: MatrixPair) -> tuple[np.ndarray, np.ndarray]:
     H = X.T @ pair.lam @ X
     values, Z = np.linalg.eigh(0.5 * (H + H.T))
     return values, X @ Z
-
-
-def select_mode(previous_k_squared: float, values: np.ndarray) -> int:
-    """Index of the positive eigenvalue nearest previous_k_squared.
-
-    Ties break toward the smaller index; raises NoPositiveEigenvalue when
-    the whole spectrum is non-positive.
-    """
-    positive = values > 0
-    if not np.any(positive):
-        raise NoPositiveEigenvalue("no positive eigenvalue to track")
-    dist = np.where(positive, np.abs(values - previous_k_squared), np.inf)
-    return int(np.argmin(dist))
 
 
 @dataclass(frozen=True)
@@ -330,7 +317,8 @@ def _eigenvalue(secular: _Secular, j: int, lo: float, hi: float, point: _Point):
 
 
 def _nearest(secular: _Secular, target: float) -> float:
-    """The positive eigenvalue nearest target, ties to the smaller (``select_mode``'s rule)."""
+    """The positive eigenvalue nearest target, ties going to the smaller; raises
+    NoPositiveEigenvalue when there is none."""
     point = secular.point(target)
     n, r = point.count, secular.spec.theta.size
     up_ok, down_ok = n < r and point.up < np.inf, n > 0 and point.down > -np.inf

@@ -17,7 +17,7 @@ from helmbound import (
     steklov_trace,
 )
 from helmbound.basis import basis_tables, interface_factors
-from helmbound.solver import select_mode
+from helmbound.errors import NoPositiveEigenvalue
 
 A, B = 1.0, 1.5
 
@@ -190,6 +190,20 @@ def converged(domain, context_for):
         return cache[key]
 
     return get
+
+
+def select_mode(previous_k_squared: float, values: np.ndarray) -> int:
+    """Index of the positive eigenvalue nearest previous_k_squared, the dense
+    reference for ``solver._nearest``.
+
+    Ties break toward the smaller index; raises NoPositiveEigenvalue when
+    the whole spectrum is non-positive.
+    """
+    positive = values > 0
+    if not np.any(positive):
+        raise NoPositiveEigenvalue("no positive eigenvalue to track")
+    dist = np.where(positive, np.abs(values - previous_k_squared), np.inf)
+    return int(np.argmin(dist))
 
 
 @pytest.fixture(scope="session")

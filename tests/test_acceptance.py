@@ -211,18 +211,16 @@ def test_criterion_5_functional_suite(domain, quad, context_for, zero_trace_coor
 
 def test_criterion_6_oracle_cross_validation(domain, converged):
     t0 = time.perf_counter()
-    rect_modes, _ = richardson_eigen(Rectangle(2.0, 2.5), 1.0 / 64.0, 2)
-    for (k, _parity), want in zip(rect_modes, RECT_SEEDS):
+    rect = richardson_eigen(Rectangle(2.0, 2.5), 1.0 / 64.0, 2)
+    rect_ks = [k for parity in ("even", "odd") for k, _, _ in rect[parity]]
+    for k, want in zip(rect_ks, RECT_SEEDS, strict=True):
         assert abs(k - want) < 2e-3
 
-    comp_modes, _ = richardson_eigen(domain, 1.0 / 64.0, 2)
-    by_parity = {"even": [], "odd": []}
-    for k, parity in comp_modes:
-        by_parity[parity].append(k)
+    comp = richardson_eigen(domain, 1.0 / 64.0, 2)
     for label in ("even,1", "even,2", "odd,1", "odd,2"):
         parity, rank = label.split(",")
         est, _ = converged(Method.DTN, label)
-        k_fdm = by_parity[parity][int(rank) - 1]
+        k_fdm = comp[parity][int(rank) - 1][0]
         assert abs(est.k_estimate - k_fdm) < 1e-3, (label, est.k_estimate, k_fdm)
         est30, _ = converged(Method.DTN, label, size=30)
         assert abs(est30.k_estimate - k_fdm) < 5e-5, (label, est30.k_estimate, k_fdm)

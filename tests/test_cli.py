@@ -57,6 +57,18 @@ def test_config_validation():
         RunConfig.from_dict({"steklov_truncation": 400})  # unresolved by n_s=128
 
 
+@pytest.mark.parametrize("name", ["steklov_truncation", "quadrature.n_r", "quadrature.n_phi",
+                                  "quadrature.n_s", "kappa0", "tol", "max_iter", "grid.nx",
+                                  "grid.ny", "oracle.h", "oracle.num_modes"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_config_numbers_must_be_positive(name, value):
+    # the numbers whose own section does not check them; the error names the dotted field
+    section, _, key = name.rpartition(".")
+    data = {section: {key: value}} if section else {key: value}
+    with pytest.raises(ConfigError, match=rf"config: {name} must be positive, got {value}$"):
+        RunConfig.from_dict(data)
+
+
 @pytest.mark.parametrize("override", [
     {"basis": {"n_max": 2.5}},
     {"basis": {"m_max": True}},

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -6,12 +7,12 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from helmbound import make_domain, oracle
+from helmbound.cli import main
 from helmbound.errors import GridTooCoarse, IterationStalled
 from helmbound.oracle import (Rectangle, _block, _shift_invert, _x_walls, _y_walls,
                                build_fdm_problem, fdm_eigen, richardson_eigen)
 
-RECT_SEEDS = [2.0116, 2.9638, 3.3836, 4.0232]  # 2 x 2.5 rectangle, 4 lowest
-LABELS = ("even,1", "even,2", "odd,1", "odd,2")
+RECT_SEEDS = {"even": [2.0116, 2.9638], "odd": [3.3836, 4.0232]}  # 2 x 2.5 rectangle, 4 lowest
 
 
 def _laplacian(shape, problem):
@@ -89,26 +90,24 @@ def _assembled(block):
     return sp.bmat([[T, top.T @ block.from_top], [block.to_top @ top, block.rest]], format="csr")
 
 
-def _labels(pairs):
-    """{'parity,rank': k} from (k, parity) pairs ascending in k."""
-    counts, out = {}, {}
-    for k, parity in pairs:
-        counts[parity] = counts.get(parity, 0) + 1
-        out[f"{parity},{counts[parity]}"] = k
-    return out
+def _oracle_parities(tmp_path, **oracle_config):
+    """The parities of the modes that the ``oracle`` command writes, in its order."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"output_dir": str(tmp_path), "oracle": oracle_config}))
+    assert main(["--config", str(path), "oracle"]) == 0
+    return [mode["parity"] for mode in json.loads((tmp_path / "oracle.json").read_text())["modes"]]
 
 
 def test_unit_square_fundamental():
-    results, _ = richardson_eigen(Rectangle(1.0, 1.0), 1.0 / 128.0, 1)
-    k1, parity = results[0]
+    fdm = richardson_eigen(Rectangle(1.0, 1.0), 1.0 / 128.0, 1)
+    k1 = fdm["even"][0][0]
     assert k1 == pytest.approx(np.pi * np.sqrt(2.0), abs=2e-3)
-    assert parity == "even"
+    assert k1 < fdm["odd"][0][0]
 
 
 def test_unit_square_convergence_order():
     exact = 2.0 * np.pi**2
-    _, raw = richardson_eigen(Rectangle(1.0, 1.0), 1.0 / 64.0, 1)
-    k1, k2 = raw[0]
+    _, k1, k2 = richardson_eigen(Rectangle(1.0, 1.0), 1.0 / 64.0, 1)["even"][0]
     e1 = abs(k1 * k1 - exact)
     e2 = abs(k2 * k2 - exact)
     order = np.log2(e1 / e2)
@@ -116,26 +115,27 @@ def test_unit_square_convergence_order():
 
 
 def test_rectangle_seed_values():
-    results, _ = richardson_eigen(Rectangle(2.0, 2.5), 1.0 / 64.0, 4)
-    for (k, _), want in zip(results, RECT_SEEDS):
-        assert k == pytest.approx(want, abs=2e-3)
+    fdm = richardson_eigen(Rectangle(2.0, 2.5), 1.0 / 64.0, 4)
+    for parity, seeds in RECT_SEEDS.items():
+        for (k, _, _), want in zip(fdm[parity], seeds):
+            assert k == pytest.approx(want, abs=2e-3), parity
 
 
-def test_rectangle_parities():
-    results, _ = richardson_eigen(Rectangle(2.0, 2.5), 1.0 / 64.0, 4)
-    assert [parity for _, parity in results[:4]] == ["even", "even", "odd", "odd"]
+def test_rectangle_parities(tmp_path):
+    # the bounding rectangle of the default domain is 2 x 2.5
+    parities = _oracle_parities(tmp_path, h=1.0 / 64.0, num_modes=4, shape="bounding_rectangle")
+    assert parities == ["even", "even", "odd", "odd"]
 
 
 def test_composite_fundamental(domain):
-    results, _ = richardson_eigen(domain, 1.0 / 64.0, 1)
-    k1, parity = results[0]
+    fdm = richardson_eigen(domain, 1.0 / 64.0, 1)
+    k1 = fdm["even"][0][0]
     assert k1 == pytest.approx(2.0611, abs=1e-4)
-    assert parity == "even"
+    assert k1 < fdm["odd"][0][0]
 
 
-def test_composite_parity_classes(domain):
-    _, modes = fdm_eigen(domain, 1.0 / 64.0, 5)
-    parities = [parity for _, parity, _ in modes]
+def test_composite_parity_classes(tmp_path):
+    parities = _oracle_parities(tmp_path, h=1.0 / 64.0, num_modes=5)
     assert parities[:3] == ["even", "even", "odd"]
     assert set(parities[3:5]) == {"even", "odd"}  # near-degenerate pair
 
@@ -195,43 +195,47 @@ def test_cut_cell_stencil_exact_for_quadratics():
 def test_composite_observed_order(domain):
     # second order on the arc: errors at h = 1/16, 1/32, 1/64 against the
     # (1/64, 1/128) Richardson value fall by four per halving
-    results, raw = richardson_eigen(domain, 1.0 / 64.0, 2)
-    ref = _labels(results)
-    ladder = []
-    for h in (1.0 / 16.0, 1.0 / 32.0):
-        _, modes = fdm_eigen(domain, h, 2)
-        ladder.append(_labels((k, parity) for k, parity, _ in modes))
-    ladder.append(_labels((k1, parity) for (_, parity), (k1, _) in zip(results, raw)))
-    for label in LABELS:
-        errors = [abs(ks[label] - ref[label]) for ks in ladder]
-        orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
-        assert np.all((1.8 <= orders) & (orders <= 2.2)), (label, errors, orders)
+    fdm = richardson_eigen(domain, 1.0 / 64.0, 2)
+    ladder = [fdm_eigen(domain, h, 2)[1] for h in (1.0 / 16.0, 1.0 / 32.0)]
+    for parity, pairs in fdm.items():
+        for rank, (ref, k_h, _) in enumerate(pairs, start=1):
+            errors = [abs(modes[parity][rank - 1][0] - ref) for modes in ladder] + [abs(k_h - ref)]
+            orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+            assert np.all((1.8 <= orders) & (orders <= 2.2)), (parity, rank, errors, orders)
 
 
 def test_non_tiling_depth_matches_finer_pair():
     # h = 1/64 does not tile 1 + b = 2.5078125; the grid hangs from y = 0 instead
     dom = make_domain(1.0, 1.5078125)
-    coarse = _labels(richardson_eigen(dom, 1.0 / 64.0, 2)[0])
-    fine = _labels(richardson_eigen(dom, 1.0 / 128.0, 2)[0])
-    for label in LABELS:
-        assert abs(coarse[label] - fine[label]) < 1e-5, (label, coarse[label], fine[label])
+    coarse = richardson_eigen(dom, 1.0 / 64.0, 2)
+    fine = richardson_eigen(dom, 1.0 / 128.0, 2)
+    for parity in ("even", "odd"):
+        pairs = zip(coarse[parity], fine[parity], strict=True)
+        for rank, ((k_c, _, _), (k_f, _, _)) in enumerate(pairs, start=1):
+            assert abs(k_c - k_f) < 1e-5, (parity, rank, k_c, k_f)
 
 
 def test_richardson_pairs_by_parity_and_rank(domain, monkeypatch):
-    # the near-degenerate pair near k = 4.21 may leave the two grids in
-    # opposite orders; the extrapolation must not mix its two modes
-    plain = richardson_eigen(domain, 1.0 / 32.0, 6)
-    assert {parity for _, parity in plain[0][3:5]} == {"even", "odd"}
+    # the near-degenerate pair near k = 4.21 (even,3 and odd,2) may leave
+    # the two grids in opposite orders; the extrapolation must not mix its
+    # two modes, so rank r of a parity pairs with rank r of that parity
     unpatched = oracle.fdm_eigen
+    solved = []
 
-    def coarse_swapped(shape, h, num_modes, start=None):
-        problem, modes = unpatched(shape, h, num_modes, start=start)
-        if h == 1.0 / 32.0:
-            modes[3], modes[4] = modes[4], modes[3]
-        return problem, modes
+    def recorded(shape, h, num_modes, start=None):
+        result = unpatched(shape, h, num_modes, start=start)
+        solved.append(result[1])
+        return result
 
-    monkeypatch.setattr(oracle, "fdm_eigen", coarse_swapped)
-    assert richardson_eigen(domain, 1.0 / 32.0, 6) == plain
+    monkeypatch.setattr(oracle, "fdm_eigen", recorded)
+    fdm = richardson_eigen(domain, 1.0 / 32.0, 6)
+    assert abs(fdm["even"][2][0] - fdm["odd"][1][0]) < 1e-2  # the pair is in range
+    coarse, fine = solved
+    for parity, pairs in fdm.items():
+        assert len(pairs) == len(coarse[parity]) == len(fine[parity]) == 6, parity
+        for (k, k1, k2), (c, _), (f, _) in zip(pairs, coarse[parity], fine[parity]):
+            assert (k1, k2) == (c, f), parity
+            assert k == np.sqrt((4.0 * f * f - c * c) / 3.0), parity
 
 
 @pytest.mark.parametrize(
@@ -247,10 +251,9 @@ def test_seeded_fine_solve_matches_unseeded(shape, h, num_modes):
     start = fdm_eigen(shape, h, num_modes)
     _, seeded = fdm_eigen(shape, h / 2.0, num_modes, start=start)
     _, plain = fdm_eigen(shape, h / 2.0, num_modes)
-    # by label: the square's k = sqrt(5) pi is an even and an odd mode, in either order
-    seeded, plain = (_labels((k, p) for k, p, _ in modes) for modes in (seeded, plain))
-    assert seeded.keys() == plain.keys()
-    assert max(abs(seeded[label] - plain[label]) for label in plain) < 1e-12
+    for parity in ("even", "odd"):
+        for (k_s, _), (k_p, _) in zip(seeded[parity], plain[parity], strict=True):
+            assert abs(k_s - k_p) < 1e-12, (parity, k_s, k_p)
 
 
 def test_seeded_fine_solve_needs_fewer_inverse_applications(domain, monkeypatch):
@@ -338,7 +341,7 @@ def test_blocks_reproduce_full_spectrum(domain):
     blocks = np.sort(np.concatenate([lowest(_assembled(_block(domain, problem, p)))
                                      for p in ("even", "odd")]))[:8]
     _, modes = fdm_eigen(domain, h, 8)
-    solved = np.array([k for k, _, _ in modes[:8]])
+    solved = np.sort([k for parity_modes in modes.values() for k, _ in parity_modes])[:8]
     assert np.max(np.abs(blocks - full) / full) < 1e-10
     assert np.max(np.abs(solved - full) / full) < 1e-10
 
@@ -346,11 +349,12 @@ def test_blocks_reproduce_full_spectrum(domain):
 def test_fields_are_exactly_even_or_odd(domain):
     problem, modes = fdm_eigen(domain, 1.0 / 32.0, 4)
     centre = problem.xs.size // 2
-    for _, parity, field in modes:
+    for parity, parity_modes in modes.items():
         sign = 1.0 if parity == "even" else -1.0
-        assert np.array_equal(field[::-1, :], sign * field), parity
-        if parity == "odd":
-            assert not field[centre, :].any()
+        for _, field in parity_modes:
+            assert np.array_equal(field[::-1, :], sign * field), parity
+            if parity == "odd":
+                assert not field[centre, :].any()
 
 
 def test_complex_spectrum_stalls(monkeypatch):
@@ -382,9 +386,11 @@ def test_mask_matches_domain(domain):
 def test_deterministic(domain):
     _, m1 = fdm_eigen(domain, 1.0 / 32.0, 3)
     _, m2 = fdm_eigen(domain, 1.0 / 32.0, 3)
-    for (k1, p1, f1), (k2, p2, f2) in zip(m1, m2):
-        assert k1 == k2 and p1 == p2
-        assert np.array_equal(f1, f2)
+    assert m1.keys() == m2.keys()
+    for parity in m1:
+        for (k1, f1), (k2, f2) in zip(m1[parity], m2[parity], strict=True):
+            assert k1 == k2
+            assert np.array_equal(f1, f2)
 
 
 def test_cross_validation_off_reference_geometry():
@@ -394,8 +400,7 @@ def test_cross_validation_off_reference_geometry():
 
     dom = make_domain(0.8, 1.2)
     seeds = mode_seeds(dom)
-    results, _ = richardson_eigen(dom, 1.0 / 80.0, 4)
-    fdm_even1 = next(k for k, parity in results if parity == "even")
+    fdm_even1 = richardson_eigen(dom, 1.0 / 80.0, 4)["even"][0][0]
     ctx = build_context(BasisSpec(parity=Parity.EVEN, n_max=10, m_max=10), dom)
     est_d, _ = iterate_mode(Method.DTN, seeds["even,1"], ctx)
     est_n, _ = iterate_mode(Method.NTD, seeds["even,1"], ctx)
@@ -414,7 +419,7 @@ def test_aligned_rectangle_matches_exact_discrete_eigenvalues(width, height, h):
     lam = 4.0 / h**2 * (np.sin(p * np.pi * h / (2 * width)) ** 2 + np.sin(q * np.pi * h / (2 * height)) ** 2)
     for parity, odd_p in (("even", True), ("odd", False)):
         exact = np.sqrt(np.sort(lam[(p % 2 == 1) == odd_p])[:3])
-        got = np.array([k for k, mode_parity, _ in modes if mode_parity == parity])
+        got = np.array([k for k, _ in modes[parity]])
         assert np.max(np.abs(got - exact)) < 3e-12, (parity, got - exact)
 
 

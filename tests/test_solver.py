@@ -10,7 +10,9 @@ from helmbound.assembly import COMPRESS_FLOOR
 from helmbound.cli import MUTUAL_TOL
 from helmbound.errors import (MetricNotPositiveDefinite, NearDirichletResonance, NearNeumannResonance,
                               NoPositiveEigenvalue, NotConverged)
-from helmbound.solver import select_mode, solve_generalized
+from helmbound.solver import solve_generalized
+
+from conftest import select_mode
 
 
 def _pair(lam, delta):
@@ -184,6 +186,22 @@ def test_cross_method_agreement(converged):
         est_d, _ = converged(Method.DTN, label)
         est_n, _ = converged(Method.NTD, label)
         assert abs(est_d.k_estimate - est_n.k_estimate) < 1e-4
+
+
+# The cut-cell FD Richardson pair (1/128, 1/256) at b = 1.5, to 7 decimals.
+FD_REFERENCE = {"even,1": 2.0610714, "even,2": 3.0730174, "odd,1": 3.4506149, "odd,2": 4.2188668}
+
+
+def test_convergence_is_one_sided(converged):
+    # every converged k lies above the reference, for both methods and both
+    # sizes: by 1.09e-5 to 1.88e-4 at 15x15 and 2.49e-6 to 4.16e-5 at 30x30
+    # (measured at the default tol and at 1e-10 alike), far above the
+    # reference's 5e-8 rounding
+    for size in (15, 30):
+        for label, reference in FD_REFERENCE.items():
+            for method in Method:
+                k = converged(method, label, size=size)[0].k_estimate
+                assert k > reference, (size, label, method, k - reference)
 
 
 def test_filter_sensitivity(domain, context_for, converged, monkeypatch):
