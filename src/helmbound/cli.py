@@ -163,11 +163,13 @@ def cmd_field(cfg: RunConfig, args) -> int:
         estimate, _trace = iterate_mode(cfg.method, seeds[label], contexts[parity], tol=cfg.tol,
                                         max_iter=cfg.max_iter)
         # After a parity's last label, neither the dict nor the estimate keeps
-        # its context through the export and the next build.  With this
-        # release and without it, a fresh `field --mode even,1 --mode odd,1`
-        # (15x15, 401x701 grid, 1 BLAS thread) peaks at 48.1-48.2 and 48.8-48.9
-        # MB, and the benchmark's field-export round (seeds 1-3) at 61.1-62.0
-        # and 62.6-63.0 MB
+        # its context through the export and the next build, and each grid is
+        # dropped after its export, so it is not alive while the next one is
+        # sampled.  With both releases a fresh `field --mode even,1 --mode
+        # odd,1` (15x15, 401x701 grid, 1 BLAS thread) peaks at 43.7-43.8 MB
+        # and the benchmark's field-export round (seeds 1-3) at 63.0-63.9 MB;
+        # keeping the contexts, at 43.7-43.9 and 63.5-64.1 MB; keeping the
+        # grids, at 45.1 and 65.0-66.4 MB
         if parity not in parities[i + 1:]:
             del contexts[parity]
         grid, k = sample_field(estimate, cfg.grid), estimate.k_estimate
@@ -175,6 +177,7 @@ def cmd_field(cfg: RunConfig, args) -> int:
         stem = f"field_{cfg.method.value}_{label.replace(',', '_')}"
         export_grid(grid, "csv", out / f"{stem}.csv")
         export_grid(grid, "pgm", out / f"{stem}.pgm")
+        del grid
         print(f"{label}: k = {k:.4f} -> {stem}.csv/.pgm")
     return EXIT_OK
 

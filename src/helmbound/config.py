@@ -102,8 +102,8 @@ def _replace(default, data, where: str):
     A key naming a dataclass field recurses into it; any other value must
     have its field's annotated type (a bool is neither an int nor a number,
     an int is a number, an enum field takes one of its values) and, if a
-    float, be finite (JSON's Infinity and NaN are not).  Unknown keys at any
-    depth are errors.
+    float, be finite (JSON's Infinity and NaN are not); every number must be
+    positive.  Unknown keys at any depth are errors.
     """
     if not isinstance(data, dict):
         raise ConfigError(f"{where} must be an object, got {data!r}")
@@ -125,6 +125,10 @@ def _replace(default, data, where: str):
             raise ConfigError(f"{name} must be of type {kind.__name__}, got {value!r}")
         elif isinstance(value, float) and not np.isfinite(value):
             raise ConfigError(f"{name} must be finite, got {value!r}")
+        elif isinstance(value, numbers.Real) and not value > 0:
+            # checked before the section's own check, whose message names no field
+            root, _, field = name.partition(".")
+            raise ConfigError(f"{root}: {field} must be positive, got {value}")
         else:
             changes[key] = value
     try:

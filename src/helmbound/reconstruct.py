@@ -93,6 +93,10 @@ def gamma2_coefficients(
 # factor tables, so sampling adds no memory beyond the grid itself.
 CHUNK = 4096
 
+# Image rows whose PGM digits are built per block: bounds the writer's
+# int32 pixels and digit bytes to PGM_ROWS x nx, so no full-grid raster is formed.
+PGM_ROWS = 32
+
 
 def _semicircle_field(spec: BasisSpec, domain: CompositeDomain, G, x, y):
     """sum_ij G_ij R_i A_j at scattered semicircle points, for G on the factor
@@ -118,10 +122,12 @@ def sample_field(estimate: ModeEstimate, grid: GridSpec = GridSpec()) -> FieldGr
     (modes x rows), over the modes with c_n != 0.
 
     The x nodes a (2i - (nx-1)) / (nx-1) are exact mirror pairs (nx = 1
-    samples x = 0), and every mode is even or odd in x, so the x < 0 rows
-    are copied from their mirrors: the density is exactly even in x.  A grid
-    with no node inside the domain (nx = 2, or ny = 1: the wall y = -b)
-    raises GridTooCoarse.
+    samples x = 0), and every mode is even or odd in x, so only the x >= 0
+    rows (i >= nx // 2) are evaluated and the x < 0 rows are copied from
+    their mirrors: the density is exactly even in x.  The half's BLAS
+    products are smaller than a whole grid's, so a cell can differ from a
+    whole-grid evaluation in its last bits.  A grid with no node inside the
+    domain (nx = 2, or ny = 1: the wall y = -b) raises GridTooCoarse.
     """
     ctx = estimate.context
     domain = ctx.domain
@@ -129,25 +135,27 @@ def sample_field(estimate: ModeEstimate, grid: GridSpec = GridSpec()) -> FieldGr
     xs = a * (2 * np.arange(grid.nx) - (grid.nx - 1)) / max(grid.nx - 1, 1)
     ys = np.linspace(-b, a, grid.ny)
     values = np.zeros((grid.nx, grid.ny))
+    half = grid.nx // 2
+    right, x = values[half:], xs[half:]  # the x >= 0 rows, a view and their nodes
 
-    x = xs[:, None]
-    i, j = np.nonzero((ys > -INTERFACE_TOL) & (x * x + ys * ys < a * a))
+    col = x[:, None]
+    i, j = np.nonzero((ys > -INTERFACE_TOL) & (col * col + ys * ys < a * a))
     rect_rows = ys < -INTERFACE_TOL
     y_rect = ys[rect_rows]
-    in_x = np.abs(xs) < a
+    in_x = x < a
     if not (i.size or (in_x.any() and np.any(y_rect > -b))):
         raise GridTooCoarse(f"the {grid.nx}x{grid.ny} field grid has no node inside the domain")
     if i.size:
-        field = _semicircle_field(ctx.spec, domain, ctx.factor_grid(estimate.a), xs[i], ys[j])
-        values[i, j] = field**2
+        field = _semicircle_field(ctx.spec, domain, ctx.factor_grid(estimate.a), x[i], ys[j])
+        right[i, j] = field**2
 
     if np.any(rect_rows):
         c = estimate.gamma2
         n = np.flatnonzero(c) + 1
-        traces = steklov_trace(n[:, None], domain, xs[in_x][None, :])
+        traces = steklov_trace(n[:, None], domain, x[in_x][None, :])
         block = (traces.T * c[n - 1]) @ steklov_profile(estimate.k_estimate, n, domain, y_rect)
-        values[np.ix_(in_x, rect_rows)] = block**2
-    values[: grid.nx // 2] = values[::-1][: grid.nx // 2]
+        right[np.ix_(in_x, rect_rows)] = block**2
+    values[:half] = values[::-1][:half]
 
     dx = xs[1] - xs[0] if grid.nx > 1 else 2 * a
     dy = ys[1] - ys[0] if grid.ny > 1 else a + b
@@ -165,15 +173,23 @@ def export_grid(grid: FieldGrid, fmt: str, path) -> None:
     maximum maps to 65535 (an all-zero grid stays all-zero), rows run top
     to bottom (y descending), columns left to right (x ascending).
 
-    Both writers format a whole grid row per call: the x/y labels are
+    The CSV writer formats a whole grid row per call: the x/y labels are
     printed once per grid, each row's line template is assembled from them,
     and the row's values are filled in with one ``%`` substitution.  A CSV
     row j > nx - 1 - j equal bit for bit to its mirror row is not formatted:
     the mirror's text is read back from the file with the x label at each
     line start swapped, so one row's text is held at a time.
 
-    A grid with a NaN or infinite cell raises IoFailure before the file is
-    opened, so no partial file is left.
+    The PGM writer builds its digits with numpy, PGM_ROWS image rows at a
+    time: the block's pixels rint(value * scale) as int32, five decimal
+    digits per pixel by repeated integer division by 10, and a separator
+    byte (a space, or a newline after a row's last pixel); a mask drops each
+    pixel's leading zeros, and the kept bytes are written in one call.  The
+    bytes are those of a ``" ".join(str(pixel) ...)`` line per image row.
+
+    A grid with a NaN or infinite cell, or (for PGM) a cell that would give
+    a negative pixel, raises IoFailure before the file is opened, so no
+    partial file is left.
     """
     fmt = fmt.lower()
     if fmt not in ("csv", "pgm"):
@@ -205,14 +221,32 @@ def export_grid(grid: FieldGrid, fmt: str, path) -> None:
         else:
             vmax = float(grid.values.max())
             scale = 65535.0 / vmax if vmax > 0 else 0.0
-            raster = np.rint(grid.values * scale).astype(np.int64)
-            line = " ".join(["%d"] * grid.nx) + "\n"
-            with open(path, "w", newline="\n") as fh:
-                fh.write("P2\n")
-                fh.write(f"{grid.nx} {grid.ny}\n")
-                fh.write("65535\n")
-                for j in range(grid.ny - 1, -1, -1):
-                    fh.write(line % tuple(raster[:, j].tolist()))
+            if np.rint(grid.values.min() * scale) < 0:
+                raise IoFailure(f"cannot write {path}: a PGM pixel would be negative")
+            # per pixel: five decimal digits, most significant first, then a separator
+            chars = np.empty((PGM_ROWS, grid.nx, 6), dtype=np.uint8)
+            chars[..., 5] = ord(" ")
+            chars[:, -1, 5] = ord("\n")
+            keep = np.ones(chars.shape, dtype=bool)  # the units digit and separator stay
+            # built contiguous, then copied into chars in one strided store
+            digits = np.empty((5, PGM_ROWS, grid.nx), dtype=np.uint8)
+            places = np.array([10000, 1000, 100, 10], dtype=np.int32)[:, None, None]
+            with open(path, "wb") as fh:
+                fh.write(f"P2\n{grid.nx} {grid.ny}\n65535\n".encode())
+                for top in range(grid.ny, 0, -PGM_ROWS):
+                    rows = min(top, PGM_ROWS)
+                    # image rows run top to bottom: grid columns top - 1 down to top - rows
+                    block = grid.values[:, top - rows:top][:, ::-1].T
+                    pixels = np.rint(block * scale).astype(np.int32)
+                    rest = pixels
+                    for place in range(4, -1, -1):
+                        quot = rest // 10
+                        digits[place, :rows] = rest - 10 * quot  # rest % 10, one division fewer
+                        rest = quot
+                    digits[:, :rows] += ord("0")
+                    np.moveaxis(chars, -1, 0)[:5, :rows] = digits[:, :rows]
+                    np.moveaxis(keep, -1, 0)[:4, :rows] = pixels >= places
+                    fh.write(chars[:rows][keep[:rows]].tobytes())
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 

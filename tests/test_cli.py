@@ -59,10 +59,12 @@ def test_config_validation():
 
 @pytest.mark.parametrize("name", ["steklov_truncation", "quadrature.n_r", "quadrature.n_phi",
                                   "quadrature.n_s", "kappa0", "tol", "max_iter", "grid.nx",
-                                  "grid.ny", "oracle.h", "oracle.num_modes"])
+                                  "grid.ny", "oracle.h", "oracle.num_modes", "geometry.a",
+                                  "geometry.b", "basis.alpha", "basis.beta", "basis.n_max",
+                                  "basis.m_max"])
 @pytest.mark.parametrize("value", [0, -1])
 def test_config_numbers_must_be_positive(name, value):
-    # the numbers whose own section does not check them; the error names the dotted field
+    # every number, those whose own section checks them too; the error names the dotted field
     section, _, key = name.rpartition(".")
     data = {section: {key: value}} if section else {key: value}
     with pytest.raises(ConfigError, match=rf"config: {name} must be positive, got {value}$"):

@@ -147,6 +147,29 @@ def test_field_is_exactly_mirror_even(converged, label):
     assert np.array_equal(grid.values, grid.values[::-1])
 
 
+@pytest.mark.parametrize("label", ["even,1", "odd,1"])
+def test_field_samples_only_nonnegative_x(converged, monkeypatch, label):
+    from helmbound import reconstruct
+
+    est, _ = converged(Method.DTN, label)
+    seen = []  # the x of every semicircle point and rectangle column evaluated
+    to_polar, trace = reconstruct.cartesian_to_polar, reconstruct.steklov_trace
+
+    def polar(domain, x, y):
+        seen.append(np.asarray(x))
+        return to_polar(domain, x, y)
+
+    def steklov(n, domain, x):
+        seen.append(np.asarray(x))
+        return trace(n, domain, x)
+
+    monkeypatch.setattr(reconstruct, "cartesian_to_polar", polar)
+    monkeypatch.setattr(reconstruct, "steklov_trace", steklov)
+    sample_field(est, GridSpec(nx=15, ny=15))
+    assert len(seen) == 2 and all(x.size for x in seen)
+    assert min(float(x.min()) for x in seen) >= 0.0
+
+
 @pytest.mark.parametrize("nx, ny", [(2, 7), (3, 1), (1, 1), (2, 1)])
 def test_field_grid_without_inside_node_is_too_coarse(converged, nx, ny):
     # nx = 2 samples only |x| = a, ny = 1 only the wall y = -b
@@ -300,6 +323,33 @@ def test_pgm_rows_top_to_bottom(tmp_path, rng):
     raster = np.rint(values * (65535.0 / values.max())).astype(np.int64)
     rows = [" ".join(str(int(v)) for v in raster[:, j]) for j in range(3, -1, -1)]
     assert path.read_bytes() == ("\n".join(["P2", "7 4", "65535"] + rows) + "\n").encode()
+
+
+def test_pgm_matches_per_cell_loop(tmp_path):
+    # every digit width, on grids whose rows span several PGM blocks and a remainder
+    from helmbound.reconstruct import PGM_ROWS
+
+    widths = np.array([0, 9, 10, 99, 100, 999, 1000, 9999, 10000, 65535], dtype=float)
+    for nx in (1, 2, 7):
+        for ny in (1, PGM_ROWS - 1, 2 * PGM_ROWS + 5):
+            values = np.resize(widths, nx * ny).reshape(nx, ny)
+            values[0, 0] = 65535.0  # the maximum, so each pixel is its value
+            for grid_values in (values, np.zeros((nx, ny))):
+                path = tmp_path / f"{nx}x{ny}.pgm"
+                export_grid(FieldGrid(xs=np.arange(nx * 1.0), ys=np.arange(ny * 1.0),
+                                      values=grid_values), "pgm", path)
+                rows = [" ".join(str(int(v)) for v in grid_values[:, j]) for j in range(ny - 1, -1, -1)]
+                expected = "\n".join(["P2", f"{nx} {ny}", "65535"] + rows) + "\n"
+                assert path.read_bytes() == expected.encode(), (nx, ny)
+
+
+def test_pgm_refuses_negative_pixels(tmp_path):
+    values = np.ones((3, 2))
+    values[1, 0] = -1.0
+    path = tmp_path / "field.pgm"
+    with pytest.raises(IoFailure, match="negative"):
+        export_grid(FieldGrid(xs=np.arange(3.0), ys=np.arange(2.0), values=values), "pgm", path)
+    assert not path.exists()
 
 
 def test_csv_roundtrip(tmp_path, converged, read_grid_csv):
