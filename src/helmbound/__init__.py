@@ -10,10 +10,8 @@ from .assembly import (
     MatrixPair,
     Method,
     QuadratureConfig,
-    TrialPair,
     assemble,
     build_context,
-    evaluate_discontinuous_functional,
 )
 from .basis import BasisSpec, Parity
 from .config import RunConfig, mode_seeds

@@ -1,4 +1,4 @@
-"""Assembly of the DtN/NtD matrix pencil and the discontinuous functional.
+"""Assembly of the DtN/NtD matrix pencil.
 
 Both methods reduce the membrane eigenproblem to one generalized matrix
 pencil (Lambda, Delta) over the semicircle trial family, at a fixed
@@ -80,12 +80,13 @@ c_k c_l M[i_k, i_l], at O(r^2), about 1.1 ms for both at 30x30 on one BLAS
 thread of a 2-core machine.  Both come out exactly symmetric.  Since Y is
 orthonormal, the reduced pencil is the family pencil restricted to the kept
 subspace, with its scale and rounding level.  The solver reads only the
-weights (``solver`` module docstring).  Downstream of the solve, gamma2, the
-functional and the interface jumps read the reduced vector a; only field
-sampling maps it to the factor grid.
+weights (``solver`` module docstring).  Downstream of the solve, gamma2 and
+the interface jumps read the reduced vector a; only field sampling maps it
+to the factor grid.
 
-All arithmetic is real; complex enters only through the mixing parameter of
-the discontinuous functional.
+All arithmetic is real.  The pencil's Rayleigh quotient at a is the paper's
+discontinuous functional at the real mixing 0 (DtN) or 1 (NtD), with gamma2
+matched to a; the functional at a complex mixing is a check in the tests.
 """
 
 from __future__ import annotations
@@ -97,7 +98,7 @@ from functools import cached_property
 import numpy as np
 
 from .basis import BasisSpec, Parity, basis_tables
-from .errors import MetricNotPositiveDefinite, ZeroTrial
+from .errors import MetricNotPositiveDefinite
 from .geometry import CompositeDomain, QuadratureRule1D, interface_rule, semicircle_rule
 from .steklov import _guard_neumann, steklov_table, steklov_trace
 
@@ -131,15 +132,6 @@ class QuadratureConfig:
     n_r: int = 64
     n_phi: int = 64
     n_s: int = 128
-
-
-@dataclass(frozen=True)
-class TrialPair:
-    """Trial function: Y a over the semicircle family, gamma2 over Steklov modes."""
-
-    a: np.ndarray
-    gamma2: np.ndarray
-    kappa: float
 
 
 @dataclass(frozen=True)
@@ -343,62 +335,3 @@ def assemble(method: Method, kappa: float, context: AssemblyContext) -> MatrixPa
         _guard_neumann(bn, kappa)
         sigma, dsigma = 1.0 / bn, -dbn / bn**2
     return MatrixPair(method, (sigma - 0.5 * kappa * dsigma, -dsigma / (2.0 * kappa)), context)
-
-
-def _surface_fields(ctx: AssemblyContext, trial):
-    """Values/normal derivatives of both trial parts at the interface nodes,
-    for a TrialPair or anything else with its a, gamma2 and kappa."""
-    a = np.asarray(trial.a, dtype=float)
-    g2 = np.asarray(trial.gamma2, dtype=float)
-    n2 = g2.size
-    if n2 > ctx.n_modes:
-        raise ValueError(
-            f"gamma2 has {n2} coefficients but the context holds {ctx.n_modes} Steklov modes"
-        )
-    bn, dbn = steklov_table(trial.kappa, n2, ctx.domain) if n2 else (np.empty(0), np.empty(0))
-    psi = steklov_trace(np.arange(1, n2 + 1)[:, None], ctx.domain, ctx.surface_rule.nodes[None, :])
-    values, derivs = ctx.radial_coefficients(a)
-    v1 = values @ ctx.radial_values
-    d1 = derivs @ ctx.radial_derivs
-    v2 = g2 @ psi
-    d2 = (bn * g2) @ psi
-    return a, g2, bn, dbn, v1, d1, v2, d2
-
-
-def evaluate_discontinuous_functional(
-    trial: TrialPair,
-    mixing: complex,
-    context: AssemblyContext,
-) -> complex:
-    """General discontinuous functional at a complex mixing parameter.
-
-    The two interface terms weight the value/derivative mismatches with the
-    mixing constant m and its reality partner 1 - m*; for real trial
-    fields the imaginary part cancels identically, so any residual imag is
-    floating-point noise.
-
-    Semicircle volume products come from the context's compressed tables,
-    read at the trial's reduced vector a: a^T G a, and a^T S a as
-    (v1 | d1) - a^T (-S + C) a, since a^T C a is the interface product of
-    the trial's value v1 and normal derivative d1.  Rectangle ones come from
-    the closed identities for a Helmholtz solution:
-    <psi|psi> = sum c_n^2 b_n'/(2 kappa) and <psi|Lap psi> = -kappa^2 <psi|psi>.
-    """
-    a, g2, bn, dbn, v1, d1, v2, d2 = _surface_fields(context, trial)
-    if not (np.any(a) or np.any(g2)):
-        raise ZeroTrial("both trial coefficient vectors vanish")
-    kappa = trial.kappa
-    ws = context.surface_rule.weights
-    norm2_ii = float(np.dot(g2 * g2, dbn)) / (2.0 * kappa)
-    stiffness = float(np.dot(ws, v1 * d1)) - float(a @ context.dtn_base @ a)
-    lap = stiffness - kappa**2 * norm2_ii
-    norm2 = float(a @ context.gram @ a) + norm2_ii
-    vmm = v1 - v2
-    dmm = d1 - d2
-    G1 = float(np.dot(ws, d1 * vmm))
-    G2 = float(np.dot(ws, d2 * vmm))
-    H1 = float(np.dot(ws, v1 * dmm))
-    H2 = float(np.dot(ws, v2 * dmm))
-    m = complex(mixing)
-    num = -lap - (np.conj(m) * G1 + (1.0 - np.conj(m)) * G2) + ((1.0 - m) * H1 + m * H2)
-    return num / norm2

@@ -25,7 +25,7 @@ from pathlib import Path
 
 from .assembly import AssemblyContext, Method, build_context
 from .basis import Parity
-from .config import MODE_LABELS, ConfigError, RunConfig, mode_seeds, parse_mode_label
+from .config import MODE_LABELS, ConfigError, RunConfig, mode_seeds
 from .errors import (GridTooCoarse, IoFailure, IterationStalled, MetricNotPositiveDefinite,
                      NearDirichletResonance, NearNeumannResonance, NotConverged)
 from .reconstruct import export_grid, sample_field
@@ -132,7 +132,7 @@ def cmd_sweep_basis(cfg: RunConfig, args) -> int:
         contexts = _contexts(cfg, Parity, n_max=n_max, m_max=m_max)
         for method in methods:
             for label in MODE_LABELS:
-                ctx = contexts[Parity(parse_mode_label(label)[0])]
+                ctx = contexts[MODE_LABELS[label][0]]
                 try:
                     estimate, _trace = iterate_mode(method, warm[label], ctx, tol=cfg.tol,
                                                     max_iter=cfg.max_iter)
@@ -155,30 +155,19 @@ def cmd_field(cfg: RunConfig, args) -> int:
         raise ConfigError(f"unknown mode label {unknown[0]!r}; expected one of {', '.join(MODE_LABELS)}")
     out = _outdir(cfg)
     seeds = mode_seeds(cfg.geometry)
-    parities = [Parity(parse_mode_label(label)[0]) for label in labels]
     contexts = {}
-    for i, (label, parity) in enumerate(zip(labels, parities)):
+    for label in labels:
+        parity = MODE_LABELS[label][0]
         if parity not in contexts:
             contexts.update(_contexts(cfg, [parity]))
         estimate, _trace = iterate_mode(cfg.method, seeds[label], contexts[parity], tol=cfg.tol,
                                         max_iter=cfg.max_iter)
-        # After a parity's last label, neither the dict nor the estimate keeps
-        # its context through the export and the next build, and each grid is
-        # dropped after its export, so it is not alive while the next one is
-        # sampled.  With both releases a fresh `field --mode even,1 --mode
-        # odd,1` (15x15, 401x701 grid, 1 BLAS thread) peaks at 43.7-43.8 MB
-        # and the benchmark's field-export round (seeds 1-3) at 63.0-63.9 MB;
-        # keeping the contexts, at 43.7-43.9 and 63.5-64.1 MB; keeping the
-        # grids, at 45.1 and 65.0-66.4 MB
-        if parity not in parities[i + 1:]:
-            del contexts[parity]
-        grid, k = sample_field(estimate, cfg.grid), estimate.k_estimate
-        del estimate
+        grid = sample_field(estimate, cfg.grid)
         stem = f"field_{cfg.method.value}_{label.replace(',', '_')}"
         export_grid(grid, "csv", out / f"{stem}.csv")
         export_grid(grid, "pgm", out / f"{stem}.pgm")
-        del grid
-        print(f"{label}: k = {k:.4f} -> {stem}.csv/.pgm")
+        del grid  # not alive while the next one is sampled: 2.2 MB at 401x701
+        print(f"{label}: k = {estimate.k_estimate:.4f} -> {stem}.csv/.pgm")
     return EXIT_OK
 
 
@@ -227,19 +216,18 @@ def cmd_compare(cfg: RunConfig, args) -> int:
 
     out = _outdir(cfg)
     seeds = mode_seeds(cfg.geometry)
-    max_rank = max(parse_mode_label(label)[1] for label in MODE_LABELS)
+    max_rank = max(rank for _, rank in MODE_LABELS.values())
     fdm = richardson_eigen(cfg.geometry, cfg.oracle.h, max_rank)
     oracle_s = time.perf_counter() - t0
     contexts = _contexts(cfg, Parity)
     report = {"modes": [], "mutual_tol": MUTUAL_TOL, "oracle_tol": ORACLE_TOL}
     all_pass = True
-    for label in MODE_LABELS:
-        parity, rank = parse_mode_label(label)
-        ctx = contexts[Parity(parity)]
+    for label, (parity, rank) in MODE_LABELS.items():
+        ctx = contexts[parity]
         est_d, _ = iterate_mode(Method.DTN, seeds[label], ctx, tol=cfg.tol, max_iter=cfg.max_iter)
         est_n, _ = iterate_mode(Method.NTD, est_d.k_estimate, ctx, tol=cfg.tol,
                                 max_iter=cfg.max_iter)
-        k_fdm = fdm[parity][rank - 1][0]
+        k_fdm = fdm[parity.value][rank - 1][0]
         mutual = abs(est_d.k_estimate - est_n.k_estimate)
         delta = abs(est_d.k_estimate - k_fdm)
         entry = {

@@ -137,12 +137,21 @@ def _replace(default, data, where: str):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
+# The tracked modes: each label's parity and its rank within that parity.
+MODE_LABELS = {
+    "even,1": (Parity.EVEN, 1),
+    "even,2": (Parity.EVEN, 2),
+    "odd,1": (Parity.ODD, 1),
+    "odd,2": (Parity.ODD, 2),
+}
+
+
 def mode_seeds(domain: CompositeDomain) -> dict[str, float]:
-    """Iteration seeds for the four tracked labels.
+    """Iteration seeds for the tracked labels, in MODE_LABELS order.
 
     The seeds are the exact eigenvalues of the bounding rectangle of sides
-    2a and a+b: label ("even", q) maps to transverse index p=1, ("odd", q)
-    to p=2 (odd symmetry in x needs an even transverse index).
+    2a and a+b: the label of rank q maps to (p, q) with transverse index p=1
+    if even, p=2 if odd (odd symmetry in x needs an even transverse index).
     """
     a, b = domain.a, domain.b
     w, hgt = 2.0 * a, a + b
@@ -150,19 +159,4 @@ def mode_seeds(domain: CompositeDomain) -> dict[str, float]:
     def k(p, q):
         return float(np.pi * np.sqrt(p * p / w**2 + q * q / hgt**2))
 
-    return {"even,1": k(1, 1), "even,2": k(1, 2), "odd,1": k(2, 1), "odd,2": k(2, 2)}
-
-
-MODE_LABELS = ("even,1", "even,2", "odd,1", "odd,2")
-
-
-def parse_mode_label(label: str) -> tuple[str, int]:
-    try:
-        parity, rank = label.split(",")
-        parity = parity.strip()
-        rank = int(rank)
-        if parity not in ("even", "odd") or rank < 1:
-            raise ValueError
-    except ValueError:
-        raise ConfigError(f"bad mode label {label!r}; expected e.g. 'even,1'") from None
-    return parity, rank
+    return {label: k(1 if parity is Parity.EVEN else 2, q) for label, (parity, q) in MODE_LABELS.items()}

@@ -56,10 +56,6 @@ class NoPositiveEigenvalue(HelmboundError):
     """No positive eigenvalue available for the fixed-point update."""
 
 
-class ZeroTrial(HelmboundError):
-    """Both trial coefficient vectors vanish."""
-
-
 class NotConverged(HelmboundError):
     """Fixed-point iteration hit max_iter before meeting the tolerance."""
 

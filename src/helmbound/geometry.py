@@ -52,9 +52,6 @@ class QuadratureRule1D:
     nodes: np.ndarray
     weights: np.ndarray
 
-    def integrate(self, values: np.ndarray) -> float:
-        return float(np.dot(self.weights, values))
-
 
 @functools.lru_cache(maxsize=16)
 def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:

@@ -251,6 +251,18 @@ def export_grid(grid: FieldGrid, fmt: str, path) -> None:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
+def _surface_fields(ctx: "_assembly.AssemblyContext", a, gamma2, kappa: float):
+    """(v1, d1, v2, d2): the values and normal derivatives at the context's
+    interface nodes of the semicircle part Y a, read from its radial
+    interface rows, and of the rectangle part sum gamma2_n psi_n, whose
+    normal derivative is sum b_n(kappa) gamma2_n psi_n."""
+    n = np.arange(1, gamma2.size + 1)
+    bn, _ = steklov_table(kappa, gamma2.size, ctx.domain)
+    psi = steklov_trace(n[:, None], ctx.domain, ctx.surface_rule.nodes[None, :])
+    values, derivs = ctx.radial_coefficients(a)
+    return values @ ctx.radial_values, derivs @ ctx.radial_derivs, gamma2 @ psi, (bn * gamma2) @ psi
+
+
 def interface_mismatch(estimate: ModeEstimate) -> tuple[float, float]:
     """L2 norms of the value and normal-derivative jumps across the interface.
 
@@ -260,7 +272,7 @@ def interface_mismatch(estimate: ModeEstimate) -> tuple[float, float]:
     the value jump; NtD solutions the analogue in the derivative jump.
     """
     context = estimate.context
-    *_, v1, d1, v2, d2 = _assembly._surface_fields(context, estimate)
+    v1, d1, v2, d2 = _surface_fields(context, estimate.a, estimate.gamma2, estimate.kappa)
     ws = context.surface_rule.weights
     norm = np.sqrt(float(np.dot(ws, v1 * v1))) or 1.0
     value_jump = np.sqrt(float(np.dot(ws, (v1 - v2) ** 2)))

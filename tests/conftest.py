@@ -14,10 +14,13 @@ from helmbound import (
     make_domain,
     mode_seeds,
     semicircle_rule,
+    steklov_table,
     steklov_trace,
 )
 from helmbound.basis import basis_tables, interface_factors
+from helmbound.config import MODE_LABELS
 from helmbound.errors import NoPositiveEigenvalue
+from helmbound.reconstruct import _surface_fields
 
 A, B = 1.0, 1.5
 
@@ -184,8 +187,7 @@ def converged(domain, context_for):
     def get(method: Method, label: str, size: int = 15, tol: float = 5e-5):
         key = (method, label, size, tol)
         if key not in cache:
-            parity = Parity(label.split(",")[0])
-            ctx = context_for(parity, size)
+            ctx = context_for(MODE_LABELS[label][0], size)
             cache[key] = iterate_mode(method, seeds[label], ctx, tol=tol)
         return cache[key]
 
@@ -204,6 +206,32 @@ def select_mode(previous_k_squared: float, values: np.ndarray) -> int:
         raise NoPositiveEigenvalue("no positive eigenvalue to track")
     dist = np.where(positive, np.abs(values - previous_k_squared), np.inf)
     return int(np.argmin(dist))
+
+
+def discontinuous_functional(a, gamma2, kappa, mixing, ctx) -> complex:
+    """The paper's general discontinuous functional at a complex mixing m.
+
+    The trial is Y a on the semicircle and sum gamma2_n psi_n(kappa) on the
+    rectangle.  The two interface terms weight the value and derivative
+    mismatches with m and its reality partner 1 - m*; for real fields the
+    imaginary part cancels, so any residual imag is floating-point noise.
+    Semicircle products come from the context's compressed tables at a:
+    a^T G a, and a^T S a as (v1 | d1) - a^T (-S + C) a, since a^T C a is the
+    interface product of the value v1 and normal derivative d1.  Rectangle
+    ones come from the closed identities for a Helmholtz solution:
+    <psi|psi> = sum c_n^2 b_n'/(2 kappa) and <psi|Lap psi> = -kappa^2 <psi|psi>.
+    """
+    v1, d1, v2, d2 = _surface_fields(ctx, a, gamma2, kappa)
+    _, dbn = steklov_table(kappa, gamma2.size, ctx.domain)
+    ws = ctx.surface_rule.weights
+    norm2_ii = float(np.dot(gamma2 * gamma2, dbn)) / (2.0 * kappa)
+    lap = float(np.dot(ws, v1 * d1)) - float(a @ ctx.dtn_base @ a) - kappa**2 * norm2_ii
+    norm2 = float(a @ ctx.gram @ a) + norm2_ii
+    G1, G2 = (float(np.dot(ws, d * (v1 - v2))) for d in (d1, d2))
+    H1, H2 = (float(np.dot(ws, v * (d1 - d2))) for v in (v1, v2))
+    m = complex(mixing)
+    num = -lap - (np.conj(m) * G1 + (1.0 - np.conj(m)) * G2) + ((1.0 - m) * H1 + m * H2)
+    return num / norm2
 
 
 @pytest.fixture(scope="session")

@@ -13,10 +13,8 @@ from helmbound import (
     BasisSpec,
     Method,
     Parity,
-    TrialPair,
     assemble,
     build_context,
-    evaluate_discontinuous_functional,
     export_grid,
     interface_rule,
     mode_seeds,
@@ -25,8 +23,11 @@ from helmbound import (
     steklov_table,
     steklov_trace,
 )
+from helmbound.config import MODE_LABELS
 from helmbound.errors import NearDirichletResonance
 from helmbound.oracle import Rectangle, richardson_eigen
+
+from conftest import discontinuous_functional
 
 # Reference values, four decimals.
 TABLE1 = {
@@ -164,25 +165,23 @@ def test_criterion_5_functional_suite(domain, quad, context_for, zero_trace_coor
     ctx = context_for(Parity.EVEN, 15)
 
     # reality for 20 random complex mixings
-    trial = TrialPair(a=rng.normal(size=ctx.trial_dim),
-                      gamma2=rng.normal(size=60), kappa=2.0116)
+    a, g2 = rng.normal(size=ctx.trial_dim), rng.normal(size=60)
     for _ in range(20):
         mixing = complex(rng.normal(), rng.normal())
-        assert abs(evaluate_discontinuous_functional(trial, mixing, ctx).imag) < 1e-12
+        assert abs(discontinuous_functional(a, g2, 2.0116, mixing, ctx).imag) < 1e-12
 
     # mixing independence for an exactly matched (zero interface trace) trial
-    matched = TrialPair(a=zero_trace_coords(ctx, rng), gamma2=np.zeros(10), kappa=2.0116)
-    base = evaluate_discontinuous_functional(matched, 0.0, ctx).real
+    a, g2 = zero_trace_coords(ctx, rng), np.zeros(10)
+    base = discontinuous_functional(a, g2, 2.0116, 0.0, ctx).real
     for _ in range(20):
         mixing = complex(rng.normal(), rng.normal())
-        assert abs(evaluate_discontinuous_functional(matched, mixing, ctx) - base) < 1e-10
+        assert abs(discontinuous_functional(a, g2, 2.0116, mixing, ctx) - base) < 1e-10
 
     for (method, label), (estimate, _trace) in tight_solutions.items():
         sol_ctx = estimate.context
         mixing = _natural_mixing(method)
-        a0 = estimate.a
-        trial0 = TrialPair(a=a0, gamma2=estimate.gamma2, kappa=estimate.kappa)
-        f0 = evaluate_discontinuous_functional(trial0, mixing, sol_ctx).real
+        a0, g0, kappa = estimate.a, estimate.gamma2, estimate.kappa
+        f0 = discontinuous_functional(a0, g0, kappa, mixing, sol_ctx).real
         f_tilde = estimate.k_estimate**2
 
         # converged functional value equals the tracked eigenvalue
@@ -193,15 +192,12 @@ def test_criterion_5_functional_suite(domain, quad, context_for, zero_trace_coor
         orders = []
         for _ in range(3):
             d1 = rng.normal(size=a0.size)
-            d2 = rng.normal(size=estimate.gamma2.size)
+            d2 = rng.normal(size=g0.size)
             d1 *= np.linalg.norm(a0) / np.linalg.norm(d1)
-            d2 *= np.linalg.norm(estimate.gamma2) / np.linalg.norm(d2)
+            d2 *= np.linalg.norm(g0) / np.linalg.norm(d2)
             deltas = []
             for e in eps:
-                trial_e = TrialPair(a=a0 + e * d1,
-                                gamma2=estimate.gamma2 + e * d2,
-                                kappa=estimate.kappa)
-                fe = evaluate_discontinuous_functional(trial_e, mixing, sol_ctx).real
+                fe = discontinuous_functional(a0 + e * d1, g0 + e * d2, kappa, mixing, sol_ctx).real
                 deltas.append(abs(fe - f0))
             slope = np.polyfit(np.log(eps), np.log(deltas), 1)[0]
             orders.append(slope)
@@ -217,10 +213,9 @@ def test_criterion_6_oracle_cross_validation(domain, converged):
         assert abs(k - want) < 2e-3
 
     comp = richardson_eigen(domain, 1.0 / 64.0, 2)
-    for label in ("even,1", "even,2", "odd,1", "odd,2"):
-        parity, rank = label.split(",")
+    for label, (parity, rank) in MODE_LABELS.items():
         est, _ = converged(Method.DTN, label)
-        k_fdm = comp[parity][int(rank) - 1][0]
+        k_fdm = comp[parity.value][rank - 1][0]
         assert abs(est.k_estimate - k_fdm) < 1e-3, (label, est.k_estimate, k_fdm)
         est30, _ = converged(Method.DTN, label, size=30)
         assert abs(est30.k_estimate - k_fdm) < 5e-5, (label, est30.k_estimate, k_fdm)

@@ -9,10 +9,9 @@ from helmbound import (
     Method,
     Parity,
     QuadratureConfig,
-    TrialPair,
     assemble,
     build_context,
-    evaluate_discontinuous_functional,
+    gamma2_coefficients,
     iterate_mode,
     make_domain,
     mode_seeds,
@@ -20,7 +19,10 @@ from helmbound import (
 )
 from helmbound import assembly
 from helmbound.assembly import COMPRESS_FLOOR
-from helmbound.errors import NearDirichletResonance, ZeroTrial
+from helmbound.config import MODE_LABELS
+from helmbound.errors import NearDirichletResonance
+
+from conftest import discontinuous_functional
 
 KAPPA = 2.0116
 SIZES = [(3, 3), (5, 5), (15, 15)]
@@ -251,7 +253,7 @@ def test_compression_matches_uncompressed_family(domain, quad, converged, dense_
     seeds = mode_seeds(domain)
     full = {parity: _uncompressed(parity, domain, quad, monkeypatch, member_index) for parity in Parity}
     for label, seed in seeds.items():
-        parity = Parity(label.split(",")[0])
+        parity = MODE_LABELS[label][0]
         for method in Method:
             k = converged(method, label, tol=1e-8)[0].k_estimate
             k_full = dense_fixed_point(_filtered_solve, method, seed, full[parity], 1e-8)[0]
@@ -294,8 +296,6 @@ def test_factored_interface_matches_family_tables(context_for, family_tables, de
 @pytest.mark.parametrize("parity", list(Parity))
 def test_gamma2_reads_dense_projections(context_for, family_tables, dense_coords, parity, rng):
     # gamma2 from the radial factors against the dense P Y a and Q Y a / b_n
-    from helmbound import gamma2_coefficients
-
     ctx = context_for(parity, 15)
     _, _, T, D, psi, ws = family_tables(ctx)
     Y = dense_coords(ctx)
@@ -319,7 +319,7 @@ def test_compress_floor_moves_no_k(domain, context_for, converged, monkeypatch):
     monkeypatch.setattr(assembly, "COMPRESS_FLOOR", COMPRESS_FLOOR / 10)
     lower = {parity: build_context(ctx[parity].spec, domain) for parity in Parity}
     for label, seed in seeds.items():
-        parity = Parity(label.split(",")[0])
+        parity = MODE_LABELS[label][0]
         assert lower[parity].trial_dim > ctx[parity].trial_dim
         for method in Method:
             k = converged(method, label, tol=1e-8)[0].k_estimate
@@ -374,37 +374,20 @@ def test_quadrature_stability(domain, family_tables):
 
 def test_functional_reality(domain, context_for, rng):
     ctx = context_for(Parity.EVEN, 5)
-    trial = TrialPair(a=rng.normal(size=ctx.trial_dim), gamma2=rng.normal(size=40), kappa=KAPPA)
+    a, g2 = rng.normal(size=ctx.trial_dim), rng.normal(size=40)
     for _ in range(20):
         mixing = complex(rng.normal(), rng.normal())
-        value = evaluate_discontinuous_functional(trial, mixing, ctx)
-        assert abs(value.imag) < 1e-12
+        assert abs(discontinuous_functional(a, g2, KAPPA, mixing, ctx).imag) < 1e-12
 
 
 def test_functional_mixing_independence_for_matched_trial(domain, context_for, zero_trace_coords, rng):
     # zero interface value and gamma2 = 0: every interface term vanishes
     ctx = context_for(Parity.EVEN, 5)
-    trial = TrialPair(a=zero_trace_coords(ctx, rng), gamma2=np.zeros(8), kappa=KAPPA)
-    base = evaluate_discontinuous_functional(trial, 0.0, ctx).real
+    a, g2 = zero_trace_coords(ctx, rng), np.zeros(8)
+    base = discontinuous_functional(a, g2, KAPPA, 0.0, ctx).real
     for _ in range(10):
         mixing = complex(rng.normal(), rng.normal())
-        value = evaluate_discontinuous_functional(trial, mixing, ctx)
-        assert abs(value - base) < 1e-10
-
-
-def test_functional_zero_trial(domain, context_for):
-    ctx = context_for(Parity.EVEN, 5)
-    trial = TrialPair(a=np.zeros(ctx.trial_dim), gamma2=np.zeros(10), kappa=KAPPA)
-    with pytest.raises(ZeroTrial):
-        evaluate_discontinuous_functional(trial, 0.3, ctx)
-
-
-def test_functional_rejects_gamma2_beyond_context(domain, context_for, rng):
-    ctx = context_for(Parity.EVEN, 5)
-    n2 = ctx.n_modes + 1
-    trial = TrialPair(a=rng.normal(size=ctx.trial_dim), gamma2=rng.normal(size=n2), kappa=KAPPA)
-    with pytest.raises(ValueError, match=f"{n2} coefficients .* {ctx.n_modes} Steklov modes"):
-        evaluate_discontinuous_functional(trial, 0.3, ctx)
+        assert abs(discontinuous_functional(a, g2, KAPPA, mixing, ctx) - base) < 1e-10
 
 
 @pytest.fixture(scope="module")
@@ -416,27 +399,24 @@ def fn_ctx(domain):
 
 
 def _matched_trial(method, ctx, rng):
-    """A trial at a random reduced vector a, its gamma2 matched; returns (trial, a)."""
-    from helmbound import gamma2_coefficients
-
+    """A random reduced vector a and the gamma2 the method matches to it."""
     a = rng.normal(size=ctx.trial_dim)
-    g2 = gamma2_coefficients(method, a, KAPPA, ctx)
-    return TrialPair(a=a, gamma2=g2, kappa=KAPPA), a
+    return a, gamma2_coefficients(method, a, KAPPA, ctx)
 
 
 def test_functional_matches_rayleigh_quotient(domain, fn_ctx, rng):
     # for a value-matched trial at mixing 0 the functional equals the
     # assembled DtN Rayleigh quotient of the trial's reduced coordinates
-    trial, a = _matched_trial(Method.DTN, fn_ctx, rng)
+    a, g2 = _matched_trial(Method.DTN, fn_ctx, rng)
     pair = assemble(Method.DTN, KAPPA, fn_ctx)
     rq = float(a @ pair.lam @ a) / float(a @ pair.delta @ a)
-    general = evaluate_discontinuous_functional(trial, 0.0, fn_ctx).real
+    general = discontinuous_functional(a, g2, KAPPA, 0.0, fn_ctx).real
     assert general == pytest.approx(rq, rel=1e-10)
 
 
 def test_functional_matches_ntd_rayleigh_quotient(domain, fn_ctx, rng):
-    trial, a = _matched_trial(Method.NTD, fn_ctx, rng)
+    a, g2 = _matched_trial(Method.NTD, fn_ctx, rng)
     pair = assemble(Method.NTD, KAPPA, fn_ctx)
     rq = float(a @ pair.lam @ a) / float(a @ pair.delta @ a)
-    general = evaluate_discontinuous_functional(trial, 1.0, fn_ctx).real
+    general = discontinuous_functional(a, g2, KAPPA, 1.0, fn_ctx).real
     assert general == pytest.approx(rq, rel=1e-10)

@@ -10,7 +10,7 @@ import pytest
 
 from helmbound import BasisSpec, Parity
 from helmbound.cli import main
-from helmbound.config import ConfigError, RunConfig, mode_seeds, parse_mode_label
+from helmbound.config import MODE_LABELS, ConfigError, RunConfig, mode_seeds
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 SRC = README.parent / "src"
@@ -113,8 +113,6 @@ def test_mode_seeds_match_bounding_rectangle(domain):
     assert seeds["even,2"] == pytest.approx(2.9638, abs=1e-4)
     assert seeds["odd,1"] == pytest.approx(3.3836, abs=1e-4)
     assert seeds["odd,2"] == pytest.approx(4.0232, abs=1e-4)
-    with pytest.raises(ConfigError):
-        parse_mode_label("sideways,1")
 
 
 def test_solve_reproduces_table_value(tmp_path, capsys, context_for):
@@ -198,7 +196,7 @@ def test_sweep_warm_starts_match_cold_solves(tmp_path, monkeypatch, context_for,
     for size in (3, 5, 15):
         for method in (Method.DTN, Method.NTD):
             for label in seeds:
-                ctx = context_for(Parity(parse_mode_label(label)[0]), size)
+                ctx = context_for(MODE_LABELS[label][0], size)
                 k = iterate_mode(method, seeds[label], ctx)[0].k_estimate
                 expected.append(f'{size},{size},{method.value},"{label}",{k:.6f},')
     assert rows == expected

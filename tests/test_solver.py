@@ -8,6 +8,7 @@ from helmbound import BasisSpec, Method, Parity, assemble, build_context, iterat
 from helmbound import assembly, solver
 from helmbound.assembly import COMPRESS_FLOOR
 from helmbound.cli import MUTUAL_TOL
+from helmbound.config import MODE_LABELS
 from helmbound.errors import (MetricNotPositiveDefinite, NearDirichletResonance, NearNeumannResonance,
                               NoPositiveEigenvalue, NotConverged)
 from helmbound.solver import solve_generalized
@@ -142,7 +143,7 @@ def test_warm_starts_take_one_iteration(converged, context_for, label):
     # method's own k lands within 2.1e-11 (DtN) and 1.6e-9 (NtD) of it, and
     # NtD seeded with DtN's k (as sweep-basis and compare do) within 1.5e-9
     # of NtD's cold k
-    ctx = context_for(Parity(label.split(",")[0]), 15)
+    ctx = context_for(MODE_LABELS[label][0], 15)
     est = {method: converged(method, label)[0].k_estimate for method in Method}
     starts = [(Method.DTN, est[Method.DTN], 1e-9), (Method.NTD, est[Method.NTD], 1e-8),
               (Method.NTD, est[Method.DTN], 1e-8)]
@@ -171,6 +172,20 @@ def test_warm_ntd_stays_on_dtn_root_where_seed_hops(quad):
 def test_iterate_rejects_bad_seed(context_for):
     with pytest.raises(ValueError):
         iterate_mode(Method.DTN, 0.0, context_for(Parity.EVEN, 3))
+
+
+@pytest.mark.parametrize("a", [0.5, 1.7, 2.0])
+def test_scaling_law(domain, quad, converged, a):
+    # alpha -> alpha / a and b -> a b dilate the domain, the trial family and
+    # the Steklov modes by a, so a k(a) = k(1): measured at most 3.4e-13 apart
+    scaled = make_domain(a * domain.a, a * domain.b)
+    seeds = mode_seeds(scaled)
+    for label, (parity, _) in MODE_LABELS.items():
+        spec = BasisSpec(parity=parity, alpha=BasisSpec(parity).alpha / a)
+        ctx = build_context(spec, scaled, quad)
+        for method in Method:
+            k = iterate_mode(method, seeds[label], ctx, tol=1e-12)[0].k_estimate
+            assert abs(a * k - converged(method, label, tol=1e-12)[0].k_estimate) < 1e-12, (label, method)
 
 
 def test_monotone_convergence_after_first_step(converged):
@@ -217,7 +232,7 @@ def test_filter_sensitivity(domain, context_for, converged, monkeypatch):
     higher = {parity: build_context(ctx[parity].spec, domain) for parity in Parity}
     bounds = {Method.DTN: 1e-6, Method.NTD: 1e-4}
     for label, seed in seeds.items():
-        parity = Parity(label.split(",")[0])
+        parity = MODE_LABELS[label][0]
         assert higher[parity].trial_dim < ctx[parity].trial_dim
         for method, bound in bounds.items():
             k = converged(method, label, tol=1e-8)[0].k_estimate
@@ -347,7 +362,7 @@ def _check_against_full_eigh_loop(context_for, dense_fixed_point, size, b):
     domain = make_domain(1.0, b)
     contexts = {parity: dataclasses.replace(context_for(parity, size), domain=domain) for parity in Parity}
     for label, seed in mode_seeds(domain).items():
-        ctx = contexts[Parity(label.split(",")[0])]
+        ctx = contexts[MODE_LABELS[label][0]]
         for method in Method:
             got = _outcome(lambda: iterate_mode(method, seed, ctx, tol=1e-8))
             want = _outcome(lambda: dense_fixed_point(solve_generalized, method, seed, ctx, 1e-8))
